@@ -37,12 +37,15 @@ from .graphs import (
     check_bound,
     hk_sum,
     indegree_histogram,
+    induced_leaves,
+    induces_connected,
     out_adjacency,
     topological_order,
 )
 from .systems import (
     SetSystem,
     check_system_bound,
+    is_k_regular_set,
     make_set_system,
     validate_k_system,
 )
@@ -266,30 +269,23 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
         raise NotCycleSystem(
             f"not a valid 2-system: {report.defect_lines()[0]}"
         )
-    face_members = [set(t) for t in f2.sets]
-    for i, members in enumerate(face_members):
-        reached = {f2.sets[i][0]}
-        stack = [f2.sets[i][0]]
-        while stack:
-            u = stack.pop()
-            for w in g.adjacency[u]:
-                if w in members and w not in reached:
-                    reached.add(w)
-                    stack.append(w)
-        if reached != members:
+    for i, t in enumerate(f2.sets):
+        if not induces_connected(g, t):
             raise NotCycleSystem(f"member #{i} induces a disconnected subgraph")
 
-    # corner (v, {a, b}) -> index of the unique 2-face containing both edges
+    # corner (v, {a, b}) -> index of the unique 2-face containing both edges;
+    # face_leaves[i][v] is the pair of v's neighbours inside 2-face i
     corner_face: dict[tuple[int, frozenset[int]], int] = {}
-    for i, members in enumerate(face_members):
-        for v in f2.sets[i]:
-            a, b = (x for x in g.adjacency[v] if x in members)
-            corner_face[(v, frozenset((a, b)))] = i
+    face_leaves: list[dict[int, tuple[int, ...]]] = []
+    for i, t in enumerate(f2.sets):
+        leaves = dict(zip(t, induced_leaves(g, t)))
+        face_leaves.append(leaves)
+        for v, pair in leaves.items():
+            corner_face[(v, frozenset(pair))] = i
 
     def transport(u: int, via: int, missing: int) -> int:
         """Missing neighbour at `via` of the facet missing `missing` at u."""
-        face = face_members[corner_face[(u, frozenset((missing, via)))]]
-        x, y = (w for w in g.adjacency[via] if w in face)
+        x, y = face_leaves[corner_face[(u, frozenset((missing, via)))]][via]
         return y if x == u else x
 
     facets: set[tuple[int, ...]] = set()
@@ -319,10 +315,7 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
                     vertex_count[v] += 1
 
     for t in sorted(facets):
-        members = set(t)
-        if any(
-            sum(1 for x in g.adjacency[u] if x in members) != g.d - 1 for u in t
-        ):
+        if not is_k_regular_set(g, t, g.d - 1):
             raise InconsistentTransport(
                 f"reconstructed facet {t} is not (d-1)-regular"
             )

@@ -139,13 +139,7 @@ def cmd_facets_from_2faces(args: argparse.Namespace) -> int:
 
 def cmd_enum_orient(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    if args.jobs > 1:
-        orientations = search.enumerate_acyclic_orientations_parallel(
-            g, args.budget, args.jobs
-        )
-    else:
-        orientations = search.enumerate_acyclic_orientations(g, args.budget)
-    for o in orientations:
+    for o in search.enumerate_acyclic_orientations(g, args.budget, args.jobs):
         sys.stdout.write(fileio.canonical_json(fileio.orientation_doc(o)))
     return EXIT_OK
 
@@ -153,7 +147,7 @@ def cmd_enum_orient(args: argparse.Namespace) -> int:
 def cmd_min_hk(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     k = _parse_k(args.k, allow_all=True)
-    value, witness = search.minimize_hk_parallel(g, k, args.budget, args.jobs)
+    value, witness = search.minimize_hk(g, k, args.budget, args.jobs)
     print(value)
     sys.stdout.write(fileio.canonical_json(fileio.orientation_doc(witness)))
     return EXIT_OK
@@ -161,7 +155,7 @@ def cmd_min_hk(args: argparse.Namespace) -> int:
 
 def cmd_enum_ksystems(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    systems = search.enumerate_k_systems_parallel(
+    systems = search.enumerate_k_systems(
         g,
         args.k,
         candidate_cap=args.candidate_cap,

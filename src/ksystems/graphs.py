@@ -19,7 +19,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import (
     Disconnected,
@@ -111,7 +111,10 @@ def validate_graph(d: int, n: int, edge_list: Iterable[Iterable[int]]) -> Polyto
     canonical: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for pair in edge_list:
-        u, v = pair
+        try:
+            u, v = pair
+        except (TypeError, ValueError):
+            raise InvalidParams(f"edge {pair!r} is not a pair of vertex ids") from None
         for x in (u, v):
             if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n:
                 raise InvalidParams(f"vertex id {x!r} outside 0..{n - 1}")
@@ -152,6 +155,34 @@ def validate_graph(d: int, n: int, edge_list: Iterable[Iterable[int]]) -> Polyto
         adjacency=tuple(tuple(sorted(a)) for a in nbrs),
         fingerprint=graph_fingerprint(d, n, canonical),
     )
+
+
+def induced_leaves(g: PolytopeGraph, t: Sequence[int]) -> list[tuple[int, ...]]:
+    """For each vertex of ``t``, in order, its neighbours inside ``t``.
+
+    These are the leaves of the one frame each vertex spans in the
+    subgraph induced on ``t``; its induced degree is their number.
+    """
+    inside = set(t).__contains__
+    adj = g.adjacency
+    return [tuple(filter(inside, adj[v])) for v in t]
+
+
+def induces_connected(g: PolytopeGraph, t: Iterable[int]) -> bool:
+    """True when the non-empty vertex set ``t`` induces a connected subgraph."""
+    members = set(t)
+    if not members:
+        return False
+    start = min(members)
+    reached = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for w in g.adjacency[u]:
+            if w in members and w not in reached:
+                reached.add(w)
+                stack.append(w)
+    return len(reached) == len(members)
 
 
 def make_orientation(g: PolytopeGraph, heads: Iterable[int]) -> Orientation:

@@ -31,11 +31,12 @@ from .graphs import (
     Orientation,
     PolytopeGraph,
     check_bound,
+    induces_connected,
     out_adjacency,
     topological_order,
     validate_graph,
 )
-from .systems import SetSystem, make_set_system
+from .systems import SetSystem, is_k_regular_set, make_set_system
 
 
 @dataclass(frozen=True)
@@ -91,19 +92,9 @@ def make_instance(
 
     adj_sets = [set(a) for a in graph.adjacency]
     for i, t in enumerate(canon):
-        members = set(t)
-        degs = {v: sum(1 for x in graph.adjacency[v] if x in members) for v in t}
-        if any(c != d - 1 for c in degs.values()):
+        if not is_k_regular_set(graph, t, d - 1):
             raise NotSimple(f"facet #{i} does not induce a (d-1)-regular subgraph")
-        reached = {t[0]}
-        stack = [t[0]]
-        while stack:
-            u = stack.pop()
-            for w in graph.adjacency[u]:
-                if w in members and w not in reached:
-                    reached.add(w)
-                    stack.append(w)
-        if reached != members:
+        if not induces_connected(graph, t):
             raise NotSimple(f"facet #{i} induces a disconnected subgraph")
 
     for u in range(n):
@@ -283,7 +274,12 @@ def generate(family: str, *args) -> Instance:
     raise InvalidParams(f"unknown family {family!r}")
 
 
-@lru_cache(maxsize=None)
+#: Most (instance, k) pairs :func:`faces_from_incidence` keeps; the least
+#: recently used pair goes first, so memory stays flat over many instances.
+FACES_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=FACES_CACHE_SIZE)
 def faces_from_incidence(inst: Instance, k: int) -> SetSystem:
     """Vertex sets of all k-faces, 0 <= k <= d-1, from facet intersections.
 
@@ -309,20 +305,9 @@ def faces_from_incidence(inst: Instance, k: int) -> SetSystem:
             found.add(tuple(sorted(face)))
 
     for t in sorted(found):
-        members = set(t)
-        if len(t) < k + 1 or any(
-            sum(1 for x in g.adjacency[u] if x in members) != k for u in t
-        ):
+        if len(t) < k + 1 or not is_k_regular_set(g, t, k):
             raise NotSimple(f"facet intersection {t} is not a {k}-face")
-        reached = {t[0]}
-        stack = [t[0]]
-        while stack:
-            u = stack.pop()
-            for w in g.adjacency[u]:
-                if w in members and w not in reached:
-                    reached.add(w)
-                    stack.append(w)
-        if reached != members:
+        if not induces_connected(g, t):
             raise NotSimple(f"facet intersection {t} is disconnected")
 
     return make_set_system(g, k, sorted(found))

@@ -9,25 +9,28 @@ member sets are the connected induced k-regular subgraphs, and a family
 covers every frame exactly once iff it is a k-system.
 
 Searches partition cleanly (fix the first few edge directions, or the
-candidate covering the first chosen frame), which is how the parallel
-variants split work across processes.
+candidate covering the first chosen frame).  Each search takes a
+``jobs`` argument: above 1, it hands the parts to that many worker
+processes, each running the same sequential core on its part, and
+yields the collected results in the order one job would.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from typing import Iterator, Sequence
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .certificates import unique_sink_per_set
 from .errors import BudgetExceeded, CandidateCapExceeded, KOutOfRange
 from .graphs import (
     ALL,
-    HVector,
     Orientation,
     PolytopeGraph,
     hk_sum,
     indegree_histogram,
-    validate_graph,
+    induced_leaves,
 )
 from .oracle import Instance, faces_from_incidence, is_aof_oracle
 from .systems import (
@@ -113,10 +116,10 @@ def _acyclic_stream(g: PolytopeGraph, prefix: Sequence[int] = ()) -> Iterator[Or
     yield from rec(len(prefix))
 
 
-def enumerate_acyclic_orientations(
-    g: PolytopeGraph, budget: int = DEFAULT_BUDGET
-) -> Iterator[Orientation]:
-    """Yield every acyclic orientation exactly once, deterministically.
+def _prefixes(g: PolytopeGraph, budget: int, jobs: int) -> list[tuple[int, ...]]:
+    """Directions of the first few edges (in BFS edge order) that split the
+    orientation space into parts for ``jobs`` processes; just the empty
+    prefix for one job.
 
     Hard-capped: refuses graphs whose full direction space 2^|E| exceeds
     the budget, since pruning gives no worst-case guarantee.
@@ -124,25 +127,79 @@ def enumerate_acyclic_orientations(
     m = len(g.edges)
     if 2**m > budget:
         raise BudgetExceeded(f"2^{m} orientations exceed budget {budget}")
-    return _acyclic_stream(g)
+    bits = min((jobs - 1).bit_length() + 1, m) if jobs > 1 else 0
+    return [
+        tuple((i >> (bits - 1 - b)) & 1 for b in range(bits))
+        for i in range(1 << bits)
+    ]
+
+
+def _fan_out(jobs: int, worker: Callable, tasks: list[tuple]) -> list:
+    """``worker(*task)`` for every task, in ``jobs`` processes, in task order.
+
+    Workers are spawned, not forked: they start from a fresh import and
+    get everything they need, pickled, in their task.
+    """
+    with multiprocessing.get_context("spawn").Pool(jobs) as pool:
+        return pool.starmap(worker, tasks)
+
+
+def _listed(stream: Callable[..., Iterable], *args) -> list:
+    """Worker: a sequential stream run to the end, for pickling back."""
+    return list(stream(*args))
+
+
+def enumerate_acyclic_orientations(
+    g: PolytopeGraph, budget: int = DEFAULT_BUDGET, jobs: int = 1
+) -> Iterator[Orientation]:
+    """Yield every acyclic orientation exactly once, deterministically.
+
+    Refuses graphs with more than ``budget`` edge directions (see
+    :func:`_prefixes`).  With ``jobs`` > 1 each process enumerates the
+    orientations under one prefix, and the parts are collected before
+    the stream starts; the order is the same as with one job.
+    """
+    prefixes = _prefixes(g, budget, jobs)
+    if jobs <= 1:
+        return _acyclic_stream(g)
+    tasks = [(_acyclic_stream, g, p) for p in prefixes]
+    return chain.from_iterable(_fan_out(jobs, _listed, tasks))
+
+
+def _least_hk(
+    g: PolytopeGraph, k: int | str, orientations: Iterable[Orientation]
+) -> tuple[int, Orientation] | None:
+    """H^k and the first orientation attaining the least H^k, if any."""
+    scored = ((hk_sum(indegree_histogram(g, o), k), o) for o in orientations)
+    return min(scored, key=itemgetter(0), default=None)
+
+
+def _min_worker(
+    g: PolytopeGraph, k: int | str, prefix: tuple[int, ...]
+) -> tuple[int, Orientation] | None:
+    return _least_hk(g, k, _acyclic_stream(g, prefix))
 
 
 def minimize_hk(
-    g: PolytopeGraph, k: int | str, budget: int = DEFAULT_BUDGET
+    g: PolytopeGraph, k: int | str, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> tuple[int, Orientation]:
-    """Minimum of H^k over all acyclic orientations, with first witness."""
+    """Minimum of H^k over all acyclic orientations, with first witness.
+
+    With ``jobs`` > 1 each process minimizes over one prefix; the first
+    part attaining the minimum holds the witness one job would find.
+    """
     if k != ALL and (
         not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= g.d
     ):
         raise KOutOfRange(f"k must be 0..{g.d} or ALL, got {k!r}")
-    best: int | None = None
-    witness: Orientation | None = None
-    for o in enumerate_acyclic_orientations(g, budget):
-        val = hk_sum(indegree_histogram(g, o), k)
-        if best is None or val < best:
-            best, witness = val, o
-    assert best is not None and witness is not None  # n >= 2, connected
-    return best, witness
+    if jobs <= 1:
+        best = _least_hk(g, k, enumerate_acyclic_orientations(g, budget))
+    else:
+        tasks = [(g, k, p) for p in _prefixes(g, budget, jobs)]
+        parts = [r for r in _fan_out(jobs, _min_worker, tasks) if r is not None]
+        best = min(parts, key=itemgetter(0))
+    assert best is not None  # n >= 2, connected
+    return best
 
 
 def connected_k_regular_sets(
@@ -193,28 +250,47 @@ def connected_k_regular_sets(
 
 
 def _frames_of(g: PolytopeGraph, t: tuple[int, ...]) -> frozenset[KFrame]:
-    members = set(t)
-    return frozenset(
-        KFrame(v, tuple(x for x in g.adjacency[v] if x in members)) for v in t
-    )
+    return frozenset(map(KFrame, t, induced_leaves(g, t)))
+
+
+def _frame_index(
+    g: PolytopeGraph, k: int, candidates: list[tuple[int, ...]]
+) -> tuple[list[frozenset[KFrame]], dict[KFrame, list[int]]]:
+    """The frames of each candidate, and the candidates covering each frame
+    (every frame of the universe, in frame order, ascending indices)."""
+    cand_frames = [_frames_of(g, t) for t in candidates]
+    frame_cands: dict[KFrame, list[int]] = {f: [] for f in enumerate_k_frames(g, k)}
+    for i, fs in enumerate(cand_frames):
+        for f in fs:
+            frame_cands[f].append(i)
+    return cand_frames, frame_cands
+
+
+def _column(
+    cand_frames: list[frozenset[KFrame]],
+    frame_cands: dict[KFrame, list[int]],
+    uncovered: set[KFrame],
+) -> list[int]:
+    """Live candidates of the uncovered frame with fewest of them, ties by
+    frame key: the branching rule that makes every cover appear once."""
+    best_f: KFrame | None = None
+    best_avail: list[int] | None = None
+    for f in uncovered:
+        avail = [i for i in frame_cands[f] if cand_frames[i] <= uncovered]
+        if best_avail is None or (len(avail), f) < (len(best_avail), best_f):
+            best_f, best_avail = f, avail
+            if not avail:
+                break
+    assert best_avail is not None
+    return best_avail
 
 
 def _root_branches(
     g: PolytopeGraph, k: int, candidates: list[tuple[int, ...]]
 ) -> list[int]:
     """Candidate indices covering the deterministic first frame choice."""
-    cand_frames = [_frames_of(g, t) for t in candidates]
-    frame_cands: dict[KFrame, list[int]] = {f: [] for f in enumerate_k_frames(g, k)}
-    for i, fs in enumerate(cand_frames):
-        for f in fs:
-            frame_cands[f].append(i)
-    best: tuple[int, KFrame] | None = None
-    for f, avail in frame_cands.items():
-        key = (len(avail), f)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return frame_cands[best[1]]
+    cand_frames, frame_cands = _frame_index(g, k, candidates)
+    return _column(cand_frames, frame_cands, set(frame_cands))
 
 
 def _exact_covers(
@@ -224,33 +300,18 @@ def _exact_covers(
     forced_first: int | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Exact covers of the frame universe by candidate sets, Algorithm X
-    style: always branch on the uncovered frame with fewest remaining
-    candidates (ties by frame key), so every cover appears exactly once.
+    style: always branch on the column :func:`_column` picks, so every
+    cover appears exactly once.
     """
-    universe = list(enumerate_k_frames(g, k))
-    cand_frames = [_frames_of(g, t) for t in candidates]
-    frame_cands: dict[KFrame, list[int]] = {f: [] for f in universe}
-    for i, fs in enumerate(cand_frames):
-        for f in fs:
-            frame_cands[f].append(i)
-
-    uncovered = set(universe)
+    cand_frames, frame_cands = _frame_index(g, k, candidates)
+    uncovered = set(frame_cands)
     chosen: list[int] = []
 
     def rec() -> Iterator[tuple[int, ...]]:
         if not uncovered:
             yield tuple(chosen)
             return
-        best_f: KFrame | None = None
-        best_avail: list[int] | None = None
-        for f in uncovered:
-            avail = [i for i in frame_cands[f] if cand_frames[i] <= uncovered]
-            if best_avail is None or (len(avail), f) < (len(best_avail), best_f):
-                best_f, best_avail = f, avail
-                if not avail:
-                    break
-        assert best_avail is not None
-        for i in best_avail:
+        for i in _column(cand_frames, frame_cands, uncovered):
             chosen.append(i)
             uncovered.difference_update(cand_frames[i])
             yield from rec()
@@ -324,6 +385,7 @@ def enumerate_k_systems(
     candidate_cap: int = DEFAULT_CANDIDATE_CAP,
     count_cap: int = DEFAULT_COUNT_CAP,
     include_merged: bool = True,
+    jobs: int = 1,
 ) -> Iterator[SetSystem]:
     """Yield k-systems of the graph, each one validated before yielding.
 
@@ -333,10 +395,22 @@ def enumerate_k_systems(
     frames) are reported as additional systems unless ``include_merged``
     is off.  Every k-system arises this way: splitting members into
     connected components always yields a connected-member system.
+
+    With ``jobs`` > 1 the candidates covering the first chosen frame are
+    shared out across processes, and their covers are collected before
+    the stream starts; the order is the same as with one job.
     """
     candidates = connected_k_regular_sets(g, k, candidate_cap)
+    if jobs <= 1:
+        covers: Iterable[tuple[int, ...]] = _exact_covers(g, k, candidates)
+    else:
+        tasks = [
+            (_exact_covers, g, k, candidates, i)
+            for i in _root_branches(g, k, candidates)
+        ]
+        covers = chain.from_iterable(_fan_out(jobs, _listed, tasks))
     produced = 0
-    for cover in _exact_covers(g, k, candidates):
+    for cover in covers:
         base = [candidates[i] for i in cover]
         yield _checked(g, k, base)
         produced += 1
@@ -386,121 +460,3 @@ def search_k_sink_counterexample(
         if ok and not is_aof_oracle(inst, o):
             return o
     return None
-
-
-# ---------------------------------------------------------------------------
-# process-parallel variants (collect results instead of streaming)
-
-def _prefixes(count_bits: int) -> list[tuple[int, ...]]:
-    return [
-        tuple((i >> (count_bits - 1 - b)) & 1 for b in range(count_bits))
-        for i in range(1 << count_bits)
-    ]
-
-
-def _enum_worker(args: tuple) -> list[tuple[int, ...]]:
-    d, n, edges, prefix = args
-    g = validate_graph(d, n, list(edges))
-    return [o.heads for o in _acyclic_stream(g, prefix)]
-
-
-def enumerate_acyclic_orientations_parallel(
-    g: PolytopeGraph, budget: int = DEFAULT_BUDGET, jobs: int = 1
-) -> list[Orientation]:
-    """Same stream as the sequential enumerator, split across processes
-    by fixing the first few edge directions."""
-    m = len(g.edges)
-    if 2**m > budget:
-        raise BudgetExceeded(f"2^{m} orientations exceed budget {budget}")
-    if jobs <= 1:
-        return list(_acyclic_stream(g))
-    bits = min(max((jobs - 1).bit_length() + 1, 1), m)
-    tasks = [(g.d, g.n, g.edges, pre) for pre in _prefixes(bits)]
-    with multiprocessing.Pool(jobs) as pool:
-        chunks = pool.map(_enum_worker, tasks)
-    return [
-        Orientation(heads=h, graph_fingerprint=g.fingerprint)
-        for chunk in chunks
-        for h in chunk
-    ]
-
-
-def _min_worker(args: tuple) -> tuple[int | None, tuple[int, ...] | None]:
-    d, n, edges, k, prefix = args
-    g = validate_graph(d, n, list(edges))
-    best: int | None = None
-    witness: tuple[int, ...] | None = None
-    for o in _acyclic_stream(g, prefix):
-        val = hk_sum(indegree_histogram(g, o), k)
-        if best is None or val < best:
-            best, witness = val, o.heads
-    return best, witness
-
-
-def minimize_hk_parallel(
-    g: PolytopeGraph, k: int | str, budget: int = DEFAULT_BUDGET, jobs: int = 1
-) -> tuple[int, Orientation]:
-    """Parallel :func:`minimize_hk`; identical result including witness."""
-    if k != ALL and (
-        not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= g.d
-    ):
-        raise KOutOfRange(f"k must be 0..{g.d} or ALL, got {k!r}")
-    if jobs <= 1:
-        return minimize_hk(g, k, budget)
-    m = len(g.edges)
-    if 2**m > budget:
-        raise BudgetExceeded(f"2^{m} orientations exceed budget {budget}")
-    bits = min(max((jobs - 1).bit_length() + 1, 1), m)
-    tasks = [(g.d, g.n, g.edges, k, pre) for pre in _prefixes(bits)]
-    with multiprocessing.Pool(jobs) as pool:
-        results = pool.map(_min_worker, tasks)
-    best: int | None = None
-    witness: tuple[int, ...] | None = None
-    for val, heads in results:
-        if val is not None and (best is None or val < best):
-            best, witness = val, heads
-    assert best is not None and witness is not None
-    return best, Orientation(heads=witness, graph_fingerprint=g.fingerprint)
-
-
-def _ksystems_worker(args: tuple) -> list[tuple[int, ...]]:
-    d, n, edges, k, candidate_cap, forced = args
-    g = validate_graph(d, n, list(edges))
-    candidates = connected_k_regular_sets(g, k, candidate_cap)
-    return list(_exact_covers(g, k, candidates, forced_first=forced))
-
-
-def enumerate_k_systems_parallel(
-    g: PolytopeGraph,
-    k: int,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-    count_cap: int = DEFAULT_COUNT_CAP,
-    include_merged: bool = True,
-    jobs: int = 1,
-) -> list[SetSystem]:
-    """Parallel :func:`enumerate_k_systems`: branches of the first frame
-    choice go to separate processes; output order matches sequential."""
-    if jobs <= 1:
-        return list(
-            enumerate_k_systems(g, k, candidate_cap, count_cap, include_merged)
-        )
-    candidates = connected_k_regular_sets(g, k, candidate_cap)
-    branches = _root_branches(g, k, candidates)
-    tasks = [
-        (g.d, g.n, g.edges, k, candidate_cap, i) for i in branches
-    ]
-    with multiprocessing.Pool(jobs) as pool:
-        chunks = pool.map(_ksystems_worker, tasks)
-    out: list[SetSystem] = []
-    for chunk in chunks:
-        for cover in chunk:
-            base = [candidates[i] for i in cover]
-            out.append(_checked(g, k, base))
-            if len(out) >= count_cap:
-                return out
-            if include_merged:
-                for merged in _merged_variants(g, base):
-                    out.append(_checked(g, k, merged))
-                    if len(out) >= count_cap:
-                        return out
-    return out

@@ -22,7 +22,7 @@ from .errors import (
     KOutOfRange,
     NotRegular,
 )
-from .graphs import PolytopeGraph
+from .graphs import PolytopeGraph, induced_leaves
 
 
 @dataclass(frozen=True, order=True)
@@ -146,16 +146,8 @@ def frame_count(g: PolytopeGraph, k: int) -> int:
     return g.n * comb(g.d, k)
 
 
-def induced_degrees(g: PolytopeGraph, members: set[int]) -> dict[int, int]:
-    return {
-        v: sum(1 for x in g.adjacency[v] if x in members)
-        for v in members
-    }
-
-
 def is_k_regular_set(g: PolytopeGraph, t: Iterable[int], k: int) -> bool:
-    members = set(t)
-    return all(c == k for c in induced_degrees(g, members).values())
+    return all(len(leaves) == k for leaves in induced_leaves(g, tuple(t)))
 
 
 def frame_coverage(g: PolytopeGraph, s: SetSystem) -> dict[KFrame, int]:
@@ -163,40 +155,37 @@ def frame_coverage(g: PolytopeGraph, s: SetSystem) -> dict[KFrame, int]:
 
     Each member contributes exactly one frame per vertex (the vertex plus
     its neighbours inside the set), which is why members must be
-    k-regular: the pre-pass rejects families where that accounting would
-    not make sense.  Cost is O(sum |S| * k), not frames-times-members.
+    k-regular: families where that accounting would not make sense are
+    rejected.  Cost is O(sum |S| * k), not frames-times-members.
     """
-    check_system_bound(g, s)
-    check_k_range(g, s.k)
-    for i, t in enumerate(s.sets):
-        if not is_k_regular_set(g, t, s.k):
+    report = validate_k_system(g, s)
+    for i, ok in enumerate(report.set_is_regular):
+        if not ok:
             raise NotRegular(f"set #{i} is not {s.k}-regular")
-    counts: dict[KFrame, int] = {f: 0 for f in enumerate_k_frames(g, s.k)}
-    for t in s.sets:
-        members = set(t)
-        for v in t:
-            leaves = tuple(x for x in g.adjacency[v] if x in members)
-            counts[KFrame(v, leaves)] += 1
-    return counts
+    return report.coverage
 
 
 def validate_k_system(g: PolytopeGraph, s: SetSystem) -> KSystemReport:
     """Check the defining property: regular members, each frame covered once.
 
-    Coverage is accounted over the k-regular members only; a family with
-    an irregular member is already invalid, and the per-vertex frame
-    emission is meaningless for such sets.
+    One pass per member: its induced leaves give both its regularity and
+    its frames.  Coverage is accounted over the k-regular members only; a
+    family with an irregular member is already invalid, and the
+    per-vertex frame emission is meaningless for such sets.
     """
     check_system_bound(g, s)
     check_k_range(g, s.k)
-    regular = tuple(is_k_regular_set(g, t, s.k) for t in s.sets)
-    counts: dict[KFrame, int] = {f: 0 for f in enumerate_k_frames(g, s.k)}
-    for t, ok in zip(s.sets, regular):
-        if not ok:
-            continue
-        members = set(t)
-        for v in t:
-            leaves = tuple(x for x in g.adjacency[v] if x in members)
-            counts[KFrame(v, leaves)] += 1
+    k = s.k
+    counts: dict[KFrame, int] = {f: 0 for f in enumerate_k_frames(g, k)}
+    regular: list[bool] = []
+    for t in s.sets:
+        leaves = induced_leaves(g, t)
+        ok = all(len(x) == k for x in leaves)
+        regular.append(ok)
+        if ok:
+            for v, x in zip(t, leaves):
+                counts[KFrame(v, x)] += 1
     valid = all(regular) and all(c == 1 for c in counts.values())
-    return KSystemReport(valid=valid, k=s.k, set_is_regular=regular, coverage=counts)
+    return KSystemReport(
+        valid=valid, k=k, set_is_regular=tuple(regular), coverage=counts
+    )

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import ksystems as ks
-from ksystems import fileio
+from ksystems import fileio, search
 from ksystems.cli import main
 
 
@@ -236,6 +236,23 @@ def test_enum_and_max_ksystems(capsys, cube3_files):
     code, stdout, _ = run(capsys, "max-ksystem", cube3_files["graph"], "-k", "2")
     assert code == 0
     assert len(json.loads(stdout)["sets"]) == 6
+
+
+def test_enum_ksystems_streams_with_one_job(capsys, cube3_files, cube3, monkeypatch):
+    systems = list(ks.enumerate_k_systems(cube3.graph, 2))
+    written = []
+
+    def one_at_a_time(*args, **kwargs):
+        for s in systems:
+            yield s
+            # the system just yielded is on stdout before the next is made
+            written.append(capsys.readouterr().out)
+
+    monkeypatch.setattr(search, "enumerate_k_systems", one_at_a_time)
+    code, stdout, _ = run(capsys, "enum-ksystems", cube3_files["graph"], "-k", "2")
+    assert code == 0 and stdout == ""
+    docs = [fileio.canonical_json(fileio.set_system_doc(s)) for s in systems]
+    assert written == docs
 
 
 def test_max_ksystem_negative_exit(capsys, tmp_path):

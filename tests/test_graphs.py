@@ -16,6 +16,7 @@ from ksystems.errors import (
     NotRegular,
     SelfLoop,
 )
+from ksystems.graphs import induced_leaves, induces_connected
 
 from conftest import cycle_graph
 
@@ -52,6 +53,21 @@ def test_validate_graph_rejects_disconnected():
 def test_validate_graph_rejects_bad_parameters(d, n):
     with pytest.raises(InvalidParams):
         ks.validate_graph(d, n, [])
+
+
+@pytest.mark.parametrize("edge_list", [[(0, 1, 2)], [(0,)], [5], [None]])
+def test_validate_graph_rejects_malformed_pairs(edge_list):
+    with pytest.raises(InvalidParams, match="not a pair of vertex ids"):
+        ks.validate_graph(2, 3, edge_list)
+
+
+def test_induced_leaves_and_connectivity(cube3):
+    g = cube3.graph
+    assert induced_leaves(g, (0, 1, 2, 3)) == [(1, 2), (0, 3), (0, 3), (1, 2)]
+    assert induced_leaves(g, (0, 1, 7)) == [(1,), (0,), ()]
+    assert induces_connected(g, (0, 1, 2, 3))
+    assert not induces_connected(g, (0, 1, 6, 7))
+    assert not induces_connected(g, ())
 
 
 def test_fingerprint_ignores_edge_order(cube3):

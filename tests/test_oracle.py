@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import islice, permutations
 from math import comb
 
 import pytest
 
 import ksystems as ks
+from ksystems.oracle import FACES_CACHE_SIZE
 from ksystems.errors import (
     DegenerateWeights,
     InvalidParams,
@@ -141,6 +143,33 @@ def test_make_instance_rejects_nonadjacent_overlap(cube3):
     assert len(hexes) == 4
     with pytest.raises(NotSimple):
         ks.make_instance("hexcube", cube3.graph, [list(h) for h in hexes])
+
+
+def test_make_instance_rejects_empty_facet(cube3):
+    facets = [list(f) for f in cube3.facets] + [[]]
+    with pytest.raises(NotSimple, match="disconnected"):
+        ks.make_instance("empty", cube3.graph, facets)
+
+
+def _relabelled(inst, perm):
+    g = inst.graph
+    graph = ks.validate_graph(g.d, g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    facets = [[perm[v] for v in t] for t in inst.facets]
+    return ks.make_instance(inst.name, graph, facets)
+
+
+def test_faces_cache_is_bounded(cube3):
+    bound = FACES_CACHE_SIZE
+    assert ks.faces_from_incidence.cache_info().maxsize == bound
+    perms = islice(permutations(range(cube3.graph.n)), bound + 10)
+    for perm in perms:
+        ks.faces_from_incidence(_relabelled(cube3, perm), 2)
+        assert ks.faces_from_incidence.cache_info().currsize <= bound
+    inst = _relabelled(cube3, tuple(reversed(range(cube3.graph.n))))
+    first = ks.faces_from_incidence(inst, 1)
+    hits = ks.faces_from_incidence.cache_info().hits
+    assert ks.faces_from_incidence(inst, 1) is first
+    assert ks.faces_from_incidence.cache_info().hits == hits + 1
 
 
 def test_make_instance_coordinate_checks(cube3):
