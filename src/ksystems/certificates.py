@@ -211,7 +211,6 @@ def verify_smaller_h2(g: PolytopeGraph, o: Orientation, o_prime: Orientation) ->
     acyclic competitor strictly below o disproves the claim.
     """
     check_bound(g, o)
-    check_bound(g, o_prime)
     topo = topological_order(g, o_prime)
     if topo.cycle is not None:
         cyc = "->".join(str(v) for v in topo.cycle)
@@ -233,7 +232,6 @@ def polygon_is_aof(g: PolytopeGraph, o: Orientation) -> bool:
     """
     if g.d != 2:
         raise InvalidParams(f"polygon check needs d = 2, got d={g.d}")
-    check_bound(g, o)
     if topological_order(g, o).cycle is not None:
         return False
     out = out_adjacency(g, o)

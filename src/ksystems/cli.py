@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import certificates, fileio, oracle, search
 from .errors import BudgetError, InvalidInput, InvalidParams, ReconstructionError
@@ -45,33 +44,16 @@ def _load_instance(path: str):
     return fileio.parse_instance(fileio.read_json(path))
 
 
+def _gen_param(text: str):
+    """An integer parameter, or else the instance file it names."""
+    try:
+        return int(text)
+    except ValueError:
+        return _load_instance(text)
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
-    fam, params = args.family, args.params
-
-    def _int(text: str) -> int:
-        try:
-            return int(text)
-        except ValueError:
-            raise InvalidParams(f"expected an integer parameter, got {text!r}")
-
-    if fam in ("simplex", "cube"):
-        if len(params) != 1:
-            raise InvalidParams(f"gen {fam} takes exactly one parameter: d")
-        inst = oracle.generate(fam, _int(params[0]))
-    elif fam == "product":
-        if len(params) != 2:
-            raise InvalidParams("gen product takes two instance files")
-        inst = oracle.product(_load_instance(params[0]), _load_instance(params[1]))
-    elif fam == "truncate":
-        if len(params) != 2:
-            raise InvalidParams("gen truncate takes an instance file and a vertex id")
-        inst = oracle.truncate_vertex(_load_instance(params[0]), _int(params[1]))
-    elif fam == "fig1":
-        if params:
-            raise InvalidParams("gen fig1 takes no parameters")
-        inst = oracle.fig1()
-    else:
-        raise InvalidParams(f"unknown family {fam!r}")
+    inst = oracle.generate(args.family, *map(_gen_param, args.params))
     _emit(args, fileio.instance_doc(inst))
     return EXIT_OK
 
@@ -190,11 +172,7 @@ def cmd_is_aof(args: argparse.Namespace) -> int:
 
 def cmd_aof_geometric(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
-    try:
-        weights = [Fraction(w) for w in args.weights.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidParams(f"bad weight list {args.weights!r}: {exc}")
-    o = oracle.geometric_aof(inst, weights)
+    o = oracle.geometric_aof(inst, args.weights.split(","))
     _emit(args, fileio.orientation_doc(o))
     return EXIT_OK
 
@@ -243,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a reference instance")
     p.add_argument("family", help="simplex | cube | product | truncate | fig1")
-    p.add_argument("params", nargs="*", help="family parameters")
+    p.add_argument("params", nargs="*", help="integers, or instance files")
     _add_out(p)
     p.set_defaults(func=cmd_gen)
 

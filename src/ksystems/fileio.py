@@ -2,9 +2,13 @@
 
 Serialization is canonical: UTF-8, sorted keys, no whitespace, sorted
 lists where the formats prescribe them, one trailing newline.  Loading a
-dumped document and dumping it again is byte-identical.  Parsers
-validate as they go and raise :class:`~ksystems.errors.InvalidParams`
-(or a more specific input error) on malformed documents.
+dumped document and dumping it again is byte-identical.  Parsers check
+the shape of a document (its keys, the lists the formats prescribe,
+the fingerprint it is bound to) and leave its values to the package's
+constructors (``validate_graph``, ``make_orientation``,
+``make_set_system``, ``make_instance``), so a malformed document raises
+:class:`~ksystems.errors.InvalidParams` or a more specific input error
+from whichever of the two finds the fault.
 """
 
 from __future__ import annotations
@@ -16,7 +20,14 @@ from typing import Any
 
 from .certificates import AofCertificate, FaceCertificate
 from .errors import FingerprintMismatch, InvalidParams
-from .graphs import HVector, Orientation, PolytopeGraph, make_orientation, validate_graph
+from .graphs import (
+    HVector,
+    Orientation,
+    PolytopeGraph,
+    is_int,
+    make_orientation,
+    validate_graph,
+)
 from .oracle import Instance, make_instance
 from .systems import SetSystem, make_set_system
 
@@ -51,34 +62,20 @@ def _require_keys(doc: Any, keys: set[str], what: str) -> None:
 
 
 def _require_int(value: Any, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_int(value):
         raise InvalidParams(f"{what} must be an integer, got {value!r}")
     return value
 
 
-def _require_pairs(value: Any, what: str) -> list[tuple[int, int]]:
+def _require_bound(doc: dict, g: PolytopeGraph, what: str) -> None:
+    if doc["graph_fingerprint"] != g.fingerprint:
+        raise FingerprintMismatch(f"{what} document bound to a different graph")
+
+
+def _as_list(value: Any, what: str) -> list:
     if not isinstance(value, list):
-        raise InvalidParams(f"{what} must be a list")
-    pairs = []
-    for item in value:
-        if not isinstance(item, list) or len(item) != 2:
-            raise InvalidParams(f"{what} entries must be pairs, got {item!r}")
-        pairs.append((_require_int(item[0], what), _require_int(item[1], what)))
-    return pairs
-
-
-def _require_int_lists(value: Any, what: str) -> list[list[int]]:
-    if not isinstance(value, list):
-        raise InvalidParams(f"{what} must be a list")
-    return [
-        [_require_int(v, what) for v in _as_list(item, what)] for item in value
-    ]
-
-
-def _as_list(item: Any, what: str) -> list:
-    if not isinstance(item, list):
-        raise InvalidParams(f"{what} entries must be lists, got {item!r}")
-    return item
+        raise InvalidParams(f"{what} must be a list, got {value!r}")
+    return value
 
 
 # -- graphs -----------------------------------------------------------------
@@ -89,11 +86,7 @@ def graph_doc(g: PolytopeGraph) -> dict:
 
 def parse_graph(doc: Any) -> PolytopeGraph:
     _require_keys(doc, {"d", "n", "edges"}, "graph")
-    return validate_graph(
-        _require_int(doc["d"], "d"),
-        _require_int(doc["n"], "n"),
-        _require_pairs(doc["edges"], "edges"),
-    )
+    return validate_graph(doc["d"], doc["n"], doc["edges"])
 
 
 # -- orientations -----------------------------------------------------------
@@ -104,13 +97,8 @@ def orientation_doc(o: Orientation) -> dict:
 
 def parse_orientation(doc: Any, g: PolytopeGraph) -> Orientation:
     _require_keys(doc, {"graph_fingerprint", "heads"}, "orientation")
-    if doc["graph_fingerprint"] != g.fingerprint:
-        raise FingerprintMismatch(
-            "orientation document bound to a different graph"
-        )
-    if not isinstance(doc["heads"], list):
-        raise InvalidParams("heads must be a list of 0/1")
-    return make_orientation(g, [_require_int(b, "heads") for b in doc["heads"]])
+    _require_bound(doc, g, "orientation")
+    return make_orientation(g, doc["heads"])
 
 
 # -- set systems ------------------------------------------------------------
@@ -125,13 +113,8 @@ def set_system_doc(s: SetSystem) -> dict:
 
 def parse_set_system(doc: Any, g: PolytopeGraph) -> SetSystem:
     _require_keys(doc, {"graph_fingerprint", "k", "sets"}, "set system")
-    if doc["graph_fingerprint"] != g.fingerprint:
-        raise FingerprintMismatch(
-            "set system document bound to a different graph"
-        )
-    return make_set_system(
-        g, _require_int(doc["k"], "k"), _require_int_lists(doc["sets"], "sets")
-    )
+    _require_bound(doc, g, "set system")
+    return make_set_system(g, doc["k"], _as_list(doc["sets"], "sets"))
 
 
 # -- h-vectors ---------------------------------------------------------------
@@ -179,7 +162,7 @@ def parse_instance(doc: Any) -> Instance:
         coords = []
         for row in _as_list(doc["coords"], "coords"):
             parsed_row = []
-            for entry in _as_list(row, "coords"):
+            for entry in _as_list(row, "coordinate row"):
                 if (
                     not isinstance(entry, list)
                     or len(entry) != 2
@@ -193,9 +176,7 @@ def parse_instance(doc: Any) -> Instance:
                 except (ValueError, ZeroDivisionError) as exc:
                     raise InvalidParams(f"bad rational {entry!r}: {exc}") from exc
             coords.append(parsed_row)
-    return make_instance(
-        doc["name"], g, _require_int_lists(doc["facets"], "facets"), coords
-    )
+    return make_instance(doc["name"], g, doc["facets"], coords)
 
 
 # -- certificates ------------------------------------------------------------
@@ -223,13 +204,12 @@ def parse_certificate(doc: Any, g: PolytopeGraph) -> FaceCertificate | AofCertif
     kind = doc["type"]
     if kind == "faces":
         _require_keys(doc, {"type", "k", "sets", "orientation"}, "face certificate")
-        k = _require_int(doc["k"], "k")
         o = parse_orientation(doc["orientation"], g)
-        s = make_set_system(g, k, _require_int_lists(doc["sets"], "sets"))
-        return FaceCertificate(k=k, claimed_sets=s, witness_orientation=o)
+        s = make_set_system(g, doc["k"], _as_list(doc["sets"], "sets"))
+        return FaceCertificate(k=s.k, claimed_sets=s, witness_orientation=o)
     if kind == "aof":
         _require_keys(doc, {"type", "sets", "orientation"}, "AOF certificate")
         o = parse_orientation(doc["orientation"], g)
-        s = make_set_system(g, 2, _require_int_lists(doc["sets"], "sets"))
+        s = make_set_system(g, 2, _as_list(doc["sets"], "sets"))
         return AofCertificate(candidate_orientation=o, witness_two_system=s)
     raise InvalidParams(f"unknown certificate type {kind!r}")

@@ -17,7 +17,7 @@ import hashlib
 import heapq
 import json
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -100,23 +100,38 @@ def graph_fingerprint(d: int, n: int, edges: Iterable[tuple[int, int]]) -> str:
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
+def is_int(x: object) -> bool:
+    """True for an ``int`` that is not a ``bool``: the one test every
+    integer argument and vertex id from outside the package passes."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def as_tuple(values: Iterable, what: str) -> tuple:
+    """The items of a caller's collection, or InvalidParams naming ``what``
+    when it is not a collection at all."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise InvalidParams(f"{what} must be a list, got {values!r}") from None
+
+
 def validate_graph(d: int, n: int, edge_list: Iterable[Iterable[int]]) -> PolytopeGraph:
     """Build a PolytopeGraph, rejecting anything that is not a simple
     d-regular connected graph on vertices 0..n-1."""
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+    if not is_int(d) or d < 1:
         raise InvalidParams(f"d must be an integer >= 1, got {d!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+    if not is_int(n) or n < 2:
         raise InvalidParams(f"n must be an integer >= 2, got {n!r}")
 
     canonical: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for pair in edge_list:
+    for pair in as_tuple(edge_list, "edges"):
         try:
             u, v = pair
         except (TypeError, ValueError):
             raise InvalidParams(f"edge {pair!r} is not a pair of vertex ids") from None
         for x in (u, v):
-            if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n:
+            if not is_int(x) or not 0 <= x < n:
                 raise InvalidParams(f"vertex id {x!r} outside 0..{n - 1}")
         if u == v:
             raise SelfLoop(f"loop at vertex {u}")
@@ -127,13 +142,16 @@ def validate_graph(d: int, n: int, edge_list: Iterable[Iterable[int]]) -> Polyto
         canonical.append(e)
     canonical.sort()
 
+    # Degrees come before any per-vertex storage: a huge n with few edges
+    # fails at a vertex no larger than 2|E|, without allocating n lists.
+    degree = Counter(x for e in canonical for x in e)
+    for v in range(n):
+        if degree[v] != d:
+            raise NotRegular(f"vertex {v} has degree {degree[v]}, expected {d}")
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v in canonical:
         nbrs[u].append(v)
         nbrs[v].append(u)
-    for v in range(n):
-        if len(nbrs[v]) != d:
-            raise NotRegular(f"vertex {v} has degree {len(nbrs[v])}, expected {d}")
 
     # d-regularity makes |E| = n*d/2 automatic; connectivity is not.
     reached = {0}
@@ -186,9 +204,10 @@ def induces_connected(g: PolytopeGraph, t: Iterable[int]) -> bool:
 
 
 def make_orientation(g: PolytopeGraph, heads: Iterable[int]) -> Orientation:
-    """Bind a heads bit-vector to ``g``, validating shape and values."""
-    bits = tuple(heads)
-    if len(bits) != len(g.edges) or any(b not in (0, 1) for b in bits):
+    """Bind a heads bit-vector to ``g``, validating shape and values:
+    one integer 0 or 1 per canonical edge."""
+    bits = as_tuple(heads, "heads")
+    if len(bits) != len(g.edges) or not all(is_int(b) and b in (0, 1) for b in bits):
         raise InvalidParams("heads must give one bit per canonical edge")
     return Orientation(heads=bits, graph_fingerprint=g.fingerprint)
 
@@ -295,7 +314,7 @@ def hk_sum(h: HVector, k: int | str) -> int:
     d = len(h.counts) - 1
     if k == ALL:
         return sum(c << i for i, c in enumerate(h.counts))
-    if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= d:
+    if not is_int(k) or not 0 <= k <= d:
         raise KOutOfRange(f"k must be 0..{d} or ALL, got {k!r}")
     return sum(c * math.comb(i, k) for i, c in enumerate(h.counts))
 
@@ -306,12 +325,13 @@ def sinks_in_subset(g: PolytopeGraph, o: Orientation, w: Iterable[int]) -> set[i
     Requires an acyclic orientation; the induced orientation is then
     acyclic too and has at least one sink.
     """
-    members = set(w)
-    if not members:
+    ids = as_tuple(w, "subset")
+    if not ids:
         raise EmptySubset("subset must be non-empty")
-    for v in members:
-        if not 0 <= v < g.n:
+    for v in ids:
+        if not is_int(v) or not 0 <= v < g.n:
             raise InvalidParams(f"vertex id {v!r} outside 0..{g.n - 1}")
+    members = set(ids)
     if topological_order(g, o).cycle is not None:
         raise NotAcyclic("orientation has a directed cycle")
     out = out_adjacency(g, o)

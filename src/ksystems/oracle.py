@@ -30,13 +30,13 @@ from .errors import (
 from .graphs import (
     Orientation,
     PolytopeGraph,
-    check_bound,
     induces_connected,
+    is_int,
     out_adjacency,
     topological_order,
     validate_graph,
 )
-from .systems import SetSystem, is_k_regular_set, make_set_system
+from .systems import SetSystem, is_k_regular_set, make_set_system, vertex_sets
 
 
 @dataclass(frozen=True)
@@ -67,13 +67,7 @@ def make_instance(
     d, n = graph.d, graph.n
     canon: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
-    for raw in facets:
-        t = tuple(sorted(raw))
-        if len(set(t)) != len(t):
-            raise InvalidParams(f"facet {t} repeats a vertex")
-        for v in t:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                raise InvalidParams(f"vertex id {v!r} outside 0..{n - 1}")
+    for t in vertex_sets(graph, facets, "facet"):
         if t in seen:
             raise NotSimple(f"facet {t} listed twice")
         seen.add(t)
@@ -112,7 +106,7 @@ def make_instance(
 
     frozen_coords: tuple[tuple[Fraction, ...], ...] | None = None
     if coords is not None:
-        rows = [tuple(Fraction(c) for c in row) for row in coords]
+        rows = _rational_rows(coords, "coordinates")
         if len(rows) != n:
             raise InvalidParams(f"{len(rows)} coordinate rows for {n} vertices")
         dims = {len(r) for r in rows}
@@ -123,12 +117,21 @@ def make_instance(
     return Instance(name=name, graph=graph, facets=tuple(canon), coords=frozen_coords)
 
 
+def _rational_rows(rows: Iterable[Iterable], what: str) -> list[tuple[Fraction, ...]]:
+    """Rows of caller values as exact rationals.  Every rational taken from
+    a caller passes through here, so a malformed one raises InvalidParams."""
+    try:
+        return [tuple(map(Fraction, row)) for row in rows]
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise InvalidParams(f"{what} must be rational numbers: {exc}") from None
+
+
 def simplex(d: int) -> Instance:
     """The d-simplex: complete graph on d+1 vertices, facets = all d-subsets.
 
     Vertex 0 sits at the origin, vertex i at the i-th unit vector.
     """
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+    if not is_int(d) or d < 1:
         raise InvalidParams(f"simplex dimension must be >= 1, got {d!r}")
     n = d + 1
     graph = validate_graph(d, n, combinations(range(n), 2))
@@ -145,7 +148,7 @@ def cube(d: int) -> Instance:
 
     Facets are the 2d coordinate half-spaces x_j = 0 and x_j = 1.
     """
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+    if not is_int(d) or d < 1:
         raise InvalidParams(f"cube dimension must be >= 1, got {d!r}")
     n = 1 << d
     edges = [
@@ -211,7 +214,7 @@ def truncate_vertex(inst: Instance, v: int) -> Instance:
     """
     g = inst.graph
     d, n = g.d, g.n
-    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+    if not is_int(v) or not 0 <= v < n:
         raise InvalidParams(f"vertex id {v!r} outside 0..{n - 1}")
     nbrs = g.adjacency[v]
 
@@ -253,25 +256,31 @@ def fig1() -> Instance:
     )
 
 
-_GENERATORS = {"simplex": simplex, "cube": cube, "fig1": fig1}
+#: family name -> (generator, the type of each of its parameters)
+_GENERATORS = {
+    "simplex": (simplex, (int,)),
+    "cube": (cube, (int,)),
+    "product": (product, (Instance, Instance)),
+    "truncate": (truncate_vertex, (Instance, int)),
+    "fig1": (fig1, ()),
+}
 
 
 def generate(family: str, *args) -> Instance:
-    """Dispatch by family name: simplex, cube, product, truncate, fig1."""
-    if family in ("simplex", "cube"):
-        (d,) = args
-        return _GENERATORS[family](d)
-    if family == "fig1":
-        if args:
-            raise InvalidParams("fig1 takes no parameters")
-        return fig1()
-    if family == "product":
-        a, b = args
-        return product(a, b)
-    if family == "truncate":
-        inst, v = args
-        return truncate_vertex(inst, v)
-    raise InvalidParams(f"unknown family {family!r}")
+    """Dispatch by family name: simplex d, cube d, product a b,
+    truncate inst v, fig1.
+
+    The family name and the number and types of the parameters are
+    checked here; their values are checked by the generator.
+    """
+    if not isinstance(family, str) or family not in _GENERATORS:
+        raise InvalidParams(f"unknown family {family!r}")
+    make, types = _GENERATORS[family]
+    if len(args) != len(types) or not all(map(isinstance, args, types)):
+        want = ", ".join(t.__name__ for t in types)
+        got = ", ".join(type(a).__name__ for a in args)
+        raise InvalidParams(f"{family} takes ({want}), got ({got})")
+    return make(*args)
 
 
 #: Most (instance, k) pairs :func:`faces_from_incidence` keeps; the least
@@ -290,7 +299,7 @@ def faces_from_incidence(inst: Instance, k: int) -> SetSystem:
     """
     g = inst.graph
     d = g.d
-    if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= d - 1:
+    if not is_int(k) or not 0 <= k <= d - 1:
         raise KOutOfRange(f"k must satisfy 0 <= k <= d-1 = {d - 1}, got {k!r}")
     facet_sets = [frozenset(t) for t in inst.facets]
     membership: list[list[int]] = [[] for _ in range(g.n)]
@@ -328,7 +337,7 @@ def geometric_aof(inst: Instance, weights: Sequence[Fraction | int | str]) -> Or
     """
     if inst.coords is None:
         raise NoCoordinates(f"instance {inst.name} carries no coordinates")
-    w = tuple(Fraction(x) for x in weights)
+    (w,) = _rational_rows([weights], "weights")
     dim = len(inst.coords[0])
     if len(w) != dim:
         raise InvalidParams(f"{len(w)} weights for {dim} coordinates")
@@ -354,7 +363,6 @@ def is_aof_oracle(inst: Instance, o: Orientation) -> bool:
     Vertices trivially have one sink each, so k = 0 is skipped.
     """
     g = inst.graph
-    check_bound(g, o)
     if topological_order(g, o).cycle is not None:
         return False
     out = out_adjacency(g, o)

@@ -18,12 +18,12 @@ yields the collected results in the order one job would.
 from __future__ import annotations
 
 import multiprocessing
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .certificates import unique_sink_per_set
-from .errors import BudgetExceeded, CandidateCapExceeded, KOutOfRange
+from .errors import BudgetExceeded, CandidateCapExceeded, InvalidParams, KOutOfRange
 from .graphs import (
     ALL,
     Orientation,
@@ -31,6 +31,7 @@ from .graphs import (
     hk_sum,
     indegree_histogram,
     induced_leaves,
+    is_int,
 )
 from .oracle import Instance, faces_from_incidence, is_aof_oracle
 from .systems import (
@@ -45,6 +46,13 @@ from .systems import (
 DEFAULT_BUDGET = 2**22
 DEFAULT_CANDIDATE_CAP = 10**6
 DEFAULT_COUNT_CAP = 10**4
+
+
+def _require_ints(**values: object) -> None:
+    """Budgets, caps and job counts must be integers."""
+    for name, value in values.items():
+        if not is_int(value):
+            raise InvalidParams(f"{name} must be an integer, got {value!r}")
 
 
 def _bfs_edge_order(g: PolytopeGraph) -> list[int]:
@@ -144,9 +152,10 @@ def _fan_out(jobs: int, worker: Callable, tasks: list[tuple]) -> list:
         return pool.starmap(worker, tasks)
 
 
-def _listed(stream: Callable[..., Iterable], *args) -> list:
-    """Worker: a sequential stream run to the end, for pickling back."""
-    return list(stream(*args))
+def _listed(limit: int | None, stream: Callable[..., Iterable], *args) -> list:
+    """Worker: the first ``limit`` items of a sequential stream (all of them
+    for None), for pickling back."""
+    return list(islice(stream(*args), limit))
 
 
 def enumerate_acyclic_orientations(
@@ -159,10 +168,11 @@ def enumerate_acyclic_orientations(
     orientations under one prefix, and the parts are collected before
     the stream starts; the order is the same as with one job.
     """
+    _require_ints(budget=budget, jobs=jobs)
     prefixes = _prefixes(g, budget, jobs)
     if jobs <= 1:
         return _acyclic_stream(g)
-    tasks = [(_acyclic_stream, g, p) for p in prefixes]
+    tasks = [(None, _acyclic_stream, g, p) for p in prefixes]
     return chain.from_iterable(_fan_out(jobs, _listed, tasks))
 
 
@@ -188,10 +198,9 @@ def minimize_hk(
     With ``jobs`` > 1 each process minimizes over one prefix; the first
     part attaining the minimum holds the witness one job would find.
     """
-    if k != ALL and (
-        not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= g.d
-    ):
+    if k != ALL and (not is_int(k) or not 0 <= k <= g.d):
         raise KOutOfRange(f"k must be 0..{g.d} or ALL, got {k!r}")
+    _require_ints(budget=budget, jobs=jobs)
     if jobs <= 1:
         best = _least_hk(g, k, enumerate_acyclic_orientations(g, budget))
     else:
@@ -217,6 +226,7 @@ def connected_k_regular_sets(
     emission stops a branch.
     """
     check_k_range(g, k)
+    _require_ints(candidate_cap=candidate_cap)
     adj = [set(a) for a in g.adjacency]
     found: list[tuple[int, ...]] = []
 
@@ -398,14 +408,17 @@ def enumerate_k_systems(
 
     With ``jobs`` > 1 the candidates covering the first chosen frame are
     shared out across processes, and their covers are collected before
-    the stream starts; the order is the same as with one job.
+    the stream starts; the order is the same as with one job.  Every
+    cover yields at least one system, so each process stops after
+    ``count_cap`` covers (one, if ``count_cap`` is below 1).
     """
     candidates = connected_k_regular_sets(g, k, candidate_cap)
+    _require_ints(count_cap=count_cap, jobs=jobs)
     if jobs <= 1:
         covers: Iterable[tuple[int, ...]] = _exact_covers(g, k, candidates)
     else:
         tasks = [
-            (_exact_covers, g, k, candidates, i)
+            (max(count_cap, 1), _exact_covers, g, k, candidates, i)
             for i in _root_branches(g, k, candidates)
         ]
         covers = chain.from_iterable(_fan_out(jobs, _listed, tasks))
@@ -430,10 +443,15 @@ def max_k_system(
     candidate_cap: int = DEFAULT_CANDIDATE_CAP,
     count_cap: int = DEFAULT_COUNT_CAP,
 ) -> SetSystem | None:
-    """A k-system of maximum cardinality among those enumerable.
+    """A k-system of maximum cardinality among the first ``count_cap``
+    exact covers.
 
     Merged variants never beat their base cover, so only connected-member
-    systems compete.  Returns None when the graph has no k-system at all.
+    systems compete.  The result is the largest of those ``count_cap``
+    covers, not necessarily the largest k-system: on fig1 with k = 2 the
+    covers come in sizes 6, 6, 8, so ``count_cap=2`` returns a 6-set
+    system although f_2 = 8.  Returns None when the graph has no
+    k-system at all.
     """
     best: SetSystem | None = None
     for s in enumerate_k_systems(

@@ -22,7 +22,7 @@ from .errors import (
     KOutOfRange,
     NotRegular,
 )
-from .graphs import PolytopeGraph, induced_leaves
+from .graphs import PolytopeGraph, as_tuple, induced_leaves, is_int
 
 
 @dataclass(frozen=True, order=True)
@@ -87,7 +87,7 @@ class KSystemReport:
 
 def check_k_range(g: PolytopeGraph, k: int) -> None:
     """k-frames and k-systems exist for 2 <= k <= d-1 only."""
-    if not isinstance(k, int) or isinstance(k, bool) or not 2 <= k <= g.d - 1:
+    if not is_int(k) or not 2 <= k <= g.d - 1:
         raise KOutOfRange(f"k must satisfy 2 <= k <= d-1 = {g.d - 1}, got {k!r}")
 
 
@@ -99,23 +99,42 @@ def check_system_bound(g: PolytopeGraph, s: SetSystem) -> None:
         )
 
 
+def vertex_sets(
+    g: PolytopeGraph, family: Iterable[Iterable[int]], what: str
+) -> Iterator[tuple[int, ...]]:
+    """Each member of ``family`` as a sorted tuple of vertex ids of ``g``.
+
+    Members are checked and yielded one at a time, so a caller's own
+    checks on a member come before the next member is looked at.  Raises
+    :class:`InvalidParams` when the family or a member is not iterable,
+    a member cannot be sorted or hashed, repeats a vertex, or holds
+    anything but a vertex id; ``what`` names a member in the messages.
+    """
+    for raw in as_tuple(family, f"{what}s"):
+        try:
+            t = tuple(sorted(raw))
+            repeats = len(set(t)) != len(t)
+        except TypeError:
+            raise InvalidParams(f"{what} {raw!r} is not a set of vertex ids") from None
+        if repeats:
+            raise InvalidParams(f"{what} {t} repeats a vertex")
+        for v in t:
+            if not is_int(v) or not 0 <= v < g.n:
+                raise InvalidParams(f"vertex id {v!r} outside 0..{g.n - 1}")
+        yield t
+
+
 def make_set_system(g: PolytopeGraph, k: int, sets: Iterable[Iterable[int]]) -> SetSystem:
     """Canonicalize and bind a family of vertex sets.
 
     Duplicate members are a hard error rather than a validation failure:
     a file repeating a set is malformed, not refuted.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+    if not is_int(k) or k < 0:
         raise InvalidParams(f"k must be a non-negative integer, got {k!r}")
     canon: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
-    for raw in sets:
-        t = tuple(sorted(raw))
-        if len(set(t)) != len(t):
-            raise InvalidParams(f"set {t} repeats a vertex")
-        for v in t:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < g.n:
-                raise InvalidParams(f"vertex id {v!r} outside 0..{g.n - 1}")
+    for t in vertex_sets(g, sets, "set"):
         if len(t) < k + 1:
             raise InvalidParams(
                 f"set {t} has {len(t)} vertices; a {k}-regular subgraph needs >= {k + 1}"

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +62,8 @@ def test_gen_product_and_truncate(capsys, tmp_path):
         ("gen", "cube"),
         ("gen", "octahedron", "3"),
         ("gen", "fig1", "3"),
+        ("gen", "product", "1", "2"),
+        ("gen", "cube", "nosuchfile.json"),
     ],
 )
 def test_gen_rejects_bad_params(capsys, argv):
@@ -305,11 +309,15 @@ def test_fingerprint_mismatch_is_invalid_input(capsys, cube3_files, simplex3, tm
 
 
 def test_module_entry_point():
+    # the child imports the ksystems under test, whether installed or not
+    src = str(Path(ks.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ksystems", "gen", "cube", "2"],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["name"] == "cube(2)"

@@ -1,8 +1,14 @@
 import pytest
 
 import ksystems as ks
+from ksystems import search
 from ksystems.chromatic import acyclic_orientation_count
-from ksystems.errors import BudgetExceeded, CandidateCapExceeded, KOutOfRange
+from ksystems.errors import (
+    BudgetExceeded,
+    CandidateCapExceeded,
+    InvalidParams,
+    KOutOfRange,
+)
 
 from conftest import cycle_graph
 
@@ -149,6 +155,67 @@ def test_merged_member_covers_same_frames(fig1):
 def test_count_cap_truncates_stream(fig1):
     got = list(ks.enumerate_k_systems(fig1.graph, 2, count_cap=2))
     assert len(got) == 2
+
+
+@pytest.fixture(scope="module")
+def triangle_x_square():
+    return ks.product(ks.simplex(2), ks.cube(2)).graph
+
+
+def test_workers_stop_at_count_cap(monkeypatch, triangle_x_square):
+    # its first frame has one candidate, so one worker holds all 38 covers
+    sent = []
+
+    def in_process(jobs, worker, tasks):
+        results = [worker(*task) for task in tasks]
+        sent.extend(len(r) for r in results)
+        return results
+
+    monkeypatch.setattr(search, "_fan_out", in_process)
+    got = list(ks.enumerate_k_systems(triangle_x_square, 2, count_cap=1, jobs=2))
+    assert len(got) == 1
+    assert sent and max(sent) <= 1
+
+
+@pytest.mark.parametrize("count_cap", [1, 5])
+def test_count_cap_streams_match_across_jobs(triangle_x_square, count_cap):
+    streams = [
+        [s.sets for s in ks.enumerate_k_systems(triangle_x_square, 2, count_cap=count_cap, jobs=jobs)]
+        for jobs in (1, 2, 3)
+    ]
+    assert len(streams[0]) == count_cap
+    assert streams[1] == streams[0] and streams[2] == streams[0]
+
+
+@pytest.mark.parametrize(
+    "call,name,value",
+    [
+        ("enumerate_acyclic_orientations", "budget", None),
+        ("enumerate_acyclic_orientations", "jobs", "2"),
+        ("minimize_hk", "budget", None),
+        ("minimize_hk", "jobs", 1.5),
+        ("connected_k_regular_sets", "candidate_cap", None),
+        ("enumerate_k_systems", "count_cap", None),
+        ("enumerate_k_systems", "candidate_cap", "10"),
+        ("enumerate_k_systems", "jobs", None),
+        ("max_k_system", "count_cap", True),
+        ("max_k_system", "candidate_cap", 2.0),
+    ],
+)
+def test_search_arguments_must_be_integers(cube3, call, name, value):
+    fn = getattr(search, call)
+    args = (cube3.graph,) if call == "enumerate_acyclic_orientations" else (cube3.graph, 2)
+    with pytest.raises(InvalidParams, match=f"{name} must be an integer"):
+        result = fn(*args, **{name: value})
+        if call.startswith("enumerate"):
+            list(result)
+
+
+def test_max_k_system_is_the_largest_of_the_first_covers(fig1):
+    sizes = [len(s.sets) for s in ks.enumerate_k_systems(fig1.graph, 2, include_merged=False)]
+    assert sizes == [6, 6, 8]
+    assert len(ks.max_k_system(fig1.graph, 2, count_cap=2).sets) == 6
+    assert len(ks.max_k_system(fig1.graph, 2, count_cap=3).sets) == 8
 
 
 def test_parallel_k_systems_match(cube3, fig1):
