@@ -37,7 +37,6 @@ from .graphs import (
     check_bound,
     hk_sum,
     indegree_histogram,
-    induced_leaves,
     induces_connected,
     out_adjacency,
     topological_order,
@@ -251,6 +250,11 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
     yields every facet d times over; contradictory transport means the
     input is not the 2-face system of any simple polytope.
 
+    The corner map (the one 2-face through a vertex and two of its edges,
+    that is through a 2-frame) and each 2-face's leaf pairs are read from
+    the frame index in the :func:`validate_k_system` report that checks
+    the precondition.
+
     Preconditions checked: f2 is a valid 2-system whose members induce
     cycles (connected 2-regular).  Postconditions checked: every output
     induces a (d-1)-regular subgraph (connected by construction) and
@@ -271,19 +275,18 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
         if not induces_connected(g, t):
             raise NotCycleSystem(f"member #{i} induces a disconnected subgraph")
 
-    # corner (v, {a, b}) -> index of the unique 2-face containing both edges;
+    # corner_face[(v, (a, b))]: the members holding that 2-frame, which in a
+    # valid 2-system is the one 2-face containing edges va and vb;
     # face_leaves[i][v] is the pair of v's neighbours inside 2-face i
-    corner_face: dict[tuple[int, frozenset[int]], int] = {}
-    face_leaves: list[dict[int, tuple[int, ...]]] = []
-    for i, t in enumerate(f2.sets):
-        leaves = dict(zip(t, induced_leaves(g, t)))
-        face_leaves.append(leaves)
-        for v, pair in leaves.items():
-            corner_face[(v, frozenset(pair))] = i
+    corner_face = report.frame_members
+    face_leaves: list[dict[int, tuple[int, ...]]] = [{} for _ in f2.sets]
+    for (v, pair), (i,) in corner_face.items():
+        face_leaves[i][v] = pair
 
     def transport(u: int, via: int, missing: int) -> int:
         """Missing neighbour at `via` of the facet missing `missing` at u."""
-        x, y = face_leaves[corner_face[(u, frozenset((missing, via)))]][via]
+        (i,) = corner_face[(u, (missing, via) if missing < via else (via, missing))]
+        x, y = face_leaves[i][via]
         return y if x == u else x
 
     facets: set[tuple[int, ...]] = set()

@@ -53,7 +53,9 @@ def _gen_param(text: str):
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    inst = oracle.generate(args.family, *map(_gen_param, args.params))
+    # an unknown family is refused before any parameter file is read
+    known = args.family in oracle._GENERATORS
+    inst = oracle.generate(args.family, *map(_gen_param, args.params if known else ()))
     _emit(args, fileio.instance_doc(inst))
     return EXIT_OK
 
@@ -220,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a reference instance")
-    p.add_argument("family", help="simplex | cube | product | truncate | fig1")
+    p.add_argument("family", help=" | ".join(oracle._GENERATORS))
     p.add_argument("params", nargs="*", help="integers, or instance files")
     _add_out(p)
     p.set_defaults(func=cmd_gen)

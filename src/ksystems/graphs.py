@@ -206,20 +206,21 @@ def induces_connected(g: PolytopeGraph, t: Iterable[int]) -> bool:
 def make_orientation(g: PolytopeGraph, heads: Iterable[int]) -> Orientation:
     """Bind a heads bit-vector to ``g``, validating shape and values:
     one integer 0 or 1 per canonical edge."""
-    bits = as_tuple(heads, "heads")
-    if len(bits) != len(g.edges) or not all(is_int(b) and b in (0, 1) for b in bits):
-        raise InvalidParams("heads must give one bit per canonical edge")
-    return Orientation(heads=bits, graph_fingerprint=g.fingerprint)
+    o = Orientation(heads=as_tuple(heads, "heads"), graph_fingerprint=g.fingerprint)
+    check_bound(g, o)
+    return o
 
 
 def check_bound(g: PolytopeGraph, o: Orientation) -> None:
-    """Raise unless ``o`` is a well-formed orientation of exactly ``g``."""
+    """Raise unless ``o`` is a well-formed orientation of exactly ``g``:
+    one integer 0 or 1 (not a bool, not a float) per canonical edge."""
     if o.graph_fingerprint != g.fingerprint:
         raise FingerprintMismatch(
             f"orientation bound to {o.graph_fingerprint[:12]}..., "
             f"graph is {g.fingerprint[:12]}..."
         )
-    if len(o.heads) != len(g.edges) or any(b not in (0, 1) for b in o.heads):
+    are_bits = {*map(type, o.heads)} <= {int} and {*o.heads} <= {0, 1}
+    if len(o.heads) != len(g.edges) or not are_bits:
         raise InvalidParams("heads must give one bit per canonical edge")
 
 

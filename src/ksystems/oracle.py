@@ -14,6 +14,8 @@ vertex truncation, enough to build the worked examples (prisms, the
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -119,9 +121,22 @@ def make_instance(
 
 def _rational_rows(rows: Iterable[Iterable], what: str) -> list[tuple[Fraction, ...]]:
     """Rows of caller values as exact rationals.  Every rational taken from
-    a caller passes through here, so a malformed one raises InvalidParams."""
+    a caller passes through here, so a malformed one raises InvalidParams.
+
+    A string's decimal exponent may not exceed the number of digits Python
+    converts from a digit string (``sys.get_int_max_str_digits()``, no
+    bound when that is 0): ``Fraction('1e1000000000')`` would spend hours
+    writing out the power of ten.
+    """
+
+    def exact(x: object) -> Fraction:
+        exp = isinstance(x, str) and re.search(r"e([-+]?\d+)\s*$", x, re.I)
+        if exp and 0 < (limit := sys.get_int_max_str_digits()) < abs(int(exp[1])):
+            raise ValueError(f"exponent of {x!r} exceeds {limit}")
+        return Fraction(x)
+
     try:
-        return [tuple(map(Fraction, row)) for row in rows]
+        return [tuple(map(exact, row)) for row in rows]
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise InvalidParams(f"{what} must be rational numbers: {exc}") from None
 

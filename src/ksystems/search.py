@@ -6,7 +6,9 @@ and prunes any partial assignment that already closes a directed cycle,
 so leaves of the recursion are exactly the acyclic orientations.
 k-system enumeration is exact cover over the frame universe: candidate
 member sets are the connected induced k-regular subgraphs, and a family
-covers every frame exactly once iff it is a k-system.
+covers every frame exactly once iff it is a k-system.  The cover reads
+each candidate's frames and each frame's candidates from
+:func:`ksystems.systems.frame_index`, the index validation is built on.
 
 Searches partition cleanly (fix the first few edge directions, or the
 candidate covering the first chosen frame).  Each search takes a
@@ -30,7 +32,6 @@ from .graphs import (
     PolytopeGraph,
     hk_sum,
     indegree_histogram,
-    induced_leaves,
     is_int,
 )
 from .oracle import Instance, faces_from_incidence, is_aof_oracle
@@ -38,7 +39,7 @@ from .systems import (
     KFrame,
     SetSystem,
     check_k_range,
-    enumerate_k_frames,
+    frame_index,
     make_set_system,
     validate_k_system,
 )
@@ -259,26 +260,9 @@ def connected_k_regular_sets(
     return found
 
 
-def _frames_of(g: PolytopeGraph, t: tuple[int, ...]) -> frozenset[KFrame]:
-    return frozenset(map(KFrame, t, induced_leaves(g, t)))
-
-
-def _frame_index(
-    g: PolytopeGraph, k: int, candidates: list[tuple[int, ...]]
-) -> tuple[list[frozenset[KFrame]], dict[KFrame, list[int]]]:
-    """The frames of each candidate, and the candidates covering each frame
-    (every frame of the universe, in frame order, ascending indices)."""
-    cand_frames = [_frames_of(g, t) for t in candidates]
-    frame_cands: dict[KFrame, list[int]] = {f: [] for f in enumerate_k_frames(g, k)}
-    for i, fs in enumerate(cand_frames):
-        for f in fs:
-            frame_cands[f].append(i)
-    return cand_frames, frame_cands
-
-
 def _column(
     cand_frames: list[frozenset[KFrame]],
-    frame_cands: dict[KFrame, list[int]],
+    frame_cands: dict[KFrame, tuple[int, ...]],
     uncovered: set[KFrame],
 ) -> list[int]:
     """Live candidates of the uncovered frame with fewest of them, ties by
@@ -295,14 +279,6 @@ def _column(
     return best_avail
 
 
-def _root_branches(
-    g: PolytopeGraph, k: int, candidates: list[tuple[int, ...]]
-) -> list[int]:
-    """Candidate indices covering the deterministic first frame choice."""
-    cand_frames, frame_cands = _frame_index(g, k, candidates)
-    return _column(cand_frames, frame_cands, set(frame_cands))
-
-
 def _exact_covers(
     g: PolytopeGraph,
     k: int,
@@ -311,9 +287,11 @@ def _exact_covers(
 ) -> Iterator[tuple[int, ...]]:
     """Exact covers of the frame universe by candidate sets, Algorithm X
     style: always branch on the column :func:`_column` picks, so every
-    cover appears exactly once.
+    cover appears exactly once.  The candidates' frames and the
+    candidates covering each frame come from
+    :func:`~ksystems.systems.frame_index` (every candidate is k-regular).
     """
-    cand_frames, frame_cands = _frame_index(g, k, candidates)
+    cand_frames, frame_cands = frame_index(g, k, candidates)
     uncovered = set(frame_cands)
     chosen: list[int] = []
 
@@ -417,9 +395,11 @@ def enumerate_k_systems(
     if jobs <= 1:
         covers: Iterable[tuple[int, ...]] = _exact_covers(g, k, candidates)
     else:
+        # one task per candidate covering the first frame the cover picks
+        cand_frames, frame_cands = frame_index(g, k, candidates)
         tasks = [
             (max(count_cap, 1), _exact_covers, g, k, candidates, i)
-            for i in _root_branches(g, k, candidates)
+            for i in _column(cand_frames, frame_cands, set(frame_cands))
         ]
         covers = chain.from_iterable(_fan_out(jobs, _listed, tasks))
     produced = 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DuplicateSet,
@@ -25,9 +25,12 @@ from .errors import (
 from .graphs import PolytopeGraph, as_tuple, induced_leaves, is_int
 
 
-@dataclass(frozen=True, order=True)
-class KFrame:
-    """A K_{1,k} star: root vertex plus k distinct neighbours (sorted)."""
+class KFrame(NamedTuple):
+    """A K_{1,k} star: root vertex plus k distinct neighbours (sorted).
+
+    A plain ``(root, leaves)`` tuple with names: it equals, hashes and
+    sorts like that tuple, so frames are ordered by root, then leaves.
+    """
 
     root: int
     leaves: tuple[int, ...]
@@ -56,15 +59,22 @@ class KSystemReport:
     """Outcome of :func:`validate_k_system`.
 
     ``set_is_regular[i]`` records whether member i induces a k-regular
-    subgraph; ``coverage`` maps every k-frame of the graph to the number
-    of regular members containing its node set.  ``valid`` requires all
-    members regular and every frame covered exactly once.
+    subgraph; ``frame_members`` maps every k-frame of the graph, in frame
+    order, to the indices of the regular members containing its node set
+    (see :func:`frame_index`).  ``valid`` requires all members regular
+    and every frame covered exactly once.
     """
 
     valid: bool
     k: int
     set_is_regular: tuple[bool, ...]
-    coverage: dict[KFrame, int] = field(repr=False)
+    frame_members: dict[KFrame, tuple[int, ...]] = field(repr=False)
+
+    @property
+    def coverage(self) -> dict[KFrame, int]:
+        """Every k-frame, in frame order, with the number of regular
+        members containing it."""
+        return {f: len(m) for f, m in self.frame_members.items()}
 
     def defect_lines(self) -> list[str]:
         lines = [
@@ -73,9 +83,9 @@ class KSystemReport:
             if not ok
         ]
         lines.extend(
-            f"frame {f.key()} covered {c} times"
-            for f, c in sorted(self.coverage.items())
-            if c != 1
+            f"frame {f.key()} covered {len(m)} times"
+            for f, m in self.frame_members.items()
+            if len(m) != 1
         )
         return lines
 
@@ -151,7 +161,7 @@ def enumerate_k_frames(g: PolytopeGraph, k: int) -> Iterator[KFrame]:
     """All k-frames: each root with each k-subset of its neighbours.
 
     Yields n * binom(d, k) frames, roots ascending, leaf sets in
-    lexicographic order.
+    lexicographic order: frame order is sorted order.
     """
     check_k_range(g, k)
     for root in range(g.n):
@@ -184,27 +194,48 @@ def frame_coverage(g: PolytopeGraph, s: SetSystem) -> dict[KFrame, int]:
     return report.coverage
 
 
+def frame_index(
+    g: PolytopeGraph, k: int, members: Sequence[Sequence[int]]
+) -> tuple[list[frozenset[KFrame] | None], dict[KFrame, tuple[int, ...]]]:
+    """The frames of each member, and the members containing each frame.
+
+    A k-regular member contains exactly one frame per vertex: the vertex
+    and its neighbours inside the member.  The first list gives the set of
+    those frames, or None for a member that is not k-regular.  The dict
+    maps every k-frame of the graph, in frame order, to the ascending
+    indices of the regular members containing it.  This is the one place
+    the frames of a family are built: validation, the exact cover and
+    facet reconstruction all read it.  Raises KOutOfRange unless
+    2 <= k <= d-1 (the frame universe is listed first).
+    """
+    frame_members: dict[KFrame, tuple[int, ...]] = dict.fromkeys(
+        enumerate_k_frames(g, k), ()
+    )
+    member_frames: list[frozenset[KFrame] | None] = []
+    for i, t in enumerate(members):
+        leaves = induced_leaves(g, t)
+        frames = None
+        if all(len(x) == k for x in leaves):
+            frames = frozenset(map(KFrame, t, leaves))
+            mine = (i,)  # () + mine is mine: frames covered once share it
+            for f in frames:
+                frame_members[f] += mine
+        member_frames.append(frames)
+    return member_frames, frame_members
+
+
 def validate_k_system(g: PolytopeGraph, s: SetSystem) -> KSystemReport:
     """Check the defining property: regular members, each frame covered once.
 
-    One pass per member: its induced leaves give both its regularity and
-    its frames.  Coverage is accounted over the k-regular members only; a
-    family with an irregular member is already invalid, and the
-    per-vertex frame emission is meaningless for such sets.
+    The verdict on the family's :func:`frame_index`.  Coverage is
+    accounted over the k-regular members only; a family with an irregular
+    member is already invalid, and the per-vertex frame emission is
+    meaningless for such sets.
     """
     check_system_bound(g, s)
-    check_k_range(g, s.k)
-    k = s.k
-    counts: dict[KFrame, int] = {f: 0 for f in enumerate_k_frames(g, k)}
-    regular: list[bool] = []
-    for t in s.sets:
-        leaves = induced_leaves(g, t)
-        ok = all(len(x) == k for x in leaves)
-        regular.append(ok)
-        if ok:
-            for v, x in zip(t, leaves):
-                counts[KFrame(v, x)] += 1
-    valid = all(regular) and all(c == 1 for c in counts.values())
+    member_frames, frame_members = frame_index(g, s.k, s.sets)
+    regular = tuple(fs is not None for fs in member_frames)
+    valid = all(regular) and all(len(m) == 1 for m in frame_members.values())
     return KSystemReport(
-        valid=valid, k=k, set_is_regular=tuple(regular), coverage=counts
+        valid=valid, k=s.k, set_is_regular=regular, frame_members=frame_members
     )

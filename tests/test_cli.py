@@ -55,21 +55,22 @@ def test_gen_product_and_truncate(capsys, tmp_path):
     assert json.loads(stdout)["graph"]["n"] == 10
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("gen", "cube", "x"),
-        ("gen", "cube"),
-        ("gen", "octahedron", "3"),
-        ("gen", "fig1", "3"),
-        ("gen", "product", "1", "2"),
-        ("gen", "cube", "nosuchfile.json"),
-    ],
-)
+GEN_REFUSALS = {
+    ("gen", "cube", "x"): "cannot read x",
+    ("gen", "cube"): "cube takes (int), got ()",
+    ("gen", "octahedron", "3"): "unknown family 'octahedron'",
+    ("gen", "fig1", "3"): "fig1 takes (), got (int)",
+    ("gen", "product", "1", "2"): "product takes (Instance, Instance), got (int, int)",
+    ("gen", "cube", "nosuchfile.json"): "cannot read nosuchfile.json",
+    ("gen", "octahedron", "missing.json"): "unknown family 'octahedron'",
+}
+
+
+@pytest.mark.parametrize("argv", list(GEN_REFUSALS))
 def test_gen_rejects_bad_params(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
-    assert "error:" in err
+    assert f"error: {GEN_REFUSALS[argv]}" in err
 
 
 def test_faces_subcommand(capsys, cube3_files):
@@ -112,6 +113,11 @@ def test_aof_geometric_rejects_bad_weights(capsys, cube3_files):
         capsys, "aof-geometric", cube3_files["inst"], "--weights", "0,1,2"
     )
     assert code == 2  # degenerate: two vertices tie
+    code, _, err = run(
+        capsys, "aof-geometric", cube3_files["inst"], "--weights", "1e1000000000,1,1"
+    )
+    assert code == 2
+    assert "exponent of '1e1000000000' exceeds" in err
 
 
 def test_certify_faces_verified_and_refuted(capsys, cube3_files, cube3, tmp_path):

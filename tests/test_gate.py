@@ -11,6 +11,8 @@ with an ``InvalidInput``; only the wording may differ.
 """
 
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -291,13 +293,31 @@ def test_huge_vertex_count_fails_without_allocating(d, n, first):
 
 
 @pytest.mark.parametrize(
-    "weights", [[None, 1, 1], ["1/0", 1, 1], [float("inf"), 1, 1], "abc", None]
+    "weights",
+    [
+        [None, 1, 1],
+        ["1/0", 1, 1],
+        [float("inf"), 1, 1],
+        "abc",
+        None,
+        ["1e1000000000", 1, 1],
+        [1, " -3E-1000000000 ", 1],
+    ],
 )
 def test_rationals_from_callers_raise_invalid_params(weights):
     with pytest.raises(InvalidParams, match="weights must be rational numbers"):
         ks.geometric_aof(CUBE3, weights)
     with pytest.raises(InvalidParams, match="coordinates must be rational numbers"):
         ks.make_instance("c", G, CUBE3.facets, [weights] * 8)
+
+
+def test_rational_exponents_stay_within_the_int_string_limit():
+    limit = sys.get_int_max_str_digits()
+    rows = oracle._rational_rows([["1e3", "1/3", "-2.5e-2", f"1E{limit}"]], "w")
+    assert rows == [(Fraction(1000), Fraction(1, 3), Fraction(-1, 40), 10**limit)]
+    tiny = f"1e-{limit + 1}"
+    with pytest.raises(InvalidParams, match=f"exponent of '{tiny}' exceeds {limit}"):
+        oracle._rational_rows([[tiny]], "w")
 
 
 def test_sinks_in_subset_checks_vertex_ids():
@@ -314,3 +334,17 @@ def test_integral_float_heads_are_refused():
         ks.make_orientation(G, heads)
     with pytest.raises(InvalidParams):
         ks.make_orientation(G, [bool(b) for b in ORIENTATION.heads])
+
+
+@pytest.mark.parametrize("bit", [1.0, True])
+def test_orientations_built_directly_need_integer_heads(bit):
+    o = ks.Orientation(heads=(bit,) * len(G.edges), graph_fingerprint=G.fingerprint)
+    faces = ks.faces_from_incidence(CUBE3, 2)
+    calls = [
+        lambda: ks.indegree_histogram(G, o),
+        lambda: ks.topological_order(G, o),
+        lambda: ks.unique_sink_per_set(G, o, faces),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParams, match="one bit per canonical edge"):
+            call()

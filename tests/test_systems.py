@@ -48,6 +48,14 @@ def test_frame_key_format():
     assert f.key() == "(4|1,7)"
 
 
+def test_frame_is_its_root_leaves_tuple():
+    f = ks.KFrame(root=4, leaves=(1, 7))
+    assert f == (4, (1, 7))
+    assert hash(f) == hash((4, (1, 7)))
+    frames = [ks.KFrame(4, (2, 3)), ks.KFrame(3, (5, 6)), f, ks.KFrame(4, (1, 2))]
+    assert sorted(frames) == [(3, (5, 6)), (4, (1, 2)), (4, (1, 7)), (4, (2, 3))]
+
+
 def test_check_k_range(cube3):
     ks.check_k_range(cube3.graph, 2)
     for bad in (1, 3):
