@@ -37,6 +37,7 @@ from .graphs import (
     check_bound,
     hk_sum,
     indegree_histogram,
+    induced_leaves,
     induces_connected,
     out_adjacency,
     topological_order,
@@ -250,10 +251,10 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
     yields every facet d times over; contradictory transport means the
     input is not the 2-face system of any simple polytope.
 
-    The corner map (the one 2-face through a vertex and two of its edges,
-    that is through a 2-frame) and each 2-face's leaf pairs are read from
-    the frame index in the :func:`validate_k_system` report that checks
-    the precondition.
+    Every transport step is tabulated once, before the search: the step
+    through a corner (a vertex and two of its edges, that is a 2-frame)
+    is read off the one 2-face through it, and walking each 2-face's
+    cycle once gives the steps through all of its corners.
 
     Preconditions checked: f2 is a valid 2-system whose members induce
     cycles (connected 2-regular).  Postconditions checked: every output
@@ -275,19 +276,24 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
         if not induces_connected(g, t):
             raise NotCycleSystem(f"member #{i} induces a disconnected subgraph")
 
-    # corner_face[(v, (a, b))]: the members holding that 2-frame, which in a
-    # valid 2-system is the one 2-face containing edges va and vb;
-    # face_leaves[i][v] is the pair of v's neighbours inside 2-face i
-    corner_face = report.frame_members
-    face_leaves: list[dict[int, tuple[int, ...]]] = [{} for _ in f2.sets]
-    for (v, pair), (i,) in corner_face.items():
-        face_leaves[i][v] = pair
-
-    def transport(u: int, via: int, missing: int) -> int:
-        """Missing neighbour at `via` of the facet missing `missing` at u."""
-        (i,) = corner_face[(u, (missing, via) if missing < via else (via, missing))]
-        x, y = face_leaves[i][via]
-        return y if x == u else x
+    # step[u][m][w], for the other neighbours w of u in adjacency order:
+    # the neighbour of w missed by the facet that misses m at u, that is
+    # the other neighbour of w in the one 2-face through corner (u | m, w),
+    # which is an induced cycle
+    step = [
+        {m: dict.fromkeys(w for w in nbrs if w != m) for m in nbrs}
+        for nbrs in g.adjacency
+    ]
+    for t in f2.sets:
+        leaves = dict(zip(t, induced_leaves(g, t)))
+        cycle = [t[0], leaves[t[0]][0]]
+        while len(cycle) < len(t):
+            x, y = leaves[cycle[-1]]
+            cycle.append(y if x == cycle[-2] else x)
+        for j, u in enumerate(cycle):
+            before, after = cycle[j - 1], cycle[(j + 1) % len(cycle)]
+            step[u][before][after] = cycle[(j + 2) % len(cycle)]
+            step[u][after][before] = cycle[j - 2]
 
     facets: set[tuple[int, ...]] = set()
     vertex_count = [0] * g.n
@@ -297,10 +303,7 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
             queue = deque([r])
             while queue:
                 u = queue.popleft()
-                for w in g.adjacency[u]:
-                    if w == missing[u]:
-                        continue
-                    m = transport(u, w, missing[u])
+                for w, m in step[u][missing[u]].items():
                     if w not in missing:
                         missing[w] = m
                         queue.append(w)

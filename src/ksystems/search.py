@@ -6,9 +6,12 @@ and prunes any partial assignment that already closes a directed cycle,
 so leaves of the recursion are exactly the acyclic orientations.
 k-system enumeration is exact cover over the frame universe: candidate
 member sets are the connected induced k-regular subgraphs, and a family
-covers every frame exactly once iff it is a k-system.  The cover reads
-each candidate's frames and each frame's candidates from
-:func:`ksystems.systems.frame_index`, the index validation is built on.
+covers every frame exactly once iff it is a k-system.  Frames are the
+integer keys of :func:`ksystems.systems.frame_index` (positions in frame
+order), the index validation is built on, and the cover is Algorithm X
+over integer bitmasks: one int for the frames still uncovered, one mask
+of frames per candidate and one mask of candidates per frame.  Merged
+variants of a cover are generated lazily, so ``count_cap`` bounds them.
 
 Searches partition cleanly (fix the first few edge directions, or the
 candidate covering the first chosen frame).  Each search takes a
@@ -20,8 +23,9 @@ yields the collected results in the order one job would.
 from __future__ import annotations
 
 import multiprocessing
+from functools import reduce
 from itertools import chain, islice
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .certificates import unique_sink_per_set
@@ -36,9 +40,9 @@ from .graphs import (
 )
 from .oracle import Instance, faces_from_incidence, is_aof_oracle
 from .systems import (
-    KFrame,
     SetSystem,
     check_k_range,
+    frame_count,
     frame_index,
     make_set_system,
     validate_k_system,
@@ -260,23 +264,48 @@ def connected_k_regular_sets(
     return found
 
 
-def _column(
-    cand_frames: list[frozenset[KFrame]],
-    frame_cands: dict[KFrame, tuple[int, ...]],
-    uncovered: set[KFrame],
-) -> list[int]:
-    """Live candidates of the uncovered frame with fewest of them, ties by
-    frame key: the branching rule that makes every cover appear once."""
-    best_f: KFrame | None = None
-    best_avail: list[int] | None = None
-    for f in uncovered:
-        avail = [i for i in frame_cands[f] if cand_frames[i] <= uncovered]
-        if best_avail is None or (len(avail), f) < (len(best_avail), best_f):
-            best_f, best_avail = f, avail
-            if not avail:
+def _bit_indices(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _cover_index(
+    g: PolytopeGraph, k: int, candidates: list[tuple[int, ...]]
+) -> tuple[list[int], list[int], list[int]]:
+    """The exact-cover matrix as bitmasks, from
+    :func:`~ksystems.systems.frame_index` (every candidate is k-regular).
+
+    Returns each candidate's frames (a mask over frame keys), each
+    frame's candidates (a mask over candidate indices), and the
+    candidates each candidate clashes with (shares a frame with,
+    itself included).
+    """
+    frame_cands = [0] * frame_count(g, k)
+    cand_keys = frame_index(g, k, candidates)
+    for i, keys in enumerate(cand_keys):
+        for f in keys:
+            frame_cands[f] |= 1 << i
+    cand_frames = [sum(1 << f for f in keys) for keys in cand_keys]
+    clashes = [reduce(or_, map(frame_cands.__getitem__, keys)) for keys in cand_keys]
+    return cand_frames, frame_cands, clashes
+
+
+def _column(frame_cands: list[int], uncovered: int, live: int) -> int:
+    """Live candidates (a mask) of the uncovered frame with fewest of them,
+    ties to the lowest frame key: the branching rule that makes every
+    cover appear once."""
+    best, fewest = 0, -1
+    for f in _bit_indices(uncovered):
+        avail = frame_cands[f] & live
+        n = avail.bit_count()
+        if fewest < 0 or n < fewest:
+            best, fewest = avail, n
+            if not n:
                 break
-    assert best_avail is not None
-    return best_avail
+    return best
 
 
 def _exact_covers(
@@ -285,31 +314,32 @@ def _exact_covers(
     candidates: list[tuple[int, ...]],
     forced_first: int | None = None,
 ) -> Iterator[tuple[int, ...]]:
-    """Exact covers of the frame universe by candidate sets, Algorithm X
-    style: always branch on the column :func:`_column` picks, so every
-    cover appears exactly once.  The candidates' frames and the
-    candidates covering each frame come from
-    :func:`~ksystems.systems.frame_index` (every candidate is k-regular).
+    """Exact covers of the frame universe by candidate sets: Algorithm X
+    over the bitmasks of :func:`_cover_index`.  ``uncovered`` holds the
+    frames no chosen candidate covers, ``live`` the candidates that clash
+    with none chosen, which are exactly those whose frames are all
+    uncovered.  Always branching on the column :func:`_column` picks makes
+    every cover appear exactly once.
     """
-    cand_frames, frame_cands = frame_index(g, k, candidates)
-    uncovered = set(frame_cands)
+    cand_frames, frame_cands, clashes = _cover_index(g, k, candidates)
     chosen: list[int] = []
 
-    def rec() -> Iterator[tuple[int, ...]]:
+    def rec(uncovered: int, live: int) -> Iterator[tuple[int, ...]]:
         if not uncovered:
             yield tuple(chosen)
             return
-        for i in _column(cand_frames, frame_cands, uncovered):
+        for i in _bit_indices(_column(frame_cands, uncovered, live)):
             chosen.append(i)
-            uncovered.difference_update(cand_frames[i])
-            yield from rec()
-            uncovered.update(cand_frames[i])
+            yield from rec(uncovered ^ cand_frames[i], live & ~clashes[i])
             chosen.pop()
 
+    uncovered = (1 << len(frame_cands)) - 1
+    live = (1 << len(candidates)) - 1
     if forced_first is not None:
         chosen.append(forced_first)
-        uncovered.difference_update(cand_frames[forced_first])
-    yield from rec()
+        uncovered ^= cand_frames[forced_first]
+        live &= ~clashes[forced_first]
+    yield from rec(uncovered, live)
 
 
 def _independent_members(g: PolytopeGraph, a: set[int], b: set[int]) -> bool:
@@ -323,10 +353,11 @@ def _independent_members(g: PolytopeGraph, a: set[int], b: set[int]) -> bool:
 
 def _merged_variants(
     g: PolytopeGraph, base: list[tuple[int, ...]]
-) -> list[list[tuple[int, ...]]]:
+) -> Iterator[list[tuple[int, ...]]]:
     """Coarsenings of a cover obtained by merging pairwise independent
     members into single (disconnected) sets.  Frame coverage is untouched
-    by such merges, so every coarsening is again a k-system."""
+    by such merges, so every coarsening is again a k-system.  They are
+    yielded one at a time, so a caller that stops early does no more."""
     m = len(base)
     vsets = [set(t) for t in base]
     compat: dict[tuple[int, int], bool] = {}
@@ -334,30 +365,23 @@ def _merged_variants(
         for j in range(i + 1, m):
             compat[(i, j)] = _independent_members(g, vsets[i], vsets[j])
 
-    results: list[list[tuple[int, ...]]] = []
     blocks: list[list[int]] = []
 
-    def assign(i: int) -> None:
+    def assign(i: int) -> Iterator[list[tuple[int, ...]]]:
         if i == m:
             if any(len(b) > 1 for b in blocks):
-                results.append(
-                    [
-                        tuple(sorted(v for idx in b for v in base[idx]))
-                        for b in blocks
-                    ]
-                )
+                yield [tuple(sorted(v for idx in b for v in base[idx])) for b in blocks]
             return
         for b in blocks:
             if all(compat[(j, i)] for j in b):
                 b.append(i)
-                assign(i + 1)
+                yield from assign(i + 1)
                 b.pop()
         blocks.append([i])
-        assign(i + 1)
+        yield from assign(i + 1)
         blocks.pop()
 
-    assign(0)
-    return results
+    return assign(0)
 
 
 def _checked(g: PolytopeGraph, k: int, sets: Sequence[tuple[int, ...]]) -> SetSystem:
@@ -390,16 +414,18 @@ def enumerate_k_systems(
     cover yields at least one system, so each process stops after
     ``count_cap`` covers (one, if ``count_cap`` is below 1).
     """
+    _require_ints(candidate_cap=candidate_cap, count_cap=count_cap, jobs=jobs)
     candidates = connected_k_regular_sets(g, k, candidate_cap)
-    _require_ints(count_cap=count_cap, jobs=jobs)
     if jobs <= 1:
         covers: Iterable[tuple[int, ...]] = _exact_covers(g, k, candidates)
     else:
         # one task per candidate covering the first frame the cover picks
-        cand_frames, frame_cands = frame_index(g, k, candidates)
+        _, frame_cands, _ = _cover_index(g, k, candidates)
+        every_frame = (1 << len(frame_cands)) - 1
+        first = _column(frame_cands, every_frame, (1 << len(candidates)) - 1)
         tasks = [
             (max(count_cap, 1), _exact_covers, g, k, candidates, i)
-            for i in _column(cand_frames, frame_cands, set(frame_cands))
+            for i in _bit_indices(first)
         ]
         covers = chain.from_iterable(_fan_out(jobs, _listed, tasks))
     produced = 0

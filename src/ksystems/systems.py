@@ -6,12 +6,19 @@ k-regular subgraph, such that the node set of every k-frame of the graph
 lies in exactly one member.  The vertex sets of the k-faces of a simple
 polytope form one; certificates revolve around comparing candidate
 families against that benchmark.
+
+Internally a frame is an integer key, its position in frame order (roots
+ascending, leaf sets in lexicographic order): :func:`frame_index` gives
+each member's keys, and validation is a pigeonhole count over them.  The
+``KFrame`` named tuples of a report (``frame_members``, ``coverage`` and
+the frame defect lines) are built from the keys only when they are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations, count, islice
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -59,16 +66,37 @@ class KSystemReport:
     """Outcome of :func:`validate_k_system`.
 
     ``set_is_regular[i]`` records whether member i induces a k-regular
-    subgraph; ``frame_members`` maps every k-frame of the graph, in frame
-    order, to the indices of the regular members containing its node set
-    (see :func:`frame_index`).  ``valid`` requires all members regular
-    and every frame covered exactly once.
+    subgraph, and ``frame_keys[i]`` lists its frames as integer keys,
+    positions in frame order (None for an irregular member; see
+    :func:`frame_index`).  ``valid`` requires all members regular and
+    every frame covered exactly once.  The ``KFrame``-keyed
+    ``frame_members`` (every k-frame of the graph, in frame order, with
+    the indices of the regular members containing its node set) is built
+    from the keys when it is first read, and so is the frame part of
+    :meth:`defect_lines` for an invalid family.
     """
 
     valid: bool
     k: int
     set_is_regular: tuple[bool, ...]
-    frame_members: dict[KFrame, tuple[int, ...]] = field(repr=False)
+    frame_keys: list[list[int] | None] = field(repr=False)
+    graph: PolytopeGraph = field(repr=False)
+
+    @cached_property
+    def _members_by_key(self) -> list[tuple[int, ...]]:
+        by_key: list[tuple[int, ...]] = [()] * frame_count(self.graph, self.k)
+        for i, keys in enumerate(self.frame_keys):
+            if keys is not None:
+                mine = (i,)  # () + mine is mine: frames covered once share it
+                for f in keys:
+                    by_key[f] += mine
+        return by_key
+
+    @cached_property
+    def frame_members(self) -> dict[KFrame, tuple[int, ...]]:
+        """Every k-frame, in frame order, with the indices of the regular
+        members containing it."""
+        return dict(zip(enumerate_k_frames(self.graph, self.k), self._members_by_key))
 
     @property
     def coverage(self) -> dict[KFrame, int]:
@@ -82,11 +110,12 @@ class KSystemReport:
             for i, ok in enumerate(self.set_is_regular)
             if not ok
         ]
-        lines.extend(
-            f"frame {f.key()} covered {len(m)} times"
-            for f, m in self.frame_members.items()
-            if len(m) != 1
-        )
+        if not self.valid:
+            lines.extend(
+                f"frame {frame_at(self.graph, self.k, f).key()} covered {len(m)} times"
+                for f, m in enumerate(self._members_by_key)
+                if len(m) != 1
+            )
         return lines
 
     def format(self) -> str:
@@ -194,48 +223,74 @@ def frame_coverage(g: PolytopeGraph, s: SetSystem) -> dict[KFrame, int]:
     return report.coverage
 
 
+def frame_key_table(g: PolytopeGraph, k: int) -> list[dict[int, int]]:
+    """The key table: for each vertex, the vertex bitmask of each k-subset
+    of its neighbours mapped to the key of that frame.
+
+    A frame's key is its position in frame order (see
+    :func:`enumerate_k_frames`): ``root * binom(d, k)`` plus the rank of
+    its leaf set among the k-subsets of the root's neighbours.  Raises
+    KOutOfRange unless 2 <= k <= d-1.
+    """
+    check_k_range(g, k)
+    per = comb(g.d, k)
+    bits = [1 << v for v in range(g.n)]
+    return [
+        dict(zip(map(sum, combinations([bits[x] for x in nbrs], k)), count(v * per)))
+        for v, nbrs in enumerate(g.adjacency)
+    ]
+
+
 def frame_index(
     g: PolytopeGraph, k: int, members: Sequence[Sequence[int]]
-) -> tuple[list[frozenset[KFrame] | None], dict[KFrame, tuple[int, ...]]]:
-    """The frames of each member, and the members containing each frame.
+) -> list[list[int] | None]:
+    """The frame keys of each member, or None for a member that is not
+    k-regular.
 
     A k-regular member contains exactly one frame per vertex: the vertex
-    and its neighbours inside the member.  The first list gives the set of
-    those frames, or None for a member that is not k-regular.  The dict
-    maps every k-frame of the graph, in frame order, to the ascending
-    indices of the regular members containing it.  This is the one place
-    the frames of a family are built: validation, the exact cover and
-    facet reconstruction all read it.  Raises KOutOfRange unless
-    2 <= k <= d-1 (the frame universe is listed first).
+    and its neighbours inside the member.  Its keys are listed in the
+    member's vertex order, each looked up in :func:`frame_key_table` by the
+    bitmask of those neighbours; a vertex whose induced degree is not k
+    has no entry there.  This is the one place the frames of a family are
+    built: validation and the exact cover both read it.
     """
-    frame_members: dict[KFrame, tuple[int, ...]] = dict.fromkeys(
-        enumerate_k_frames(g, k), ()
-    )
-    member_frames: list[frozenset[KFrame] | None] = []
-    for i, t in enumerate(members):
-        leaves = induced_leaves(g, t)
-        frames = None
-        if all(len(x) == k for x in leaves):
-            frames = frozenset(map(KFrame, t, leaves))
-            mine = (i,)  # () + mine is mine: frames covered once share it
-            for f in frames:
-                frame_members[f] += mine
-        member_frames.append(frames)
-    return member_frames, frame_members
+    table = frame_key_table(g, k)
+    bit = [1 << v for v in range(g.n)].__getitem__
+    nbr_masks = [sum(map(bit, nbrs)) for nbrs in g.adjacency]
+    index: list[list[int] | None] = []
+    for t in members:
+        inside = sum(map(bit, t))
+        keys = [table[v].get(inside & nbr_masks[v]) for v in t]
+        index.append(None if None in keys else keys)
+    return index
+
+
+def frame_at(g: PolytopeGraph, k: int, key: int) -> KFrame:
+    """The frame with this key: the inverse of :func:`frame_key_table`."""
+    root, rank = divmod(key, comb(g.d, k))
+    return KFrame(root, next(islice(combinations(g.adjacency[root], k), rank, None)))
 
 
 def validate_k_system(g: PolytopeGraph, s: SetSystem) -> KSystemReport:
     """Check the defining property: regular members, each frame covered once.
 
-    The verdict on the family's :func:`frame_index`.  Coverage is
-    accounted over the k-regular members only; a family with an irregular
-    member is already invalid, and the per-vertex frame emission is
-    meaningless for such sets.
+    The verdict on the family's :func:`frame_index`, by pigeonhole: with
+    every member k-regular, the family holds sum |S| frames, so it covers
+    all n * binom(d, k) of them exactly once iff that sum equals the
+    number of frames and no key repeats.  Coverage is accounted over the
+    k-regular members only; a family with an irregular member is already
+    invalid, and the per-vertex frame emission is meaningless for such
+    sets.
     """
     check_system_bound(g, s)
-    member_frames, frame_members = frame_index(g, s.k, s.sets)
-    regular = tuple(fs is not None for fs in member_frames)
-    valid = all(regular) and all(len(m) == 1 for m in frame_members.values())
+    keys = frame_index(g, s.k, s.sets)
+    regular = tuple(fs is not None for fs in keys)
+    frames = frame_count(g, s.k)
+    valid = (
+        all(regular)
+        and sum(map(len, s.sets)) == frames
+        and len(set(chain.from_iterable(keys))) == frames
+    )
     return KSystemReport(
-        valid=valid, k=s.k, set_is_regular=regular, frame_members=frame_members
+        valid=valid, k=s.k, set_is_regular=regular, frame_keys=keys, graph=g
     )

@@ -1,3 +1,6 @@
+import time
+from itertools import islice
+
 import pytest
 
 import ksystems as ks
@@ -209,6 +212,30 @@ def test_search_arguments_must_be_integers(cube3, call, name, value):
         result = fn(*args, **{name: value})
         if call.startswith("enumerate"):
             list(result)
+
+
+def test_enumerate_k_systems_checks_arguments_before_listing(monkeypatch, cube3):
+    def listing(*args):
+        raise AssertionError("candidates listed before the arguments were checked")
+
+    monkeypatch.setattr(search, "connected_k_regular_sets", listing)
+    with pytest.raises(InvalidParams, match="count_cap must be an integer"):
+        next(ks.enumerate_k_systems(cube3.graph, 2, count_cap=2.5))
+
+
+def test_merged_variants_stop_at_count_cap():
+    # the first cover of triangle^3 has 68 members: listing all of its
+    # coarsenings before yielding the first would not finish in minutes
+    triangle = ks.simplex(2)
+    g = ks.product(ks.product(triangle, triangle), triangle).graph
+    start = time.perf_counter()
+    first, merged = islice(ks.enumerate_k_systems(g, 2), 2)
+    assert time.perf_counter() - start < 60
+    assert len(first.sets) == 68 and len(merged.sets) < 68
+    assert all(
+        set(t) == set().union(*(b for b in first.sets if set(b) <= set(t)))
+        for t in merged.sets
+    )
 
 
 def test_max_k_system_is_the_largest_of_the_first_covers(fig1):

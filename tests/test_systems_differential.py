@@ -1,6 +1,7 @@
 """The k-system validator agrees with the reference two-pass validator on
 mutated face families: the same verdict, regularity flags, coverage and
-defect lines, and the same refusal from ``frame_coverage``."""
+defect lines, and the same refusal from ``frame_coverage``.  The frame
+keys it reads are positions in frame order."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,15 +9,19 @@ from hypothesis import strategies as st
 
 import ksystems as ks
 from ksystems.errors import NotRegular
+from ksystems.systems import frame_key_table
 
 import reference_systems as ref
 
+TRIANGLE = ks.simplex(2)
 INSTANCES = {
     "cube3": ks.cube(3),
     "cube4": ks.cube(4),
-    "prism": ks.product(ks.cube(1), ks.simplex(2)),
+    "prism": ks.product(ks.cube(1), TRIANGLE),
     "simplex4": ks.simplex(4),
     "fig1": ks.fig1(),
+    "truncated_cube4": ks.truncate_vertex(ks.cube(4), 0),
+    "triangle_cubed": ks.product(ks.product(TRIANGLE, TRIANGLE), TRIANGLE),
 }
 CASES = [
     ("cube3", 2),
@@ -26,6 +31,9 @@ CASES = [
     ("simplex4", 2),
     ("simplex4", 3),
     ("fig1", 2),
+    ("truncated_cube4", 2),
+    ("truncated_cube4", 3),
+    ("triangle_cubed", 2),
 ]
 REGULAR = {
     (name, k): ks.connected_k_regular_sets(INSTANCES[name].graph, k)
@@ -36,17 +44,24 @@ REGULAR = {
 @st.composite
 def mutated_families(draw):
     """F_k of an instance after a few drops, additions, swaps and
-    additions of arbitrary (mostly irregular) vertex sets."""
+    additions of arbitrary (mostly irregular) vertex sets.  A swap for a
+    candidate of the same size keeps the sum of member sizes at the
+    number of frames, so only repeated frame keys can refute it."""
     name, k = draw(st.sampled_from(CASES))
     inst = INSTANCES[name]
     g = inst.graph
     family = list(ks.faces_from_incidence(inst, k).sets)
-    ops = st.lists(st.sampled_from(["drop", "add", "swap", "irregular"]), max_size=4)
-    for op in draw(ops):
+    ops = ["drop", "add", "swap", "same_size", "irregular"]
+    for op in draw(st.lists(st.sampled_from(ops), max_size=4)):
         if op in ("drop", "swap") and family:
             family.pop(draw(st.integers(0, len(family) - 1)))
         if op in ("add", "swap"):
             family.append(draw(st.sampled_from(REGULAR[(name, k)])))
+        if op == "same_size" and family:
+            size = len(family.pop(draw(st.integers(0, len(family) - 1))))
+            alike = [t for t in REGULAR[(name, k)] if len(t) == size]
+            if alike:  # none for an irregular member of a size no candidate has
+                family.append(draw(st.sampled_from(alike)))
         if op == "irregular":
             vertices = st.integers(0, g.n - 1)
             family.append(tuple(sorted(draw(st.sets(vertices, min_size=k + 1)))))
@@ -85,3 +100,29 @@ def test_face_families_match_reference(name, k):
     want = ref.validate_k_system(inst.graph, s)
     assert got.valid and want.valid
     assert got.coverage == want.coverage == ks.frame_coverage(inst.graph, s)
+
+
+def test_equal_total_family_with_repeated_frames_is_invalid(cube3):
+    # every member 2-regular and 4 + 6 + 6 + 4 + 4 = 24 = 8 * binom(3, 2),
+    # the number of frames, yet frames repeat (and others go uncovered)
+    g = cube3.graph
+    family = [(0, 1, 2, 3), (0, 1, 2, 5, 6, 7), (0, 1, 3, 4, 6, 7), (0, 1, 4, 5), (0, 2, 4, 6)]
+    s = ks.make_set_system(g, 2, family)
+    assert sum(map(len, s.sets)) == ks.frame_count(g, 2)
+    got = ks.validate_k_system(g, s)
+    want = ref.validate_k_system(g, s)
+    assert not got.valid and not want.valid
+    assert got.set_is_regular == want.set_is_regular == (True,) * 5
+    assert list(got.coverage.items()) == list(want.coverage.items())
+    assert got.defect_lines() == want.defect_lines() != []
+
+
+@pytest.mark.parametrize("name,k", CASES)
+def test_frame_keys_are_positions_in_frame_order(name, k):
+    g = INSTANCES[name].graph
+    table = frame_key_table(g, k)
+    keys = [
+        table[f.root][sum(1 << x for x in f.leaves)] for f in ks.enumerate_k_frames(g, k)
+    ]
+    assert keys == list(range(ks.frame_count(g, k)))
+    assert sum(map(len, table)) == len(keys)
