@@ -115,6 +115,16 @@ def unique_sink_per_set(
     return True, None
 
 
+def _cycle_refutation(g: PolytopeGraph, o: Orientation, role: str) -> Verdict | None:
+    """REFUTED at the "acyclic" check, naming a directed cycle of ``o``
+    and the ``role`` it plays in the claim; None when ``o`` is acyclic."""
+    cycle = topological_order(g, o).cycle
+    if cycle is None:
+        return None
+    cyc = "->".join(map(str, cycle))
+    return Verdict.refuted("acyclic", f"{role} contains directed cycle {cyc}")
+
+
 def verify_face_certificate(g: PolytopeGraph, cert: FaceCertificate) -> Verdict:
     """Check a claim that cert.claimed_sets = F_k.
 
@@ -135,10 +145,8 @@ def verify_face_certificate(g: PolytopeGraph, cert: FaceCertificate) -> Verdict:
     if not report.valid:
         first = report.defect_lines()[0]
         return Verdict.refuted("k-system", f"claimed sets are not a k-system ({first})")
-    topo = topological_order(g, o)
-    if topo.cycle is not None:
-        cyc = "->".join(str(v) for v in topo.cycle)
-        return Verdict.refuted("acyclic", f"witness contains directed cycle {cyc}")
+    if (refuted := _cycle_refutation(g, o, "witness")) is not None:
+        return refuted
     hk = hk_sum(indegree_histogram(g, o), cert.k)
     if len(s.sets) != hk:
         return Verdict.refuted(
@@ -192,10 +200,8 @@ def verify_aof_certificate(g: PolytopeGraph, cert: AofCertificate) -> Verdict:
     if not report.valid:
         first = report.defect_lines()[0]
         return Verdict.refuted("k-system", f"witness is not a 2-system ({first})")
-    topo = topological_order(g, o)
-    if topo.cycle is not None:
-        cyc = "->".join(str(v) for v in topo.cycle)
-        return Verdict.refuted("acyclic", f"candidate contains directed cycle {cyc}")
+    if (refuted := _cycle_refutation(g, o, "candidate")) is not None:
+        return refuted
     h2 = hk_sum(indegree_histogram(g, o), 2)
     if len(s.sets) != h2:
         return Verdict.refuted(
@@ -211,10 +217,8 @@ def verify_smaller_h2(g: PolytopeGraph, o: Orientation, o_prime: Orientation) ->
     acyclic competitor strictly below o disproves the claim.
     """
     check_bound(g, o)
-    topo = topological_order(g, o_prime)
-    if topo.cycle is not None:
-        cyc = "->".join(str(v) for v in topo.cycle)
-        return Verdict.refuted("acyclic", f"competitor contains directed cycle {cyc}")
+    if (refuted := _cycle_refutation(g, o_prime, "competitor")) is not None:
+        return refuted
     h2 = hk_sum(indegree_histogram(g, o), 2)
     h2_prime = hk_sum(indegree_histogram(g, o_prime), 2)
     if h2_prime >= h2:

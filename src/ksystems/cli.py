@@ -123,7 +123,7 @@ def cmd_facets_from_2faces(args: argparse.Namespace) -> int:
 
 def cmd_enum_orient(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    for o in search.enumerate_acyclic_orientations(g, args.budget, args.jobs):
+    for o in search.enumerate_acyclic_orientations(g, args.budget):
         sys.stdout.write(fileio.canonical_json(fileio.orientation_doc(o)))
     return EXIT_OK
 
@@ -131,7 +131,7 @@ def cmd_enum_orient(args: argparse.Namespace) -> int:
 def cmd_min_hk(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     k = _parse_k(args.k, allow_all=True)
-    value, witness = search.minimize_hk(g, k, args.budget, args.jobs)
+    value, witness = search.minimize_hk(g, k, args.budget)
     print(value)
     sys.stdout.write(fileio.canonical_json(fileio.orientation_doc(witness)))
     return EXIT_OK
@@ -145,7 +145,6 @@ def cmd_enum_ksystems(args: argparse.Namespace) -> int:
         candidate_cap=args.candidate_cap,
         count_cap=args.count_cap,
         include_merged=not args.no_merged,
-        jobs=args.jobs,
     )
     for s in systems:
         sys.stdout.write(fileio.canonical_json(fileio.set_system_doc(s)))
@@ -199,12 +198,6 @@ def _add_budget(p: argparse.ArgumentParser) -> None:
         type=int,
         default=search.DEFAULT_BUDGET,
         help="refuse searches over more than this many orientations",
-    )
-
-
-def _add_jobs(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for the search"
     )
 
 
@@ -270,14 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enum-orient", help="stream all acyclic orientations")
     p.add_argument("graph")
     _add_budget(p)
-    _add_jobs(p)
     p.set_defaults(func=cmd_enum_orient)
 
     p = sub.add_parser("min-hk", help="minimize H^k over acyclic orientations")
     p.add_argument("graph")
     p.add_argument("-k", required=True, help="integer or 'all'")
     _add_budget(p)
-    _add_jobs(p)
     p.set_defaults(func=cmd_min_hk)
 
     p = sub.add_parser("enum-ksystems", help="stream all k-systems")
@@ -289,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="omit systems with disconnected (merged) members",
     )
-    _add_jobs(p)
     p.set_defaults(func=cmd_enum_ksystems)
 
     p = sub.add_parser("max-ksystem", help="largest k-system found")

@@ -38,13 +38,17 @@ def canonical_json(doc: Any) -> str:
 
 
 def read_json(path: str | Path) -> Any:
+    """The JSON value in a UTF-8 file, or InvalidParams saying why not."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: the bytes are not UTF-8, or the path holds a NUL
         raise InvalidParams(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad syntax, or an integer past the digit limit;
+        # RecursionError: lists or objects nested too deep to decode
         raise InvalidParams(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -12,30 +12,21 @@ order), the index validation is built on, and the cover is Algorithm X
 over integer bitmasks: one int for the frames still uncovered, one mask
 of frames per candidate and one mask of candidates per frame.  Merged
 variants of a cover are generated lazily, so ``count_cap`` bounds them.
-
-Searches partition cleanly (fix the first few edge directions, or the
-candidate covering the first chosen frame).  Each search takes a
-``jobs`` argument: above 1, it hands the parts to that many worker
-processes, each running the same sequential core on its part, and
-yields the collected results in the order one job would.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from functools import reduce
-from itertools import chain, islice
 from operator import itemgetter, or_
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .certificates import unique_sink_per_set
-from .errors import BudgetExceeded, CandidateCapExceeded, InvalidParams, KOutOfRange
+from .errors import BudgetExceeded, CandidateCapExceeded, InvalidParams
 from .graphs import (
-    ALL,
+    HVector,
     Orientation,
     PolytopeGraph,
     hk_sum,
-    indegree_histogram,
     is_int,
 )
 from .oracle import Instance, faces_from_incidence, is_aof_oracle
@@ -54,7 +45,7 @@ DEFAULT_COUNT_CAP = 10**4
 
 
 def _require_ints(**values: object) -> None:
-    """Budgets, caps and job counts must be integers."""
+    """Budgets and caps must be integers."""
     for name, value in values.items():
         if not is_int(value):
             raise InvalidParams(f"{name} must be an integer, got {value!r}")
@@ -94,23 +85,23 @@ def _reaches(out: list[int], src: int, dst: int) -> bool:
     return False
 
 
-def _acyclic_stream(g: PolytopeGraph, prefix: Sequence[int] = ()) -> Iterator[Orientation]:
-    """All acyclic orientations whose first edges (in BFS edge order)
-    point as ``prefix`` prescribes.  Deterministic: head bit 0 before 1."""
+def enumerate_acyclic_orientations(
+    g: PolytopeGraph, budget: int = DEFAULT_BUDGET
+) -> Iterator[Orientation]:
+    """Yield every acyclic orientation exactly once, deterministically
+    (edges in BFS edge order, head bit 0 before 1).
+
+    Hard-capped: refuses graphs whose full direction space 2^|E| exceeds
+    the budget, since pruning gives no worst-case guarantee.  The budget
+    is checked when this is called, before the first orientation.
+    """
+    _require_ints(budget=budget)
     m = len(g.edges)
+    if 2**m > budget:
+        raise BudgetExceeded(f"2^{m} orientations exceed budget {budget}")
     order = _bfs_edge_order(g)
     heads = [-1] * m
     out = [0] * g.n
-
-    for pos, bit in enumerate(prefix):
-        e = order[pos]
-        u, v = g.edges[e]
-        t, h = (v, u) if bit == 0 else (u, v)
-        if _reaches(out, h, t):
-            return
-        heads[e] = bit
-        out[t] |= 1 << h
-
     fp = g.fingerprint
 
     def rec(pos: int) -> Iterator[Orientation]:
@@ -126,94 +117,32 @@ def _acyclic_stream(g: PolytopeGraph, prefix: Sequence[int] = ()) -> Iterator[Or
                 yield from rec(pos + 1)
                 out[t] &= ~(1 << h)
 
-    yield from rec(len(prefix))
-
-
-def _prefixes(g: PolytopeGraph, budget: int, jobs: int) -> list[tuple[int, ...]]:
-    """Directions of the first few edges (in BFS edge order) that split the
-    orientation space into parts for ``jobs`` processes; just the empty
-    prefix for one job.
-
-    Hard-capped: refuses graphs whose full direction space 2^|E| exceeds
-    the budget, since pruning gives no worst-case guarantee.
-    """
-    m = len(g.edges)
-    if 2**m > budget:
-        raise BudgetExceeded(f"2^{m} orientations exceed budget {budget}")
-    bits = min((jobs - 1).bit_length() + 1, m) if jobs > 1 else 0
-    return [
-        tuple((i >> (bits - 1 - b)) & 1 for b in range(bits))
-        for i in range(1 << bits)
-    ]
-
-
-def _fan_out(jobs: int, worker: Callable, tasks: list[tuple]) -> list:
-    """``worker(*task)`` for every task, in ``jobs`` processes, in task order.
-
-    Workers are spawned, not forked: they start from a fresh import and
-    get everything they need, pickled, in their task.
-    """
-    with multiprocessing.get_context("spawn").Pool(jobs) as pool:
-        return pool.starmap(worker, tasks)
-
-
-def _listed(limit: int | None, stream: Callable[..., Iterable], *args) -> list:
-    """Worker: the first ``limit`` items of a sequential stream (all of them
-    for None), for pickling back."""
-    return list(islice(stream(*args), limit))
-
-
-def enumerate_acyclic_orientations(
-    g: PolytopeGraph, budget: int = DEFAULT_BUDGET, jobs: int = 1
-) -> Iterator[Orientation]:
-    """Yield every acyclic orientation exactly once, deterministically.
-
-    Refuses graphs with more than ``budget`` edge directions (see
-    :func:`_prefixes`).  With ``jobs`` > 1 each process enumerates the
-    orientations under one prefix, and the parts are collected before
-    the stream starts; the order is the same as with one job.
-    """
-    _require_ints(budget=budget, jobs=jobs)
-    prefixes = _prefixes(g, budget, jobs)
-    if jobs <= 1:
-        return _acyclic_stream(g)
-    tasks = [(None, _acyclic_stream, g, p) for p in prefixes]
-    return chain.from_iterable(_fan_out(jobs, _listed, tasks))
-
-
-def _least_hk(
-    g: PolytopeGraph, k: int | str, orientations: Iterable[Orientation]
-) -> tuple[int, Orientation] | None:
-    """H^k and the first orientation attaining the least H^k, if any."""
-    scored = ((hk_sum(indegree_histogram(g, o), k), o) for o in orientations)
-    return min(scored, key=itemgetter(0), default=None)
-
-
-def _min_worker(
-    g: PolytopeGraph, k: int | str, prefix: tuple[int, ...]
-) -> tuple[int, Orientation] | None:
-    return _least_hk(g, k, _acyclic_stream(g, prefix))
+    return rec(0)
 
 
 def minimize_hk(
-    g: PolytopeGraph, k: int | str, budget: int = DEFAULT_BUDGET, jobs: int = 1
+    g: PolytopeGraph, k: int | str, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, Orientation]:
     """Minimum of H^k over all acyclic orientations, with first witness.
 
-    With ``jobs`` > 1 each process minimizes over one prefix; the first
-    part attaining the minimum holds the witness one job would find.
+    H^k sums a weight over the vertices, the weight of in-degree i being
+    H^k of the one-vertex histogram e_i, so each orientation is scored
+    from its heads through a table of those d + 1 weights.
     """
-    if k != ALL and (not is_int(k) or not 0 <= k <= g.d):
-        raise KOutOfRange(f"k must be 0..{g.d} or ALL, got {k!r}")
-    _require_ints(budget=budget, jobs=jobs)
-    if jobs <= 1:
-        best = _least_hk(g, k, enumerate_acyclic_orientations(g, budget))
-    else:
-        tasks = [(g, k, p) for p in _prefixes(g, budget, jobs)]
-        parts = [r for r in _fan_out(jobs, _min_worker, tasks) if r is not None]
-        best = min(parts, key=itemgetter(0))
-    assert best is not None  # n >= 2, connected
-    return best
+    weight = [
+        hk_sum(HVector(tuple(int(i == j) for j in range(g.d + 1))), k)
+        for i in range(g.d + 1)
+    ]
+    edges, n = g.edges, g.n
+
+    def score(o: Orientation) -> int:
+        indeg = [0] * n
+        for e, b in zip(edges, o.heads):
+            indeg[e[b]] += 1
+        return sum(map(weight.__getitem__, indeg))
+
+    scored = ((score(o), o) for o in enumerate_acyclic_orientations(g, budget))
+    return min(scored, key=itemgetter(0))  # never empty: n >= 2, connected
 
 
 def connected_k_regular_sets(
@@ -309,10 +238,7 @@ def _column(frame_cands: list[int], uncovered: int, live: int) -> int:
 
 
 def _exact_covers(
-    g: PolytopeGraph,
-    k: int,
-    candidates: list[tuple[int, ...]],
-    forced_first: int | None = None,
+    g: PolytopeGraph, k: int, candidates: list[tuple[int, ...]]
 ) -> Iterator[tuple[int, ...]]:
     """Exact covers of the frame universe by candidate sets: Algorithm X
     over the bitmasks of :func:`_cover_index`.  ``uncovered`` holds the
@@ -333,13 +259,7 @@ def _exact_covers(
             yield from rec(uncovered ^ cand_frames[i], live & ~clashes[i])
             chosen.pop()
 
-    uncovered = (1 << len(frame_cands)) - 1
-    live = (1 << len(candidates)) - 1
-    if forced_first is not None:
-        chosen.append(forced_first)
-        uncovered ^= cand_frames[forced_first]
-        live &= ~clashes[forced_first]
-    yield from rec(uncovered, live)
+    yield from rec((1 << len(frame_cands)) - 1, (1 << len(candidates)) - 1)
 
 
 def _independent_members(g: PolytopeGraph, a: set[int], b: set[int]) -> bool:
@@ -397,7 +317,6 @@ def enumerate_k_systems(
     candidate_cap: int = DEFAULT_CANDIDATE_CAP,
     count_cap: int = DEFAULT_COUNT_CAP,
     include_merged: bool = True,
-    jobs: int = 1,
 ) -> Iterator[SetSystem]:
     """Yield k-systems of the graph, each one validated before yielding.
 
@@ -407,29 +326,11 @@ def enumerate_k_systems(
     frames) are reported as additional systems unless ``include_merged``
     is off.  Every k-system arises this way: splitting members into
     connected components always yields a connected-member system.
-
-    With ``jobs`` > 1 the candidates covering the first chosen frame are
-    shared out across processes, and their covers are collected before
-    the stream starts; the order is the same as with one job.  Every
-    cover yields at least one system, so each process stops after
-    ``count_cap`` covers (one, if ``count_cap`` is below 1).
     """
-    _require_ints(candidate_cap=candidate_cap, count_cap=count_cap, jobs=jobs)
+    _require_ints(candidate_cap=candidate_cap, count_cap=count_cap)
     candidates = connected_k_regular_sets(g, k, candidate_cap)
-    if jobs <= 1:
-        covers: Iterable[tuple[int, ...]] = _exact_covers(g, k, candidates)
-    else:
-        # one task per candidate covering the first frame the cover picks
-        _, frame_cands, _ = _cover_index(g, k, candidates)
-        every_frame = (1 << len(frame_cands)) - 1
-        first = _column(frame_cands, every_frame, (1 << len(candidates)) - 1)
-        tasks = [
-            (max(count_cap, 1), _exact_covers, g, k, candidates, i)
-            for i in _bit_indices(first)
-        ]
-        covers = chain.from_iterable(_fan_out(jobs, _listed, tasks))
     produced = 0
-    for cover in covers:
+    for cover in _exact_covers(g, k, candidates):
         base = [candidates[i] for i in cover]
         yield _checked(g, k, base)
         produced += 1

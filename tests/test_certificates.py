@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import ksystems as ks
+from ksystems import certificates
 from ksystems.errors import (
     DimensionTooSmall,
     InconsistentTransport,
@@ -91,6 +92,31 @@ def test_face_certificate_refutes_cyclic_witness(simplex3):
     verdict = ks.verify_face_certificate(g, cert)
     assert not verdict.verified
     assert verdict.failed_check == "acyclic"
+
+
+def test_cyclic_orientations_are_refuted_in_the_same_words(monkeypatch, simplex3):
+    # one refutation for all three verifiers, naming the orientation's
+    # role; the sort is looked up in the module, where tracers replace it
+    g = simplex3.graph
+    cyclic = ks.make_orientation(g, [1, 0, 1, 1, 1, 1])  # 0->1->2->0
+    f2 = ks.faces_from_incidence(simplex3, 2)
+    sorted_by = []
+
+    def topological_order(g, o):
+        sorted_by.append(o)
+        return ks.topological_order(g, o)
+
+    monkeypatch.setattr(certificates, "topological_order", topological_order)
+    verdicts = [
+        ks.verify_face_certificate(g, ks.FaceCertificate(2, f2, cyclic)),
+        ks.verify_aof_certificate(g, ks.AofCertificate(cyclic, f2)),
+        ks.verify_smaller_h2(g, ks.make_orientation(g, [1] * 6), cyclic),
+    ]
+    assert verdicts == [
+        ks.Verdict(False, "acyclic", f"{role} contains directed cycle 0->1->2")
+        for role in ("witness", "candidate", "competitor")
+    ]
+    assert sorted_by == [cyclic] * 3
 
 
 def test_face_certificate_refutes_count_mismatch(cube3):

@@ -8,7 +8,7 @@ import pytest
 
 import ksystems as ks
 from ksystems import fileio, search
-from ksystems.cli import main
+from ksystems.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -233,10 +233,13 @@ def test_min_hk_subcommand(capsys, cube3_files):
     value, witness = stdout.splitlines()
     assert value == "27"
     assert len(json.loads(witness)["heads"]) == 12
-    code, stdout, _ = run(
-        capsys, "min-hk", cube3_files["graph"], "-k", "2", "--jobs", "2"
-    )
+    code, stdout, _ = run(capsys, "min-hk", cube3_files["graph"], "-k", "2")
     assert code == 0 and stdout.splitlines()[0] == "6"
+    # one process per search: there is no --jobs option
+    with pytest.raises(SystemExit) as exc:
+        main(["min-hk", cube3_files["graph"], "-k", "2", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_enum_and_max_ksystems(capsys, cube3_files):
@@ -304,6 +307,18 @@ def test_missing_file_is_invalid_input(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "payload", [b'{"heads": "\xe9"}', b"[" * 200_000 + b"]" * 200_000], ids=["latin1", "deep"]
+)
+@pytest.mark.parametrize("command", [["hvector"], ["certify", "faces"]], ids=["hvector", "certify"])
+def test_unreadable_document_is_invalid_input(capsys, cube3_files, tmp_path, command, payload):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(payload)
+    code, stdout, err = run(capsys, *command, cube3_files["graph"], str(doc))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ")
+
+
 def test_fingerprint_mismatch_is_invalid_input(capsys, cube3_files, simplex3, tmp_path):
     orient = tmp_path / "o.json"
     fileio.write_json(
@@ -327,3 +342,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["name"] == "cube(2)"
+
+
+def test_readme_commands_parse():
+    # every ksys line of the README's shell block, comments dropped, is a
+    # command line the parser accepts (no file is read)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["ksys"]]
+    assert len(commands) > 20
+    for argv in commands:
+        build_parser().parse_args(argv)

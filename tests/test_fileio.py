@@ -175,8 +175,30 @@ def test_read_json_missing_file(tmp_path):
         fileio.read_json(tmp_path / "nope.json")
 
 
+def test_read_json_refuses_a_path_holding_nul(tmp_path):
+    with pytest.raises(InvalidParams, match="cannot read"):
+        fileio.read_json(f"{tmp_path}/no\0pe.json")
+
+
 def test_read_json_bad_payload(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(InvalidParams):
+        fileio.read_json(path)
+
+
+# bytes that are not UTF-8, nesting too deep for the decoder, and an
+# integer past the interpreter's digit limit: each is refused as input
+UNREADABLE_PAYLOADS = {
+    "latin1": (b'{"d": 3, "n": "\xe9"}', "cannot read"),
+    "deep": (b"[" * 200_000 + b"]" * 200_000, "is not valid JSON"),
+    "digits": (b"1" * 5000, "is not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("payload,message", UNREADABLE_PAYLOADS.values(), ids=UNREADABLE_PAYLOADS)
+def test_read_json_refuses_unreadable_payloads(tmp_path, payload, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(payload)
+    with pytest.raises(InvalidParams, match=message):
         fileio.read_json(path)
