@@ -38,7 +38,6 @@ from .graphs import (
     hk_sum,
     indegree_histogram,
     induced_leaves,
-    induces_connected,
     out_adjacency,
     topological_order,
 )
@@ -251,14 +250,19 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
     one other edge {v,b}.  Inside a facet each vertex misses exactly one
     of its edges, and the missing edge transports along this bijection.
     So: seed a facet as "contains r, misses neighbour x", then close
-    under breadth-first transport.  Running every seed (n*d of them)
-    yields every facet d times over; contradictory transport means the
-    input is not the 2-face system of any simple polytope.
+    under breadth-first transport; contradictory transport means the
+    input is not the 2-face system of any simple polytope.  Seeds are
+    taken in order, and a seed that lies in a facet already found is
+    skipped, so each facet is closed once: the search costs
+    O(n * d^2), each of the n * d states (vertex, missed neighbour) taking
+    d - 1 steps, and the first contradicting seed is the one the full run
+    over all n * d seeds would meet first.
 
     Every transport step is tabulated once, before the search: the step
     through a corner (a vertex and two of its edges, that is a 2-frame)
     is read off the one 2-face through it, and walking each 2-face's
-    cycle once gives the steps through all of its corners.
+    cycle once gives the steps through all of its corners, and shows
+    whether the 2-face is connected.
 
     Preconditions checked: f2 is a valid 2-system whose members induce
     cycles (connected 2-regular).  Postconditions checked: every output
@@ -276,9 +280,6 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
         raise NotCycleSystem(
             f"not a valid 2-system: {report.defect_lines()[0]}"
         )
-    for i, t in enumerate(f2.sets):
-        if not induces_connected(g, t):
-            raise NotCycleSystem(f"member #{i} induces a disconnected subgraph")
 
     # step[u][m][w], for the other neighbours w of u in adjacency order:
     # the neighbour of w missed by the facet that misses m at u, that is
@@ -288,21 +289,35 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
         {m: dict.fromkeys(w for w in nbrs if w != m) for m in nbrs}
         for nbrs in g.adjacency
     ]
-    for t in f2.sets:
+    for i, t in enumerate(f2.sets):
+        # a 2-regular member is connected when the walk around the cycle
+        # through t[0] takes in all of it
         leaves = dict(zip(t, induced_leaves(g, t)))
         cycle = [t[0], leaves[t[0]][0]]
-        while len(cycle) < len(t):
+        while True:
             x, y = leaves[cycle[-1]]
-            cycle.append(y if x == cycle[-2] else x)
+            if (nxt := y if x == cycle[-2] else x) == t[0]:
+                break
+            cycle.append(nxt)
+        if len(cycle) < len(t):
+            raise NotCycleSystem(f"member #{i} induces a disconnected subgraph")
         for j, u in enumerate(cycle):
             before, after = cycle[j - 1], cycle[(j + 1) % len(cycle)]
             step[u][before][after] = cycle[(j + 2) % len(cycle)]
             step[u][after][before] = cycle[j - 2]
 
+    # The table is symmetric: step[u][m][w] = m' gives step[w][m'][u] = m,
+    # as both read the one 2-face through those two corners.  So a closure
+    # that ends without a contradiction is a whole connected component of
+    # the states (vertex, missed neighbour), and run from any of its states
+    # it gives the same facet again: a seed already placed is skipped.
     facets: set[tuple[int, ...]] = set()
     vertex_count = [0] * g.n
+    placed: list[set[int]] = [set() for _ in range(g.n)]
     for r in range(g.n):
         for x in g.adjacency[r]:
+            if x in placed[r]:
+                continue
             missing = {r: x}
             queue = deque([r])
             while queue:
@@ -316,6 +331,8 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
                             f"facet seeded at ({r}, missing {x}): vertex {w} "
                             f"should miss both {missing[w]} and {m}"
                         )
+            for w, m in missing.items():
+                placed[w].add(m)
             facet = tuple(sorted(missing))
             if facet not in facets:
                 facets.add(facet)

@@ -65,7 +65,16 @@ def make_instance(
     facets: Iterable[Iterable[int]],
     coords: Sequence[Sequence[Fraction | int]] | None = None,
 ) -> Instance:
-    """Canonicalize and cross-check an instance (see :class:`Instance`)."""
+    """Canonicalize and cross-check an instance (see :class:`Instance`).
+
+    Adjacent vertices must share d-1 facets and no other pair may.  That
+    is checked without visiting every vertex pair: each edge is checked,
+    and each vertex is filed under each (d-1)-subset of its d facets, so
+    the pairs sharing d-1 facets are the pairs filed together (on a simple
+    polytope, its edges).  That is O(n * d) filings and checks.  Of the
+    bad pairs, the smallest (u, v) is reported, as a loop over all pairs
+    would report it.
+    """
     d, n = graph.d, graph.n
     canon: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
@@ -76,35 +85,36 @@ def make_instance(
         canon.append(t)
     canon.sort()
 
-    membership: list[set[int]] = [set() for _ in range(n)]
-    for i, t in enumerate(canon):
-        for v in t:
-            membership[v].add(i)
+    membership = _facets_through(n, canon)
     for v in range(n):
         if len(membership[v]) != d:
             raise NotSimple(
                 f"vertex {v} lies on {len(membership[v])} facets, expected {d}"
             )
 
-    adj_sets = [set(a) for a in graph.adjacency]
     for i, t in enumerate(canon):
         if not is_k_regular_set(graph, t, d - 1):
             raise NotSimple(f"facet #{i} does not induce a (d-1)-regular subgraph")
         if not induces_connected(graph, t):
             raise NotSimple(f"facet #{i} induces a disconnected subgraph")
 
-    for u in range(n):
-        for v in range(u + 1, n):
-            shared = len(membership[u] & membership[v])
-            adjacent = v in adj_sets[u]
-            if adjacent and shared != d - 1:
-                raise NotSimple(
-                    f"edge ({u},{v}) shares {shared} facets, expected {d - 1}"
-                )
-            if not adjacent and shared == d - 1:
-                raise NotSimple(
-                    f"non-adjacent pair ({u},{v}) shares {d - 1} facets"
-                )
+    def shared(u: int, v: int) -> int:
+        return len(set(membership[u]).intersection(membership[v]))
+
+    bad = [
+        ((u, v), f"edge ({u},{v}) shares {shared(u, v)} facets, expected {d - 1}")
+        for u, v in graph.edges
+        if shared(u, v) != d - 1
+    ]
+    edges = set(graph.edges)
+    bad.extend(
+        ((u, v), f"non-adjacent pair ({u},{v}) shares {d - 1} facets")
+        for group in _meets(membership, d - 1).values()
+        for u, v in combinations(group, 2)
+        if (u, v) not in edges and shared(u, v) == d - 1
+    )
+    if bad:
+        raise NotSimple(min(bad)[1])
 
     frozen_coords: tuple[tuple[Fraction, ...], ...] | None = None
     if coords is not None:
@@ -117,6 +127,30 @@ def make_instance(
         frozen_coords = tuple(rows)
 
     return Instance(name=name, graph=graph, facets=tuple(canon), coords=frozen_coords)
+
+
+def _facets_through(n: int, facets: Sequence[Sequence[int]]) -> list[list[int]]:
+    """For each of the n vertices, the indices of the facets through it,
+    ascending."""
+    membership: list[list[int]] = [[] for _ in range(n)]
+    for i, t in enumerate(facets):
+        for v in t:
+            membership[v].append(i)
+    return membership
+
+
+def _meets(
+    membership: list[list[int]], size: int
+) -> dict[tuple[int, ...], list[int]]:
+    """Each ``size``-subset of the facets through some vertex, mapped to the
+    vertices on all of its facets (their intersection), ascending.  Each
+    vertex is filed under each ``size``-subset of its own facets; no
+    intersection is computed."""
+    meets: dict[tuple[int, ...], list[int]] = {}
+    for v, on in enumerate(membership):
+        for chosen in combinations(on, size):
+            meets.setdefault(chosen, []).append(v)
+    return meets
 
 
 def _rational_rows(rows: Iterable[Iterable], what: str) -> list[tuple[Fraction, ...]]:
@@ -141,6 +175,19 @@ def _rational_rows(rows: Iterable[Iterable], what: str) -> list[tuple[Fraction, 
         raise InvalidParams(f"{what} must be rational numbers: {exc}") from None
 
 
+#: Most edges a generator builds.  The size of every list a generator
+#: builds and checks grows with the edge count, so a dimension whose
+#: polytope has more edges is refused before any list exists: the largest
+#: cube is cube(11) (11 264 edges), the largest simplex simplex(180)
+#: (16 290 edges), and a product must stay within it too.
+MAX_EDGES = 1 << 14
+
+
+def _refuse_oversized(what: str, too_big: bool) -> None:
+    if too_big:
+        raise InvalidParams(f"{what} has more than MAX_EDGES = {MAX_EDGES} edges")
+
+
 def simplex(d: int) -> Instance:
     """The d-simplex: complete graph on d+1 vertices, facets = all d-subsets.
 
@@ -148,6 +195,7 @@ def simplex(d: int) -> Instance:
     """
     if not is_int(d) or d < 1:
         raise InvalidParams(f"simplex dimension must be >= 1, got {d!r}")
+    _refuse_oversized(f"simplex({d})", d * (d + 1) // 2 > MAX_EDGES)
     n = d + 1
     graph = validate_graph(d, n, combinations(range(n), 2))
     facets = [tuple(v for v in range(n) if v != skip) for skip in range(n)]
@@ -165,6 +213,10 @@ def cube(d: int) -> Instance:
     """
     if not is_int(d) or d < 1:
         raise InvalidParams(f"cube dimension must be >= 1, got {d!r}")
+    # d * 2^(d-1) edges; past MAX_EDGES.bit_length() the power alone exceeds it
+    _refuse_oversized(
+        f"cube({d})", d > MAX_EDGES.bit_length() or d << (d - 1) > MAX_EDGES
+    )
     n = 1 << d
     edges = [
         (v, v | (1 << j))
@@ -189,6 +241,7 @@ def product(a: Instance, b: Instance) -> Instance:
     """
     na, nb = a.graph.n, b.graph.n
     d = a.graph.d + b.graph.d
+    _refuse_oversized(f"product({a.name},{b.name})", na * nb * d // 2 > MAX_EDGES)
 
     def pid(va: int, vb: int) -> int:
         return va * nb + vb
@@ -309,32 +362,27 @@ def faces_from_incidence(inst: Instance, k: int) -> SetSystem:
 
     In a simple polytope the faces through a vertex form a Boolean
     lattice: every (d-k)-subset of its d facets meets in a distinct
-    k-face.  Each face is checked to induce a connected k-regular
-    subgraph on at least k+1 vertices, which catches corrupted inputs.
+    k-face.  The faces are found by filing each vertex under each
+    (d-k)-subset of its facets, not by intersecting facets.  Each face is
+    checked to induce a connected k-regular subgraph on at least k+1
+    vertices, which catches corrupted inputs.  On a simple polytope the
+    output lists each vertex C(d, k) times, and the filing and the checks
+    cost O(d) per listing: O(n * C(d, k) * d) in all.
     """
     g = inst.graph
     d = g.d
     if not is_int(k) or not 0 <= k <= d - 1:
         raise KOutOfRange(f"k must satisfy 0 <= k <= d-1 = {d - 1}, got {k!r}")
-    facet_sets = [frozenset(t) for t in inst.facets]
-    membership: list[list[int]] = [[] for _ in range(g.n)]
-    for i, t in enumerate(inst.facets):
-        for v in t:
-            membership[v].append(i)
+    meets = _meets(_facets_through(g.n, inst.facets), d - k)
+    found = sorted(set(map(tuple, meets.values())))
 
-    found: set[tuple[int, ...]] = set()
-    for v in range(g.n):
-        for chosen in combinations(membership[v], d - k):
-            face = frozenset.intersection(*(facet_sets[i] for i in chosen))
-            found.add(tuple(sorted(face)))
-
-    for t in sorted(found):
+    for t in found:
         if len(t) < k + 1 or not is_k_regular_set(g, t, k):
             raise NotSimple(f"facet intersection {t} is not a {k}-face")
         if not induces_connected(g, t):
             raise NotSimple(f"facet intersection {t} is disconnected")
 
-    return make_set_system(g, k, sorted(found))
+    return make_set_system(g, k, found)
 
 
 def f_vector(inst: Instance) -> tuple[int, ...]:

@@ -63,6 +63,8 @@ GEN_REFUSALS = {
     ("gen", "product", "1", "2"): "product takes (Instance, Instance), got (int, int)",
     ("gen", "cube", "nosuchfile.json"): "cannot read nosuchfile.json",
     ("gen", "octahedron", "missing.json"): "unknown family 'octahedron'",
+    ("gen", "cube", "40"): "cube(40) has more than MAX_EDGES = 16384 edges",
+    ("gen", "simplex", "30000"): "simplex(30000) has more than MAX_EDGES = 16384 edges",
 }
 
 

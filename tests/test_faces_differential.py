@@ -1,0 +1,249 @@
+"""The face code agrees with the code kept in ``reference_faces``, which
+did the same work many times over: the same k-faces or the same refusal
+from ``faces_from_incidence``, the same facets or the same refusal (error
+type and message) from ``facets_from_2faces``, and the same instance or
+the same refusal from ``make_instance``."""
+
+import re
+from itertools import islice
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import ksystems as ks
+from ksystems.errors import InconsistentTransport, KSystemsError, NotSimple
+from ksystems.oracle import Instance
+from ksystems.search import connected_k_regular_sets
+
+import reference_faces as ref
+import reference_gate
+from test_frames_differential import mutated_2face_families
+
+TRIANGLE = ks.simplex(2)
+
+
+def _cut(inst, times):
+    for _ in range(times):
+        inst = ks.truncate_vertex(inst, 0)
+    return inst
+
+
+INSTANCES = {
+    "cube3": ks.cube(3),
+    "cube4": ks.cube(4),
+    "cube5": ks.cube(5),
+    "prism": ks.product(ks.cube(1), TRIANGLE),
+    "fig1": ks.fig1(),
+    "triangle_x_square": ks.product(TRIANGLE, ks.cube(2)),
+    "triangle_cubed": ks.product(ks.product(TRIANGLE, TRIANGLE), TRIANGLE),
+    "tet_x_tet": ks.product(ks.simplex(3), ks.simplex(3)),
+    "cube3_cut2": _cut(ks.cube(3), 2),
+    "cube3_cut5": _cut(ks.cube(3), 5),
+}
+
+
+def _relabelled(graph, family, perm):
+    """``graph`` and ``family`` with vertex v renamed perm[v]."""
+    g = ks.validate_graph(graph.d, graph.n, [(perm[u], perm[v]) for u, v in graph.edges])
+    return g, [sorted(perm[v] for v in t) for t in family]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except KSystemsError as exc:
+        return type(exc), str(exc)
+
+
+def _vertex_covers(g):
+    """Every family of connected (d-1)-regular sets with each vertex on
+    exactly d members: facet lists that pass every check of make_instance
+    up to the pair check.  The polytope's own facets are one of them."""
+    sets = connected_k_regular_sets(g, g.d - 1)
+    covers = []
+
+    def extend(start, chosen, on):
+        if all(c == g.d for c in on):
+            covers.append(chosen)
+        for j in range(start, len(sets)):
+            if all(on[v] < g.d for v in sets[j]):
+                inside = set(sets[j])
+                extend(j + 1, chosen + [sets[j]], [c + (v in inside) for v, c in enumerate(on)])
+
+    extend(0, [], [0] * g.n)
+    return covers
+
+
+PAIR_CASES = ["cube3", "cube4", "prism", "fig1", "triangle_x_square", "cube3_cut2"]
+FACET_LISTS = {name: _vertex_covers(INSTANCES[name].graph) for name in PAIR_CASES}
+
+
+# -- faces_from_incidence -------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(INSTANCES)), st.data())
+def test_faces_match_reference_on_relabelled_instances(name, data):
+    inst = INSTANCES[name]
+    perm = data.draw(st.permutations(range(inst.graph.n)))
+    g, facets = _relabelled(inst.graph, inst.facets, perm)
+    relabelled = ks.make_instance(name, g, facets)
+    for k in range(g.d):
+        got = ks.faces_from_incidence(relabelled, k)
+        assert got == ref.faces_from_incidence(relabelled, k)
+
+
+@pytest.mark.parametrize("name", PAIR_CASES)
+def test_faces_and_refusals_match_reference_on_unchecked_facets(name):
+    # instances built without make_instance, from facet lists it may refuse,
+    # also with a facet listed twice, so that two facet subsets meet in the
+    # same face
+    g = INSTANCES[name].graph
+    for facets in FACET_LISTS[name]:
+        for listed in (facets, facets + facets[:1]):
+            inst = Instance(name=name, graph=g, facets=tuple(sorted(listed)), coords=None)
+            for k in range(g.d):
+                assert _outcome(ks.faces_from_incidence, inst, k) == _outcome(
+                    ref.faces_from_incidence, inst, k
+                )
+
+
+# -- facets_from_2faces ---------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_2face_families())
+def test_facets_from_2faces_matches_reference_on_mutated_families(case):
+    g, s = case
+    assert _outcome(ks.facets_from_2faces, g, s) == _outcome(ref.facets_from_2faces, g, s)
+
+
+# 2-systems of cube4 that transport refuses: in most a seed contradicts
+# itself, in some only after the closure from the first seed gave a
+# consistent facet; in a few every closure is consistent and a facet found
+# is not (d-1)-regular
+CUBE4 = INSTANCES["cube4"].graph
+
+
+def _contradicts(g, s):
+    outcome = _outcome(ref.facets_from_2faces, g, s)
+    return isinstance(outcome, tuple) and outcome[0] is InconsistentTransport
+
+
+CONTRADICTIONS = [
+    s.sets
+    for s in islice(ks.enumerate_k_systems(CUBE4, 2, include_merged=False), 600)
+    if _contradicts(CUBE4, s)
+]
+
+
+def _seed(message):
+    """The seed (r, x) named in a transport contradiction, or None for a
+    refusal of the facets found."""
+    seeded = re.match(r"facet seeded at \((\d+), missing (\d+)\)", message)
+    return seeded and (int(seeded[1]), int(seeded[2]))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(CONTRADICTIONS), st.permutations(range(CUBE4.n)))
+def test_first_contradiction_matches_reference_on_relabelled_families(family, perm):
+    g, sets = _relabelled(CUBE4, family, perm)
+    s = ks.make_set_system(g, 2, sets)
+    assert _outcome(ks.facets_from_2faces, g, s) == _outcome(ref.facets_from_2faces, g, s)
+
+
+def test_contradictions_after_a_consistent_facet_match_reference():
+    first = (0, CUBE4.adjacency[0][0])
+    later = 0
+    for family in CONTRADICTIONS:
+        s = ks.make_set_system(CUBE4, 2, family)
+        want = _outcome(ref.facets_from_2faces, CUBE4, s)
+        assert _outcome(ks.facets_from_2faces, CUBE4, s) == want
+        later += _seed(want[1]) not in (None, first)
+    assert later >= 5
+
+
+# -- make_instance --------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(PAIR_CASES), st.data())
+def test_make_instance_matches_reference_on_relabelled_facet_systems(name, data):
+    g0 = INSTANCES[name].graph
+    family = data.draw(st.sampled_from(FACET_LISTS[name]))
+    g, facets = _relabelled(g0, family, data.draw(st.permutations(range(g0.n))))
+    assert _outcome(ks.make_instance, name, g, facets) == _outcome(
+        ref.make_instance, name, g, facets
+    )
+
+
+@st.composite
+def mutated_facet_lists(draw):
+    """A generator instance's facets after a few vertex moves, swaps,
+    drops and additions, and facet drops and copies."""
+    name = draw(st.sampled_from(sorted(INSTANCES)))
+    g = INSTANCES[name].graph
+    facets = [list(t) for t in INSTANCES[name].facets]
+    vertices = st.integers(0, g.n - 1)
+    ops = ["move", "swap", "drop_vertex", "add_vertex", "drop_facet", "copy_facet"]
+    for op in draw(st.lists(st.sampled_from(ops), max_size=3)):
+        a, b = (draw(st.integers(0, len(facets) - 1)) for _ in range(2))
+        if op in ("move", "swap", "drop_vertex") and facets[a]:
+            v = facets[a].pop(draw(st.integers(0, len(facets[a]) - 1)))
+            if op == "move" and v not in facets[b]:
+                facets[b].append(v)
+            if op == "swap" and facets[b]:
+                u = facets[b].pop(draw(st.integers(0, len(facets[b]) - 1)))
+                facets[a].append(u)
+                facets[b].append(v)
+        if op == "add_vertex" and (v := draw(vertices)) not in facets[a]:
+            facets[a].append(v)
+        if op == "drop_facet" and len(facets) > 1:
+            facets.pop(a)
+        if op == "copy_facet":
+            facets.append(list(facets[a]))
+    return name, g, facets
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_facet_lists())
+def test_make_instance_matches_reference_on_mutated_facets(case):
+    name, g, facets = case
+    assert _outcome(ks.make_instance, name, g, facets) == _outcome(
+        ref.make_instance, name, g, facets
+    )
+
+
+# fig1's graph with 7 connected 2-regular facets, every vertex on 3 of
+# them, that fail the pair check both ways: non-adjacent (0,1), (0,2), ...
+# share 2 facets, and edges (2,3) and (4,5) share 3, (2,4) and (3,5) one
+BOTH_WAYS = [
+    (0, 1, 2, 3, 7, 8, 9, 10),
+    (0, 1, 4, 5, 6, 7, 9, 11),
+    (0, 2, 3, 6, 8),
+    (1, 4, 5, 10, 11),
+    (2, 3, 4, 5),
+    (6, 7, 8),
+    (9, 10, 11),
+]
+
+
+@pytest.mark.parametrize(
+    "first,message",
+    [
+        ((), "non-adjacent pair (0,1) shares 2 facets"),
+        # relabel so the edge (2,3) becomes (0,1), the smallest bad pair
+        ((2, 3), "edge (0,1) shares 3 facets, expected 2"),
+    ],
+)
+def test_make_instance_reports_the_smallest_bad_pair(first, message):
+    fig1 = INSTANCES["fig1"].graph
+    order = list(first) + [v for v in range(fig1.n) if v not in first]
+    g, facets = _relabelled(fig1, BOTH_WAYS, [order.index(v) for v in range(fig1.n)])
+    with pytest.raises(NotSimple) as raised:
+        ks.make_instance("both", g, facets)
+    assert str(raised.value) == message
+    with pytest.raises(NotSimple) as expected:
+        reference_gate.make_instance("both", g, facets)
+    assert str(expected.value) == message

@@ -12,6 +12,7 @@ with an ``InvalidInput``; only the wording may differ.
 
 import json
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -290,6 +291,34 @@ def test_huge_vertex_count_fails_without_allocating(d, n, first):
     edges = list(G.edges) if d == 3 else []
     with pytest.raises(NotRegular, match=f"vertex {first} has degree 0, expected {d}"):
         ks.validate_graph(d, n, edges)
+
+
+@pytest.mark.parametrize(
+    "family,args",
+    [
+        ("cube", (12,)),
+        ("cube", (40,)),
+        ("cube", (10**18,)),
+        ("simplex", (181,)),
+        ("simplex", (30000,)),
+        ("product", (ks.cube(6), ks.cube(6))),
+    ],
+)
+def test_oversized_generators_fail_without_allocating(family, args):
+    refusal = f"has more than MAX_EDGES = {oracle.MAX_EDGES} edges"
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParams, match=refusal):
+            oracle.generate(family, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_the_largest_cube_and_simplex_within_the_edge_bound_are_built():
+    assert len(oracle.cube(11).graph.edges) <= oracle.MAX_EDGES
+    assert len(oracle.simplex(180).graph.edges) <= oracle.MAX_EDGES
 
 
 @pytest.mark.parametrize(
