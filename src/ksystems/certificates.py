@@ -35,11 +35,13 @@ from .graphs import (
     Orientation,
     PolytopeGraph,
     check_bound,
+    first_without_unique_sink,
     hk_sum,
     indegree_histogram,
     induced_leaves,
-    out_adjacency,
+    out_masks,
     topological_order,
+    vertex_mask,
 )
 from .systems import (
     SetSystem,
@@ -105,13 +107,10 @@ def unique_sink_per_set(
     check_system_bound(g, s)
     if topological_order(g, o).cycle is not None:
         raise NotAcyclic("orientation has a directed cycle")
-    out = out_adjacency(g, o)
-    for t in s.sets:
-        members = set(t)
-        sinks = sum(1 for v in t if not any(x in members for x in out[v]))
-        if sinks != 1:
-            return False, t
-    return True, None
+    bad = first_without_unique_sink(
+        out_masks(g, o), ((t, vertex_mask(t)) for t in s.sets)
+    )
+    return bad is None, bad
 
 
 def _cycle_refutation(g: PolytopeGraph, o: Orientation, role: str) -> Verdict | None:
@@ -237,8 +236,8 @@ def polygon_is_aof(g: PolytopeGraph, o: Orientation) -> bool:
         raise InvalidParams(f"polygon check needs d = 2, got d={g.d}")
     if topological_order(g, o).cycle is not None:
         return False
-    out = out_adjacency(g, o)
-    return sum(1 for v in range(g.n) if not out[v]) == 1
+    whole = (range(g.n), (1 << g.n) - 1)
+    return first_without_unique_sink(out_masks(g, o), [whole]) is None
 
 
 def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:

@@ -182,7 +182,7 @@ def cmd_search_counterexample(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     found = search.search_k_sink_counterexample(inst, args.k, args.budget)
     if found is None:
-        print("no counterexample within budget", file=sys.stderr)
+        print("no counterexample: every acyclic orientation was checked", file=sys.stderr)
         return EXIT_NEGATIVE
     _emit(args, fileio.orientation_doc(found))
     return EXIT_OK

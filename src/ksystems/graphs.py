@@ -241,6 +241,47 @@ def out_adjacency(g: PolytopeGraph, o: Orientation) -> list[list[int]]:
     return out
 
 
+def out_masks(g: PolytopeGraph, o: Orientation) -> list[int]:
+    """Out-neighbours of each vertex as a bitmask (bit w for the edge to w).
+
+    Nothing is checked: the caller has checked that ``o`` is bound to ``g``.
+    """
+    out = [0] * g.n
+    for (u, v), b in zip(g.edges, o.heads):
+        if b:
+            out[u] |= 1 << v
+        else:
+            out[v] |= 1 << u
+    return out
+
+
+def vertex_mask(t: Iterable[int]) -> int:
+    """The vertex set ``t`` as a bitmask."""
+    return sum(1 << v for v in set(t))
+
+
+def induced_sinks(out: Sequence[int], t: Iterable[int], mask: int) -> list[int]:
+    """The vertices of ``t`` with no out-neighbour in ``mask``, the bitmask
+    of ``t``: the sinks of the orientation induced on ``t``, given the
+    out-masks of :func:`out_masks`.  This is the one sink test of the
+    package; an acyclic orientation induces at least one sink on every
+    non-empty set.
+    """
+    return [v for v in t if not out[v] & mask]
+
+
+def first_without_unique_sink(
+    out: Sequence[int], sets: Iterable[tuple[Sequence[int], int]]
+) -> Sequence[int] | None:
+    """The first vertex set t of ``sets``, given as pairs (t, bitmask of
+    t), on which the orientation of out-masks ``out`` does not induce
+    exactly one sink; None when it induces one on each."""
+    for t, mask in sets:
+        if len(induced_sinks(out, t, mask)) != 1:
+            return t
+    return None
+
+
 def topological_order(g: PolytopeGraph, o: Orientation) -> TopoResult:
     """Sort the vertices so every edge points forward, or exhibit a cycle.
 
@@ -332,11 +373,9 @@ def sinks_in_subset(g: PolytopeGraph, o: Orientation, w: Iterable[int]) -> set[i
     for v in ids:
         if not is_int(v) or not 0 <= v < g.n:
             raise InvalidParams(f"vertex id {v!r} outside 0..{g.n - 1}")
-    members = set(ids)
     if topological_order(g, o).cycle is not None:
         raise NotAcyclic("orientation has a directed cycle")
-    out = out_adjacency(g, o)
-    sinks = {v for v in members if not any(x in members for x in out[v])}
+    sinks = set(induced_sinks(out_masks(g, o), ids, vertex_mask(ids)))
     if not sinks:  # impossible for acyclic input; guard against bugs
         raise AssertionError("acyclic induced orientation lost its sink")
     return sinks

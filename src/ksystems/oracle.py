@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -32,11 +32,13 @@ from .errors import (
 from .graphs import (
     Orientation,
     PolytopeGraph,
+    first_without_unique_sink,
     induces_connected,
     is_int,
-    out_adjacency,
+    out_masks,
     topological_order,
     validate_graph,
+    vertex_mask,
 )
 from .systems import SetSystem, is_k_regular_set, make_set_system, vertex_sets
 
@@ -57,6 +59,21 @@ class Instance:
     graph: PolytopeGraph
     facets: tuple[tuple[int, ...], ...]
     coords: tuple[tuple[Fraction, ...], ...] | None
+
+    def __hash__(self) -> int:
+        # Hashed once: the faces cache looks the instance up on every call.
+        # Equality stays field by field.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.name, self.graph, self.facets, self.coords))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        # string hashes differ between processes, so a copy hashes afresh
+        state = self.__dict__.copy()
+        state.pop("_hash", None)
+        return state
 
 
 def make_instance(
@@ -428,15 +445,11 @@ def is_aof_oracle(inst: Instance, o: Orientation) -> bool:
     g = inst.graph
     if topological_order(g, o).cycle is not None:
         return False
-    out = out_adjacency(g, o)
-    if sum(1 for v in range(g.n) if not out[v]) != 1:
-        return False
-    for k in range(1, g.d):
-        for t in faces_from_incidence(inst, k).sets:
-            members = set(t)
-            sinks = sum(
-                1 for v in t if not any(x in members for x in out[v])
-            )
-            if sinks != 1:
-                return False
-    return True
+    # the polytope first, then each dimension's faces as they are reached
+    faces = (
+        (t, vertex_mask(t))
+        for k in range(1, g.d)
+        for t in faces_from_incidence(inst, k).sets
+    )
+    whole = (range(g.n), (1 << g.n) - 1)
+    return first_without_unique_sink(out_masks(g, o), chain([whole], faces)) is None

@@ -16,20 +16,22 @@ variants of a cover are generated lazily, so ``count_cap`` bounds them.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, partial, reduce
 from operator import itemgetter, or_
 from typing import Iterator, Sequence
 
-from .certificates import unique_sink_per_set
 from .errors import BudgetExceeded, CandidateCapExceeded, InvalidParams
 from .graphs import (
     HVector,
     Orientation,
     PolytopeGraph,
+    first_without_unique_sink,
     hk_sum,
     is_int,
+    out_masks,
+    vertex_mask,
 )
-from .oracle import Instance, faces_from_incidence, is_aof_oracle
+from .oracle import Instance, faces_from_incidence
 from .systems import (
     SetSystem,
     check_k_range,
@@ -369,19 +371,46 @@ def max_k_system(
     return best
 
 
+def _face_masks(inst: Instance, k: int) -> list[tuple[tuple[int, ...], int]]:
+    """The k-faces, each with its vertex bitmask."""
+    return [(t, vertex_mask(t)) for t in faces_from_incidence(inst, k).sets]
+
+
 def search_k_sink_counterexample(
     inst: Instance, k: int, budget: int = DEFAULT_BUDGET
 ) -> Orientation | None:
-    """Look for an acyclic orientation with unique sinks on all k-faces
-    that is nevertheless not an AOF orientation.
+    """The first acyclic orientation, in stream order, with a unique sink on
+    every k-face that is nevertheless not an AOF orientation; None when
+    every acyclic orientation has been checked and none is.
 
-    For k = 2 none exists; for larger k the question is open, so this is
-    expected to return None at any size this search can reach.
+    For k = 2 none exists: that is the paper's theorem.  For k >= 3 one
+    can exist: on the tetrahedral prism ``product(simplex(3), cube(1))``
+    (d = 4) with k = 3, 384 of the 5 016 acyclic orientations have a unique
+    sink on every facet but two sinks on some square 2-face.  Every acyclic
+    orientation has one sink on each vertex and each edge, so for k = 0
+    and k = 1 the first acyclic orientation that is not an AOF is returned.
+
+    Each orientation is checked from the out-masks of its vertices, with no
+    input check and no topological sort: the stream yields only acyclic
+    orientations of ``inst.graph``.  A vertex is a sink of a face when its
+    out-mask misses the face's bitmask.  Each dimension's faces are fetched
+    once per call, the k-faces first and the others when the AOF check
+    first reaches them, in the order :func:`~ksystems.oracle.is_aof_oracle`
+    reaches them.
     """
     g = inst.graph
-    faces = faces_from_incidence(inst, k)
-    for o in enumerate_acyclic_orientations(g, budget):
-        ok, _ = unique_sink_per_set(g, o, faces)
-        if ok and not is_aof_oracle(inst, o):
+    faces = cache(partial(_face_masks, inst))
+    k_faces = faces(k)
+    orientations = enumerate_acyclic_orientations(g, budget)
+    whole = [(range(g.n), (1 << g.n) - 1)]
+    others = [j for j in range(1, g.d) if j != k]
+    for o in orientations:
+        out = out_masks(g, o)
+        if first_without_unique_sink(out, k_faces) is not None:
+            continue
+        # is_aof_oracle, less the checks the stream and the k-faces passed
+        if first_without_unique_sink(out, whole) is not None or any(
+            first_without_unique_sink(out, faces(j)) is not None for j in others
+        ):
             return o
     return None

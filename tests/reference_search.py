@@ -1,14 +1,24 @@
-"""The acyclic-orientation stream and the H^k scoring of ksystems 0.1.0
-as they were before ``minimize_hk`` scored orientations from a table of
-in-degree weights, kept as a reference.
+"""Earlier search code of ksystems 0.1.0, kept as a reference.
 
+The acyclic-orientation stream and the H^k scoring as they were before
+``minimize_hk`` scored orientations from a table of in-degree weights.
 There the stream was one sequential generator (also run under a prefix
 of fixed edge directions, which is left out here), and every orientation
 was scored through the public, input-checking ``indegree_histogram`` and
-``hk_sum``.  Differential tests compare the package with these: the same
-orientations in the same order, and the same least H^k with the same
-first witness.  Only the result types and the two scoring functions come
-from the package.
+``hk_sum``.
+
+The sink checks and the k-sink counterexample search as they were before
+the search checked orientations from out-masks: each orientation went
+through the input-checking ``unique_sink_per_set`` and ``is_aof_oracle``,
+each with its own topological sort and its own sink count over
+out-neighbour lists.
+
+Differential tests compare the package with these: the same orientations
+in the same order, the same least H^k with the same first witness, the
+same sink verdicts and errors, and the same first k-sink counterexample.
+Only the result types, the input checks, the topological sort, the
+out-neighbour lists, the orientation stream, the faces and the two scoring
+functions come from the package.
 """
 
 from __future__ import annotations
@@ -16,7 +26,21 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from ksystems.graphs import Orientation, PolytopeGraph, hk_sum, indegree_histogram
+from ksystems.errors import EmptySubset, InvalidParams, NotAcyclic
+from ksystems.graphs import (
+    Orientation,
+    PolytopeGraph,
+    as_tuple,
+    check_bound,
+    hk_sum,
+    indegree_histogram,
+    is_int,
+    out_adjacency,
+    topological_order,
+)
+from ksystems.oracle import Instance, faces_from_incidence
+from ksystems.search import enumerate_acyclic_orientations
+from ksystems.systems import SetSystem, check_system_bound
 
 
 def _bfs_edge_order(g: PolytopeGraph) -> list[int]:
@@ -81,3 +105,73 @@ def least_hk(
     """H^k and the first orientation attaining the least H^k, if any."""
     scored = ((hk_sum(indegree_histogram(g, o), k), o) for o in orientations)
     return min(scored, key=itemgetter(0), default=None)
+
+
+def sinks_in_subset(g: PolytopeGraph, o: Orientation, w: Iterable[int]) -> set[int]:
+    ids = as_tuple(w, "subset")
+    if not ids:
+        raise EmptySubset("subset must be non-empty")
+    for v in ids:
+        if not is_int(v) or not 0 <= v < g.n:
+            raise InvalidParams(f"vertex id {v!r} outside 0..{g.n - 1}")
+    members = set(ids)
+    if topological_order(g, o).cycle is not None:
+        raise NotAcyclic("orientation has a directed cycle")
+    out = out_adjacency(g, o)
+    sinks = {v for v in members if not any(x in members for x in out[v])}
+    if not sinks:
+        raise AssertionError("acyclic induced orientation lost its sink")
+    return sinks
+
+
+def unique_sink_per_set(
+    g: PolytopeGraph, o: Orientation, s: SetSystem
+) -> tuple[bool, tuple[int, ...] | None]:
+    check_bound(g, o)
+    check_system_bound(g, s)
+    if topological_order(g, o).cycle is not None:
+        raise NotAcyclic("orientation has a directed cycle")
+    out = out_adjacency(g, o)
+    for t in s.sets:
+        members = set(t)
+        sinks = sum(1 for v in t if not any(x in members for x in out[v]))
+        if sinks != 1:
+            return False, t
+    return True, None
+
+
+def polygon_is_aof(g: PolytopeGraph, o: Orientation) -> bool:
+    if g.d != 2:
+        raise InvalidParams(f"polygon check needs d = 2, got d={g.d}")
+    if topological_order(g, o).cycle is not None:
+        return False
+    out = out_adjacency(g, o)
+    return sum(1 for v in range(g.n) if not out[v]) == 1
+
+
+def is_aof_oracle(inst: Instance, o: Orientation) -> bool:
+    g = inst.graph
+    if topological_order(g, o).cycle is not None:
+        return False
+    out = out_adjacency(g, o)
+    if sum(1 for v in range(g.n) if not out[v]) != 1:
+        return False
+    for k in range(1, g.d):
+        for t in faces_from_incidence(inst, k).sets:
+            members = set(t)
+            sinks = sum(1 for v in t if not any(x in members for x in out[v]))
+            if sinks != 1:
+                return False
+    return True
+
+
+def search_k_sink_counterexample(
+    inst: Instance, k: int, budget: int = 2**22
+) -> Orientation | None:
+    g = inst.graph
+    faces = faces_from_incidence(inst, k)
+    for o in enumerate_acyclic_orientations(g, budget):
+        ok, _ = unique_sink_per_set(g, o, faces)
+        if ok and not is_aof_oracle(inst, o):
+            return o
+    return None

@@ -304,6 +304,18 @@ def test_counterexample_search_subcommand(capsys, cube3_files):
     assert "no counterexample" in err
 
 
+def test_counterexample_search_subcommand_prints_a_witness(capsys, tmp_path):
+    # tet x segment with k = 3 = d - 1: unique sinks on all facets, not an AOF
+    inst = ks.product(ks.simplex(3), ks.cube(1))
+    path = tmp_path / "tet_prism.json"
+    fileio.write_json(path, fileio.instance_doc(inst))
+    code, stdout, _ = run(capsys, "search-k-sink-counterexample", str(path), "-k", "3")
+    assert code == 0
+    o = fileio.parse_orientation(json.loads(stdout), inst.graph)
+    assert o == ks.search_k_sink_counterexample(inst, 3)
+    assert not ks.is_aof_oracle(inst, o)
+
+
 def test_missing_file_is_invalid_input(capsys):
     code, _, err = run(capsys, "faces", "/nonexistent/inst.json", "-k", "2")
     assert code == 2

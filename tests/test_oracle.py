@@ -1,6 +1,12 @@
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import islice, permutations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +176,48 @@ def test_faces_cache_is_bounded(cube3):
     hits = ks.faces_from_incidence.cache_info().hits
     assert ks.faces_from_incidence(inst, 1) is first
     assert ks.faces_from_incidence.cache_info().hits == hits + 1
+
+
+def test_instance_hash_is_cached_and_equality_is_by_field(cube3):
+    faces = ks.faces_from_incidence(cube3, 2)
+    twin = ks.cube(3)
+    assert twin == cube3 and twin is not cube3 and hash(twin) == hash(cube3)
+    info = ks.faces_from_incidence.cache_info()
+    # an equal instance and a repeated (instance, k) both hit the cache
+    assert ks.faces_from_incidence(twin, 2) is faces
+    assert ks.faces_from_incidence(cube3, 2) is faces
+    after = ks.faces_from_incidence.cache_info()
+    assert (after.hits, after.misses) == (info.hits + 2, info.misses)
+    # a relabelled instance is another key
+    perm = tuple(reversed(range(cube3.graph.n)))
+    relabelled = dataclasses.replace(_relabelled(cube3, perm), name="cube(3) reversed")
+    assert relabelled != cube3
+    ks.faces_from_incidence(relabelled, 2)
+    assert ks.faces_from_incidence.cache_info().misses == after.misses + 1
+    assert dataclasses.replace(cube3, name="renamed") != cube3
+    assert ks.faces_from_incidence.__wrapped__(twin, 2) == faces
+
+
+def test_instance_copy_in_another_process_hashes_afresh(cube3, tmp_path):
+    # string hashes differ between processes: a pickled copy must not carry
+    # the hash cached here
+    hash(cube3)
+    blob = tmp_path / "cube3.pickle"
+    blob.write_bytes(pickle.dumps(cube3))
+    src = str(Path(ks.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    check = (
+        "import pickle, sys, ksystems as ks\n"
+        "copy = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+        "assert hash(copy) == hash(ks.cube(3)) and {copy: 1}[ks.cube(3)] == 1\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", check, str(blob)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_make_instance_coordinate_checks(cube3):

@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -245,6 +246,7 @@ def test_petersen_has_pentagon_system(petersen):
 
 
 def test_counterexample_search_comes_up_empty(cube3, prism):
+    # k = 2: the paper's theorem
     assert ks.search_k_sink_counterexample(cube3, 2) is None
     assert ks.search_k_sink_counterexample(prism, 2) is None
 
@@ -252,3 +254,55 @@ def test_counterexample_search_comes_up_empty(cube3, prism):
 def test_counterexample_search_budget(fig1):
     with pytest.raises(BudgetExceeded):
         ks.search_k_sink_counterexample(fig1, 2, budget=1000)
+
+
+def test_counterexample_search_finds_one_for_k3_on_tet_x_segment():
+    # unique sinks on F_3 (the facets) do not force an AOF when d = 4:
+    # the witness has two sinks on a square 2-face
+    inst = ks.product(ks.simplex(3), ks.cube(1))
+    g = inst.graph
+    witness = ks.search_k_sink_counterexample(inst, 3)
+    assert witness is not None and ks.is_acyclic(g, witness)
+    assert not ks.is_aof_oracle(inst, witness)
+    assert ks.unique_sink_per_set(g, witness, ks.faces_from_incidence(inst, 3)) == (True, None)
+    ok, square = ks.unique_sink_per_set(g, witness, ks.faces_from_incidence(inst, 2))
+    assert not ok and len(square) == 4
+    assert len(ks.sinks_in_subset(g, witness, square)) == 2
+
+
+def _counting(monkeypatch, module, name, calls):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("recipe,k", [("cube3", 2), ("tet_x_segment", 3), ("tet_x_segment", 1)])
+def test_counterexample_search_cost(monkeypatch, recipe, k):
+    from ksystems import certificates, graphs, oracle
+
+    inst = ks.cube(3) if recipe == "cube3" else ks.product(ks.simplex(3), ks.cube(1))
+    calls = Counter()
+    _counting(monkeypatch, search, "faces_from_incidence", calls)
+    _counting(monkeypatch, search, "enumerate_acyclic_orientations", calls)
+    for module in (graphs, oracle, certificates):
+        _counting(monkeypatch, module, "topological_order", calls)
+    found = ks.search_k_sink_counterexample(inst, k)
+    assert (found is None) == (recipe == "cube3")
+    # the faces once per dimension, the stream drawn through the module name,
+    # and no topological sort of orientations the stream built
+    assert 1 <= calls["faces_from_incidence"] <= inst.graph.d
+    assert calls["enumerate_acyclic_orientations"] == 1
+    assert calls["topological_order"] == 0
+
+
+def test_counterexample_search_checks_k_before_the_budget(cube3):
+    with pytest.raises(KOutOfRange):
+        ks.search_k_sink_counterexample(cube3, 3, budget=1)
+    with pytest.raises(KOutOfRange):
+        ks.search_k_sink_counterexample(cube3, -1, budget=2.5)
+    with pytest.raises(BudgetExceeded):
+        ks.search_k_sink_counterexample(cube3, 2, budget=1)
