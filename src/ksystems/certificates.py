@@ -47,7 +47,6 @@ from .systems import (
     SetSystem,
     check_system_bound,
     is_k_regular_set,
-    make_set_system,
     validate_k_system,
 )
 
@@ -338,7 +337,8 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
                 for v in facet:
                     vertex_count[v] += 1
 
-    for t in sorted(facets):
+    found = sorted(facets)
+    for t in found:
         if not is_k_regular_set(g, t, g.d - 1):
             raise InconsistentTransport(
                 f"reconstructed facet {t} is not (d-1)-regular"
@@ -349,4 +349,4 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
             f"vertex {bad[0]} lies in {vertex_count[bad[0]]} reconstructed "
             f"facets, expected {g.d}"
         )
-    return make_set_system(g, g.d - 1, sorted(facets))
+    return SetSystem(k=g.d - 1, sets=tuple(found), graph_fingerprint=g.fingerprint)

@@ -156,8 +156,6 @@ def instance_doc(inst: Instance) -> dict:
 
 def parse_instance(doc: Any) -> Instance:
     _require_keys(doc, {"name", "d", "graph", "facets", "coords"}, "instance")
-    if not isinstance(doc["name"], str):
-        raise InvalidParams("instance name must be a string")
     g = parse_graph(doc["graph"])
     if _require_int(doc["d"], "d") != g.d:
         raise InvalidParams("instance d disagrees with its graph")

@@ -289,32 +289,31 @@ def topological_order(g: PolytopeGraph, o: Orientation) -> TopoResult:
     failure the returned witness is a directed cycle of distinct
     vertices, found by walking predecessors inside the unsorted part.
     """
-    check_bound(g, o)
+    arcs = directed_edges(g, o)
     out: list[list[int]] = [[] for _ in range(g.n)]
     indeg = [0] * g.n
-    for tail, head in directed_edges(g, o):
+    for tail, head in arcs:
         out[tail].append(head)
         indeg[head] += 1
 
     avail = [v for v in range(g.n) if indeg[v] == 0]
     heapq.heapify(avail)
     order: list[int] = []
-    remaining = indeg[:]
-    while avail:
+    while avail:  # indeg[w] counts the edges into w from unsorted vertices
         v = heapq.heappop(avail)
         order.append(v)
         for w in out[v]:
-            remaining[w] -= 1
-            if remaining[w] == 0:
+            indeg[w] -= 1
+            if indeg[w] == 0:
                 heapq.heappush(avail, w)
     if len(order) == g.n:
         return TopoResult(order=tuple(order), cycle=None)
 
     # Every leftover vertex keeps a predecessor among the leftovers, so a
     # backward walk must revisit a vertex and close a directed cycle.
-    left = {v for v in range(g.n) if remaining[v] > 0}
+    left = {v for v in range(g.n) if indeg[v] > 0}
     preds: dict[int, list[int]] = {v: [] for v in left}
-    for tail, head in directed_edges(g, o):
+    for tail, head in arcs:
         if tail in left and head in left:
             preds[head].append(tail)
     cur = min(left)

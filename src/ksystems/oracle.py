@@ -40,7 +40,7 @@ from .graphs import (
     validate_graph,
     vertex_mask,
 )
-from .systems import SetSystem, is_k_regular_set, make_set_system, vertex_sets
+from .systems import SetSystem, is_k_regular_set, vertex_sets
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,8 @@ def make_instance(
     bad pairs, the smallest (u, v) is reported, as a loop over all pairs
     would report it.
     """
+    if not isinstance(name, str):
+        raise InvalidParams("instance name must be a string")
     d, n = graph.d, graph.n
     canon: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
@@ -381,8 +383,11 @@ def faces_from_incidence(inst: Instance, k: int) -> SetSystem:
     lattice: every (d-k)-subset of its d facets meets in a distinct
     k-face.  The faces are found by filing each vertex under each
     (d-k)-subset of its facets, not by intersecting facets.  Each face is
-    checked to induce a connected k-regular subgraph on at least k+1
-    vertices, which catches corrupted inputs.  On a simple polytope the
+    checked to induce a connected k-regular subgraph, which catches
+    corrupted inputs; a non-empty k-regular set has at least k+1 vertices.
+    The faces are distinct sorted tuples of vertex ids, listed in order,
+    so the family is bound to the graph as it stands, without
+    :func:`~ksystems.systems.make_set_system`.  On a simple polytope the
     output lists each vertex C(d, k) times, and the filing and the checks
     cost O(d) per listing: O(n * C(d, k) * d) in all.
     """
@@ -394,12 +399,12 @@ def faces_from_incidence(inst: Instance, k: int) -> SetSystem:
     found = sorted(set(map(tuple, meets.values())))
 
     for t in found:
-        if len(t) < k + 1 or not is_k_regular_set(g, t, k):
+        if not is_k_regular_set(g, t, k):
             raise NotSimple(f"facet intersection {t} is not a {k}-face")
         if not induces_connected(g, t):
             raise NotSimple(f"facet intersection {t} is disconnected")
 
-    return make_set_system(g, k, found)
+    return SetSystem(k=k, sets=tuple(found), graph_fingerprint=g.fingerprint)
 
 
 def f_vector(inst: Instance) -> tuple[int, ...]:

@@ -17,8 +17,9 @@ variants of a cover are generated lazily, so ``count_cap`` bounds them.
 from __future__ import annotations
 
 from functools import cache, partial, reduce
+from itertools import islice
 from operator import itemgetter, or_
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import BudgetExceeded, CandidateCapExceeded, InvalidParams
 from .graphs import (
@@ -37,7 +38,6 @@ from .systems import (
     check_k_range,
     frame_count,
     frame_index,
-    make_set_system,
     validate_k_system,
 )
 
@@ -306,13 +306,6 @@ def _merged_variants(
     return assign(0)
 
 
-def _checked(g: PolytopeGraph, k: int, sets: Sequence[tuple[int, ...]]) -> SetSystem:
-    s = make_set_system(g, k, sets)
-    if not validate_k_system(g, s).valid:
-        raise AssertionError(f"search produced an invalid {k}-system: {s.sets}")
-    return s
-
-
 def enumerate_k_systems(
     g: PolytopeGraph,
     k: int,
@@ -328,22 +321,30 @@ def enumerate_k_systems(
     frames) are reported as additional systems unless ``include_merged``
     is off.  Every k-system arises this way: splitting members into
     connected components always yields a connected-member system.
+
+    At most ``count_cap`` systems are yielded; a ``count_cap`` below 1 is
+    refused before any candidate is listed.  Members are candidates or
+    unions of them, distinct sorted tuples of vertex ids, so each system
+    is bound to the graph with its members sorted, without
+    :func:`~ksystems.systems.make_set_system`.
     """
-    _require_ints(candidate_cap=candidate_cap, count_cap=count_cap)
+    _require_ints(candidate_cap=candidate_cap)
+    if not is_int(count_cap) or count_cap < 1:
+        raise InvalidParams(f"count_cap must be an integer >= 1, got {count_cap!r}")
     candidates = connected_k_regular_sets(g, k, candidate_cap)
-    produced = 0
-    for cover in _exact_covers(g, k, candidates):
-        base = [candidates[i] for i in cover]
-        yield _checked(g, k, base)
-        produced += 1
-        if produced >= count_cap:
-            return
-        if include_merged:
-            for merged in _merged_variants(g, base):
-                yield _checked(g, k, merged)
-                produced += 1
-                if produced >= count_cap:
-                    return
+
+    def families() -> Iterator[list[tuple[int, ...]]]:
+        for cover in _exact_covers(g, k, candidates):
+            base = [candidates[i] for i in cover]
+            yield base
+            if include_merged:
+                yield from _merged_variants(g, base)
+
+    for sets in islice(families(), count_cap):
+        s = SetSystem(k=k, sets=tuple(sorted(sets)), graph_fingerprint=g.fingerprint)
+        if not validate_k_system(g, s).valid:
+            raise AssertionError(f"search produced an invalid {k}-system: {s.sets}")
+        yield s
 
 
 def max_k_system(

@@ -205,7 +205,16 @@ def frame_count(g: PolytopeGraph, k: int) -> int:
 
 
 def is_k_regular_set(g: PolytopeGraph, t: Iterable[int], k: int) -> bool:
-    return all(len(leaves) == k for leaves in induced_leaves(g, tuple(t)))
+    """True when every vertex of ``t`` has exactly k neighbours in ``t``.
+
+    Raises :class:`InvalidParams` for anything but vertex ids of ``g``,
+    checked by type, min and max.
+    """
+    t = as_tuple(t, "vertex set")
+    if not {*map(type, t)} <= {int} or t and not 0 <= min(t) <= max(t) < g.n:
+        bad = next(v for v in t if not is_int(v) or not 0 <= v < g.n)
+        raise InvalidParams(f"vertex id {bad!r} outside 0..{g.n - 1}")
+    return all(len(leaves) == k for leaves in induced_leaves(g, t))
 
 
 def frame_coverage(g: PolytopeGraph, s: SetSystem) -> dict[KFrame, int]:

@@ -253,6 +253,14 @@ def test_enum_and_max_ksystems(capsys, cube3_files):
     assert len(json.loads(stdout)["sets"]) == 6
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_max_ksystem_refuses_a_count_cap_below_one(capsys, cube3_files, cap):
+    argv = ["max-ksystem", cube3_files["graph"], "-k", "2", "--count-cap", cap]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert f"count_cap must be an integer >= 1, got {cap}" in err
+
+
 def test_enum_ksystems_streams_with_one_job(capsys, cube3_files, cube3, monkeypatch):
     systems = list(ks.enumerate_k_systems(cube3.graph, 2))
     written = []

@@ -165,7 +165,11 @@ def test_constructors_match_reference(name, data):
         assert got[0] not in ("ok", "leak") and issubclass(got[0], KSystemsError)
         return
     want = outcome(call, ref, args)
-    if want[0] == "leak":
+    if name == "make_instance" and not isinstance(args[0], str):
+        # any name was accepted, and parse_instance then refused the
+        # instance's own document
+        assert got == (InvalidParams, "instance name must be a string")
+    elif want[0] == "leak":
         assert got[0] is InvalidParams, (want, got)
     elif (
         name == "make_orientation"
@@ -354,6 +358,26 @@ def test_sinks_in_subset_checks_vertex_ids():
         ks.sinks_in_subset(G, ORIENTATION, ["a"])
     with pytest.raises(InvalidParams, match="subset must be a list"):
         ks.sinks_in_subset(G, ORIENTATION, None)
+
+
+@pytest.mark.parametrize("t,bad", [([0, 99], "99"), (["a"], "'a'"), ([-1, 3, 5, 6], "-1")])
+def test_is_k_regular_set_checks_vertex_ids(t, bad):
+    with pytest.raises(InvalidParams, match=f"vertex id {bad} outside 0..7"):
+        ks.is_k_regular_set(G, t, 2)
+
+
+def test_is_k_regular_set_needs_a_collection():
+    with pytest.raises(InvalidParams, match="vertex set must be a list"):
+        ks.is_k_regular_set(G, 5, 2)
+
+
+@pytest.mark.parametrize("name", [5, None, ["cube(3)"]])
+def test_make_instance_checks_the_name(name):
+    with pytest.raises(InvalidParams, match="instance name must be a string"):
+        ks.make_instance(name, G, CUBE3.facets)
+    doc = dict(_doc(fileio.instance_doc(CUBE3)), name=name)
+    with pytest.raises(InvalidParams, match="instance name must be a string"):
+        fileio.parse_instance(doc)
 
 
 def test_integral_float_heads_are_refused():

@@ -131,6 +131,18 @@ def test_topological_order_cycle_witness(square):
         assert (a, b) in arcs
 
 
+def test_topological_order_checks_the_orientation_once(monkeypatch, square):
+    from ksystems import graphs
+
+    calls = []
+    check = graphs.check_bound
+    monkeypatch.setattr(graphs, "check_bound", lambda *a: calls.append(a) or check(*a))
+    o = ks.make_orientation(square, [1, 0, 1, 1])
+    calls.clear()
+    assert ks.topological_order(square, o).cycle == (0, 1, 2, 3)
+    assert len(calls) == 1
+
+
 def _has_cycle_dfs(g, o):
     """Independent check: colour-marking DFS over the out-adjacency."""
     out = ks.out_adjacency(g, o)

@@ -169,6 +169,8 @@ def test_count_cap_streams_match_across_jobs(triangle_x_square, count_cap):
         ("minimize_hk", "budget", None),
         ("connected_k_regular_sets", "candidate_cap", None),
         ("enumerate_k_systems", "count_cap", None),
+        ("enumerate_k_systems", "count_cap", 0),
+        ("enumerate_k_systems", "count_cap", -1),
         ("enumerate_k_systems", "candidate_cap", "10"),
         ("max_k_system", "count_cap", True),
         ("max_k_system", "candidate_cap", 2.0),
