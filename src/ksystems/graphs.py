@@ -233,14 +233,6 @@ def directed_edges(g: PolytopeGraph, o: Orientation) -> list[tuple[int, int]]:
     ]
 
 
-def out_adjacency(g: PolytopeGraph, o: Orientation) -> list[list[int]]:
-    """Out-neighbour lists of the directed graph."""
-    out: list[list[int]] = [[] for _ in range(g.n)]
-    for tail, head in directed_edges(g, o):
-        out[tail].append(head)
-    return out
-
-
 def out_masks(g: PolytopeGraph, o: Orientation) -> list[int]:
     """Out-neighbours of each vertex as a bitmask (bit w for the edge to w).
 

@@ -150,7 +150,14 @@ def make_instance(
 
 def _facets_through(n: int, facets: Sequence[Sequence[int]]) -> list[list[int]]:
     """For each of the n vertices, the indices of the facets through it,
-    ascending."""
+    ascending.  The ids are range-checked once here, since an
+    :class:`Instance` built directly has not been through
+    :func:`make_instance`."""
+    lo = min(chain.from_iterable(facets), default=0)
+    hi = max(chain.from_iterable(facets), default=0)
+    for v in (lo, hi):
+        if not 0 <= v < n:
+            raise InvalidParams(f"vertex id {v!r} outside 0..{n - 1}")
     membership: list[list[int]] = [[] for _ in range(n)]
     for i, t in enumerate(facets):
         for v in t:

@@ -3,10 +3,14 @@
 Everything here is brute force with budgets, meant for desk-scale
 instances.  Orientation enumeration walks edge directions in BFS order
 and prunes any partial assignment that already closes a directed cycle,
-so leaves of the recursion are exactly the acyclic orientations.
+so leaves of the search are exactly the acyclic orientations.  The cycle
+test reads a reachability closure kept per depth as one vertex bitmask
+per vertex, so trying an edge costs one bit test and taking it one pass
+over the n masks.
 k-system enumeration is exact cover over the frame universe: candidate
-member sets are the connected induced k-regular subgraphs, and a family
-covers every frame exactly once iff it is a k-system.  Frames are the
+member sets are the connected induced k-regular subgraphs, grown and
+pruned over vertex bitmasks, and a family covers every frame exactly
+once iff it is a k-system.  Frames are the
 integer keys of :func:`ksystems.systems.frame_index` (positions in frame
 order), the index validation is built on, and the cover is Algorithm X
 over integer bitmasks: one int for the frames still uncovered, one mask
@@ -69,24 +73,6 @@ def _bfs_edge_order(g: PolytopeGraph) -> list[int]:
     )
 
 
-def _reaches(out: list[int], src: int, dst: int) -> bool:
-    """Directed path of length >= 1 from src to dst over bitmask lists."""
-    seen = 0
-    frontier = out[src]
-    while frontier:
-        if (frontier >> dst) & 1:
-            return True
-        seen |= frontier
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= out[low.bit_length() - 1]
-            f ^= low
-        frontier = nxt & ~seen
-    return False
-
-
 def enumerate_acyclic_orientations(
     g: PolytopeGraph, budget: int = DEFAULT_BUDGET
 ) -> Iterator[Orientation]:
@@ -96,30 +82,78 @@ def enumerate_acyclic_orientations(
     Hard-capped: refuses graphs whose full direction space 2^|E| exceeds
     the budget, since pruning gives no worst-case guarantee.  The budget
     is checked when this is called, before the first orientation.
+
+    The sweep is one loop over edge positions.  For each depth it keeps
+    the reachability closure of the arcs chosen so far, a list of n
+    masks: bit y of ``reach[x]`` is set when x reaches y by a path of
+    length >= 1.  The arc t -> h closes a cycle exactly when h reaches t;
+    adding it, every vertex that is t or reaches t gains h and all h
+    reaches.  Backtracking drops back to the previous depth's list.  The
+    last two edges are decided from the closure before them, with no
+    copy, so each node two edges from the end yields its leaves itself.
     """
     _require_ints(budget=budget)
     m = len(g.edges)
     if 2**m > budget:
         raise BudgetExceeded(f"2^{m} orientations exceed budget {budget}")
-    order = _bfs_edge_order(g)
-    heads = [-1] * m
-    out = [0] * g.n
     fp = g.fingerprint
+    # per position: (edge, head bit, tail, head) for bit 0, then bit 1
+    choices = [
+        ((e, 0, v, u), (e, 1, u, v))
+        for e in _bfs_edge_order(g)
+        for u, v in [g.edges[e]]
+    ]
 
-    def rec(pos: int) -> Iterator[Orientation]:
-        if pos == m:
-            yield Orientation(heads=tuple(heads), graph_fingerprint=fp)
+    def stream() -> Iterator[Orientation]:
+        if m == 1:  # a single edge closes no cycle either way
+            for b in (0, 1):
+                yield Orientation((b,), fp)
             return
-        e = order[pos]
-        u, v = g.edges[e]
-        for bit, t, h in ((0, v, u), (1, u, v)):
-            if not _reaches(out, h, t):
-                heads[e] = bit
-                out[t] |= 1 << h
-                yield from rec(pos + 1)
-                out[t] &= ~(1 << h)
+        heads = [0] * m
+        last = m - 2
+        # reach[p] is replaced, never changed, when the loop descends to p
+        reach: list[list[int]] = [[0] * g.n] * (last + 1)
+        tried = [0] * (last + 1)
+        pos = 0
+        while pos >= 0:
+            r = reach[pos]
+            if pos == last:
+                # with t1 -> h1 added, h2 reaches t2 iff it did before, or
+                # it reaches t1 (or is t1) and h1 reaches t2 (or is t2)
+                second = choices[pos + 1]
+                for e1, b1, t1, h1 in choices[pos]:
+                    if r[h1] >> t1 & 1:
+                        continue
+                    heads[e1] = b1
+                    for e2, b2, t2, h2 in second:
+                        rh = r[h2]
+                        if rh >> t2 & 1 or (
+                            (h2 == t1 or rh >> t1 & 1)
+                            and (h1 == t2 or r[h1] >> t2 & 1)
+                        ):
+                            continue
+                        heads[e2] = b2
+                        yield Orientation(tuple(heads), fp)
+                pos -= 1
+                continue
+            i = tried[pos]
+            if i == 2:
+                tried[pos] = 0
+                pos -= 1
+                continue
+            tried[pos] = i + 1
+            e, b, t, h = choices[pos][i]
+            rh = r[h]
+            if rh >> t & 1:
+                continue
+            heads[e] = b
+            gain = (1 << h) | rh
+            nxt = [x | gain if x >> t & 1 else x for x in r]
+            nxt[t] |= gain
+            pos += 1
+            reach[pos] = nxt
 
-    return rec(0)
+    return stream()
 
 
 def minimize_hk(
@@ -160,37 +194,48 @@ def connected_k_regular_sets(
     Connected k-regular sets are inclusion-maximal (growing one would
     leave its old vertices saturated, disconnecting the addition), so
     emission stops a branch.
+
+    A state is two vertex bitmasks, the set grown so far and the vertices
+    excluded from it.  A degree is the popcount of a neighbour mask cut
+    to the set; the saturated vertices are gathered into one mask, so the
+    pivot may join when it meets at most k of the set and none of those.
     """
     check_k_range(g, k)
     _require_ints(candidate_cap=candidate_cap)
-    adj = [set(a) for a in g.adjacency]
+    adj = [vertex_mask(a) for a in g.adjacency]
     found: list[tuple[int, ...]] = []
 
-    def grow(current: set[int], forb: set[int]) -> None:
-        deg = {v: len(adj[v] & current) for v in current}
-        if all(c == k for c in deg.values()):
+    def grow(cur: int, forb: int) -> None:
+        blocked = cur | forb
+        full = pivot = 0
+        rest = cur
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            near = adj[low.bit_length() - 1]
+            deg = (near & cur).bit_count()
+            if deg == k:
+                full |= low
+                continue
+            free = near & ~blocked
+            if deg + free.bit_count() < k:
+                return
+            if not pivot:
+                pivot = free & -free
+        if not pivot:
             if len(found) >= candidate_cap:
                 raise CandidateCapExceeded(
                     f"more than {candidate_cap} candidate sets"
                 )
-            found.append(tuple(sorted(current)))
+            found.append(tuple(_bit_indices(cur)))
             return
-        pivot: int | None = None
-        for v in sorted(current):
-            if deg[v] < k:
-                free = adj[v] - current - forb
-                if deg[v] + len(free) < k:
-                    return
-                if pivot is None:
-                    pivot = min(free)
-        assert pivot is not None
-        joins = adj[pivot] & current
-        if len(joins) <= k and all(deg[x] < k for x in joins):
-            grow(current | {pivot}, forb)
-        grow(current, forb | {pivot})
+        joins = adj[pivot.bit_length() - 1] & cur
+        if joins.bit_count() <= k and not joins & full:
+            grow(cur | pivot, forb)
+        grow(cur, forb | pivot)
 
     for r in range(g.n):
-        grow({r}, set(range(r)))
+        grow(1 << r, (1 << r) - 1)
     found.sort()
     return found
 

@@ -13,12 +13,19 @@ through the input-checking ``unique_sink_per_set`` and ``is_aof_oracle``,
 each with its own topological sort and its own sink count over
 out-neighbour lists.
 
+The orientation stream as it was before it kept reachability masks: a
+recursive generator that ran a depth-first search over out-masks for
+every edge direction it tried.  The listing of connected k-regular
+candidate sets as it was before it grew bitmasks: Python sets copied at
+every state and a dict of degrees rebuilt at each.  And the out-neighbour
+lists, which the package no longer uses.
+
 Differential tests compare the package with these: the same orientations
 in the same order, the same least H^k with the same first witness, the
-same sink verdicts and errors, and the same first k-sink counterexample.
-Only the result types, the input checks, the topological sort, the
-out-neighbour lists, the orientation stream, the faces and the two scoring
-functions come from the package.
+same sink verdicts and errors, the same first k-sink counterexample, and
+the same candidate sets and cap errors.  Only the result types, the input
+checks, the topological sort, the orientation stream, the faces and the
+two scoring functions come from the package.
 """
 
 from __future__ import annotations
@@ -26,21 +33,21 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from ksystems.errors import EmptySubset, InvalidParams, NotAcyclic
+from ksystems.errors import CandidateCapExceeded, EmptySubset, InvalidParams, NotAcyclic
 from ksystems.graphs import (
     Orientation,
     PolytopeGraph,
     as_tuple,
     check_bound,
+    directed_edges,
     hk_sum,
     indegree_histogram,
     is_int,
-    out_adjacency,
     topological_order,
 )
 from ksystems.oracle import Instance, faces_from_incidence
-from ksystems.search import enumerate_acyclic_orientations
-from ksystems.systems import SetSystem, check_system_bound
+from ksystems.search import _require_ints, enumerate_acyclic_orientations
+from ksystems.systems import SetSystem, check_k_range, check_system_bound
 
 
 def _bfs_edge_order(g: PolytopeGraph) -> list[int]:
@@ -97,6 +104,53 @@ def acyclic_orientations(g: PolytopeGraph) -> Iterator[Orientation]:
                 out[t] &= ~(1 << h)
 
     yield from rec(0)
+
+
+def connected_k_regular_sets(
+    g: PolytopeGraph, k: int, candidate_cap: int = 10**6
+) -> list[tuple[int, ...]]:
+    """All vertex sets inducing a connected k-regular subgraph, sorted,
+    grown over Python sets."""
+    check_k_range(g, k)
+    _require_ints(candidate_cap=candidate_cap)
+    adj = [set(a) for a in g.adjacency]
+    found: list[tuple[int, ...]] = []
+
+    def grow(current: set[int], forb: set[int]) -> None:
+        deg = {v: len(adj[v] & current) for v in current}
+        if all(c == k for c in deg.values()):
+            if len(found) >= candidate_cap:
+                raise CandidateCapExceeded(
+                    f"more than {candidate_cap} candidate sets"
+                )
+            found.append(tuple(sorted(current)))
+            return
+        pivot: int | None = None
+        for v in sorted(current):
+            if deg[v] < k:
+                free = adj[v] - current - forb
+                if deg[v] + len(free) < k:
+                    return
+                if pivot is None:
+                    pivot = min(free)
+        assert pivot is not None
+        joins = adj[pivot] & current
+        if len(joins) <= k and all(deg[x] < k for x in joins):
+            grow(current | {pivot}, forb)
+        grow(current, forb | {pivot})
+
+    for r in range(g.n):
+        grow({r}, set(range(r)))
+    found.sort()
+    return found
+
+
+def out_adjacency(g: PolytopeGraph, o: Orientation) -> list[list[int]]:
+    """Out-neighbour lists of the directed graph."""
+    out: list[list[int]] = [[] for _ in range(g.n)]
+    for tail, head in directed_edges(g, o):
+        out[tail].append(head)
+    return out
 
 
 def least_hk(

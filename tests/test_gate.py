@@ -401,3 +401,21 @@ def test_orientations_built_directly_need_integer_heads(bit):
     for call in calls:
         with pytest.raises(InvalidParams, match="one bit per canonical edge"):
             call()
+
+
+@pytest.mark.parametrize("bad", [99, -1])
+def test_instances_built_directly_need_facet_ids_in_range(bad):
+    # 99 used to raise a bare IndexError; -1 silently read vertex 7's facets
+    inst = ks.Instance(
+        name="cube(3)",
+        graph=G,
+        facets=CUBE3.facets[:-1] + ((4, 5, 6, bad),),
+        coords=None,
+    )
+    calls = [
+        lambda: ks.faces_from_incidence(inst, 2),
+        lambda: ks.is_aof_oracle(inst, ORIENTATION),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParams, match=f"vertex id {bad} outside 0..7"):
+            call()

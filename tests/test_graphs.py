@@ -18,6 +18,7 @@ from ksystems.errors import (
 )
 from ksystems.graphs import induced_leaves, induces_connected
 
+import reference_search as ref
 from conftest import cycle_graph
 
 
@@ -145,7 +146,7 @@ def test_topological_order_checks_the_orientation_once(monkeypatch, square):
 
 def _has_cycle_dfs(g, o):
     """Independent check: colour-marking DFS over the out-adjacency."""
-    out = ks.out_adjacency(g, o)
+    out = ref.out_adjacency(g, o)
     state = [0] * g.n
     for start in range(g.n):
         if state[start]:

@@ -2,8 +2,10 @@
 ``reference_search``: the same acyclic orientations in the same order;
 from ``minimize_hk`` the same least H^k with the same first witness as
 scoring every orientation through ``indegree_histogram`` and ``hk_sum``;
-from the sink checks the same verdicts and errors; and from
-``search_k_sink_counterexample`` the same first witness, or None."""
+from the sink checks the same verdicts and errors; from
+``search_k_sink_counterexample`` the same first witness, or None; and
+from ``connected_k_regular_sets`` the same sorted candidate sets, or the
+same cap error."""
 
 import random
 from itertools import islice, product
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 import ksystems as ks
 from ksystems import search
-from ksystems.errors import KSystemsError
+from ksystems.errors import BudgetExceeded, CandidateCapExceeded, KSystemsError
 
 import reference_search as ref
 
@@ -47,6 +49,26 @@ def _same_minimum(got, want):
 def test_orientation_stream_matches_reference(name):
     g = INSTANCES[name].graph
     assert list(ks.enumerate_acyclic_orientations(g)) == list(ref.acyclic_orientations(g))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [ks.cube(1).graph, TRIANGLE.graph, ks.cube(2).graph],
+    ids=["one_edge", "triangle", "square"],
+)
+def test_orientation_stream_matches_reference_on_the_fewest_edges(g):
+    # one edge (m = 1) is streamed on its own; a triangle has one edge
+    # before the last two; a polygon has 2^m - 2 acyclic orientations
+    got = list(ks.enumerate_acyclic_orientations(g))
+    assert got == list(ref.acyclic_orientations(g))
+    assert len(got) == 2 ** len(g.edges) - 2 * (len(g.edges) > 1)
+
+
+def test_orientation_budget_is_exact_and_checked_at_the_call():
+    g = ks.cube(1).graph
+    assert len(list(ks.enumerate_acyclic_orientations(g, budget=2))) == 2
+    with pytest.raises(BudgetExceeded, match="2\\^1 orientations exceed budget 1"):
+        ks.enumerate_acyclic_orientations(g, budget=1)
 
 
 def test_orientation_stream_prefix_matches_reference_past_the_default_budget():
@@ -222,3 +244,46 @@ def test_polygon_is_aof_matches_reference_on_every_orientation(m):
     for heads in product((0, 1), repeat=m):
         o = ks.make_orientation(g, heads)
         assert ks.polygon_is_aof(g, o) == ref.polygon_is_aof(g, o)
+
+
+# -- the candidate listing ------------------------------------------------------
+
+CANDIDATE_INSTANCES = {**INSTANCES, **SINK_INSTANCES}
+
+
+@pytest.mark.parametrize(
+    "name,k",
+    [
+        (name, k)
+        for name, inst in CANDIDATE_INSTANCES.items()
+        for k in range(2, inst.graph.d)
+    ],
+)
+def test_candidates_match_reference(name, k):
+    g = CANDIDATE_INSTANCES[name].graph
+    assert ks.connected_k_regular_sets(g, k) == ref.connected_k_regular_sets(g, k)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["cube3", "fig1", "simplex4", "trunc2_tet", "tet_x_segment"]), st.data())
+def test_candidates_match_reference_after_relabelling(name, data):
+    g = CANDIDATE_INSTANCES[name].graph
+    rg = _relabelled(g, data.draw(st.permutations(range(g.n))))
+    k = data.draw(st.integers(2, g.d - 1))
+    assert ks.connected_k_regular_sets(rg, k) == ref.connected_k_regular_sets(rg, k)
+
+
+@pytest.mark.parametrize("inst,k", [(ks.cube(4), 3), (INSTANCES["fig1"], 2)], ids=["cube4", "fig1"])
+def test_candidate_cap_matches_reference_at_every_cap(inst, k):
+    g = inst.graph
+    total = len(ref.connected_k_regular_sets(g, k))
+    for cap in range(1, total + 2):
+        assert _agree("connected_k_regular_sets", g, k, cap)
+    assert _outcome(ks.connected_k_regular_sets, g, k, total)[0] == "returned"
+    assert _outcome(ks.connected_k_regular_sets, g, k, total - 1)[0] is CandidateCapExceeded
+
+
+def test_candidate_errors_match_reference(cube3):
+    g = cube3.graph
+    for k, cap in [(1, 10), (3, 10), (-1, 10), (2.0, 10), (2, 10.0), (2, None), (2, 0)]:
+        assert _agree("connected_k_regular_sets", g, k, cap)
