@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import deque
+from itertools import chain
 
 from .errors import (
     DimensionTooSmall,
@@ -35,6 +36,7 @@ from .graphs import (
     Orientation,
     PolytopeGraph,
     check_bound,
+    check_vertex_ids,
     first_without_unique_sink,
     hk_sum,
     indegree_histogram,
@@ -106,6 +108,7 @@ def unique_sink_per_set(
     check_system_bound(g, s)
     if topological_order(g, o).cycle is not None:
         raise NotAcyclic("orientation has a directed cycle")
+    check_vertex_ids(g.n, [*chain.from_iterable(s.sets)])
     bad = first_without_unique_sink(
         out_masks(g, o), ((t, vertex_mask(t)) for t in s.sets)
     )

@@ -24,8 +24,8 @@ from .graphs import (
     HVector,
     Orientation,
     PolytopeGraph,
-    is_int,
     make_orientation,
+    require_int,
     validate_graph,
 )
 from .oracle import Instance, make_instance
@@ -63,12 +63,6 @@ def _require_keys(doc: Any, keys: set[str], what: str) -> None:
         raise InvalidParams(
             f"{what} document needs keys {sorted(keys)}, got {sorted(doc)}"
         )
-
-
-def _require_int(value: Any, what: str) -> int:
-    if not is_int(value):
-        raise InvalidParams(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _require_bound(doc: dict, g: PolytopeGraph, what: str) -> None:
@@ -130,7 +124,7 @@ def h_vector_doc(h: HVector) -> list[int]:
 def parse_h_vector(doc: Any) -> HVector:
     if not isinstance(doc, list) or not doc:
         raise InvalidParams("h-vector document must be a non-empty list")
-    counts = [_require_int(c, "h-vector entry") for c in doc]
+    counts = [require_int(c, "h-vector entry") for c in doc]
     if any(c < 0 for c in counts):
         raise InvalidParams("h-vector entries must be non-negative")
     return HVector(tuple(counts))
@@ -157,7 +151,7 @@ def instance_doc(inst: Instance) -> dict:
 def parse_instance(doc: Any) -> Instance:
     _require_keys(doc, {"name", "d", "graph", "facets", "coords"}, "instance")
     g = parse_graph(doc["graph"])
-    if _require_int(doc["d"], "d") != g.d:
+    if require_int(doc["d"], "d") != g.d:
         raise InvalidParams("instance d disagrees with its graph")
     coords = None
     if doc["coords"] is not None:

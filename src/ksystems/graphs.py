@@ -18,7 +18,7 @@ import heapq
 import json
 import math
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -46,12 +46,15 @@ class PolytopeGraph:
     u < v, and the list is sorted lexicographically; the position e is
     the edge index used by orientations.  Validity never implies
     polytopality, only the graph-checkable conditions.
+
+    Equality compares every field; the hash reads (d, n, fingerprint)
+    only, since the fingerprint is a digest of the edges.
     """
 
     d: int
     n: int
-    edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...]
+    edges: tuple[tuple[int, int], ...] = field(hash=False)
+    adjacency: tuple[tuple[int, ...], ...] = field(hash=False)
     fingerprint: str
 
     def edge_index(self) -> dict[tuple[int, int], int]:
@@ -106,6 +109,29 @@ def is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def require_int(value: object, what: str, least: int | None = None) -> int:
+    """``value``, when it passes :func:`is_int` and is at least ``least``;
+    otherwise InvalidParams naming ``what``."""
+    if not is_int(value) or least is not None and value < least:
+        bound = "" if least is None else f" >= {least}"
+        raise InvalidParams(f"{what} must be an integer{bound}, got {value!r}")
+    return value
+
+
+def check_vertex_ids(n: int, ids: Sequence) -> None:
+    """Raise InvalidParams naming the first item of ``ids`` that is not a
+    vertex id 0..n-1 passing :func:`is_int`.
+
+    Ids that are all of type ``int`` are checked by their min and max;
+    any other ids (bools, floats, ``IntEnum`` members, ...) one at a time.
+    """
+    if {*map(type, ids)} <= {int} and (not ids or 0 <= min(ids) and max(ids) < n):
+        return
+    for v in ids:
+        if not is_int(v) or not 0 <= v < n:
+            raise InvalidParams(f"vertex id {v!r} outside 0..{n - 1}")
+
+
 def as_tuple(values: Iterable, what: str) -> tuple:
     """The items of a caller's collection, or InvalidParams naming ``what``
     when it is not a collection at all."""
@@ -118,10 +144,8 @@ def as_tuple(values: Iterable, what: str) -> tuple:
 def validate_graph(d: int, n: int, edge_list: Iterable[Iterable[int]]) -> PolytopeGraph:
     """Build a PolytopeGraph, rejecting anything that is not a simple
     d-regular connected graph on vertices 0..n-1."""
-    if not is_int(d) or d < 1:
-        raise InvalidParams(f"d must be an integer >= 1, got {d!r}")
-    if not is_int(n) or n < 2:
-        raise InvalidParams(f"n must be an integer >= 2, got {n!r}")
+    require_int(d, "d", 1)
+    require_int(n, "n", 2)
 
     canonical: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -361,9 +385,7 @@ def sinks_in_subset(g: PolytopeGraph, o: Orientation, w: Iterable[int]) -> set[i
     ids = as_tuple(w, "subset")
     if not ids:
         raise EmptySubset("subset must be non-empty")
-    for v in ids:
-        if not is_int(v) or not 0 <= v < g.n:
-            raise InvalidParams(f"vertex id {v!r} outside 0..{g.n - 1}")
+    check_vertex_ids(g.n, ids)
     if topological_order(g, o).cycle is not None:
         raise NotAcyclic("orientation has a directed cycle")
     sinks = set(induced_sinks(out_masks(g, o), ids, vertex_mask(ids)))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
@@ -32,6 +32,7 @@ from .errors import (
 from .graphs import (
     Orientation,
     PolytopeGraph,
+    check_vertex_ids,
     first_without_unique_sink,
     induces_connected,
     is_int,
@@ -53,27 +54,15 @@ class Instance:
     simplicity bookkeeping: every vertex on exactly d facets, facets
     inducing connected (d-1)-regular subgraphs, and adjacency equivalent
     to sharing exactly d-1 facets.
+
+    Equality compares every field; the hash reads the name and the graph
+    only, so the faces cache looks an instance up in constant time.
     """
 
     name: str
     graph: PolytopeGraph
-    facets: tuple[tuple[int, ...], ...]
-    coords: tuple[tuple[Fraction, ...], ...] | None
-
-    def __hash__(self) -> int:
-        # Hashed once: the faces cache looks the instance up on every call.
-        # Equality stays field by field.
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.name, self.graph, self.facets, self.coords))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __getstate__(self) -> dict:
-        # string hashes differ between processes, so a copy hashes afresh
-        state = self.__dict__.copy()
-        state.pop("_hash", None)
-        return state
+    facets: tuple[tuple[int, ...], ...] = field(hash=False)
+    coords: tuple[tuple[Fraction, ...], ...] | None = field(hash=False)
 
 
 def make_instance(
@@ -150,14 +139,10 @@ def make_instance(
 
 def _facets_through(n: int, facets: Sequence[Sequence[int]]) -> list[list[int]]:
     """For each of the n vertices, the indices of the facets through it,
-    ascending.  The ids are range-checked once here, since an
+    ascending.  The ids are checked once here, since an
     :class:`Instance` built directly has not been through
     :func:`make_instance`."""
-    lo = min(chain.from_iterable(facets), default=0)
-    hi = max(chain.from_iterable(facets), default=0)
-    for v in (lo, hi):
-        if not 0 <= v < n:
-            raise InvalidParams(f"vertex id {v!r} outside 0..{n - 1}")
+    check_vertex_ids(n, [*chain.from_iterable(facets)])
     membership: list[list[int]] = [[] for _ in range(n)]
     for i, t in enumerate(facets):
         for v in t:
@@ -308,8 +293,7 @@ def truncate_vertex(inst: Instance, v: int) -> Instance:
     """
     g = inst.graph
     d, n = g.d, g.n
-    if not is_int(v) or not 0 <= v < n:
-        raise InvalidParams(f"vertex id {v!r} outside 0..{n - 1}")
+    check_vertex_ids(n, (v,))
     nbrs = g.adjacency[v]
 
     def remap(u: int) -> int:
@@ -344,10 +328,7 @@ def fig1() -> Instance:
     adjacent.  The result has 12 vertices, 18 edges and 8 facets.
     """
     once = truncate_vertex(cube(3), 0)
-    inst = truncate_vertex(once, 2)
-    return Instance(
-        name="fig1", graph=inst.graph, facets=inst.facets, coords=None
-    )
+    return replace(truncate_vertex(once, 2), name="fig1")
 
 
 #: family name -> (generator, the type of each of its parameters)

@@ -25,15 +25,15 @@ from itertools import islice
 from operator import itemgetter, or_
 from typing import Iterator
 
-from .errors import BudgetExceeded, CandidateCapExceeded, InvalidParams
+from .errors import BudgetExceeded, CandidateCapExceeded
 from .graphs import (
     HVector,
     Orientation,
     PolytopeGraph,
     first_without_unique_sink,
     hk_sum,
-    is_int,
     out_masks,
+    require_int,
     vertex_mask,
 )
 from .oracle import Instance, faces_from_incidence
@@ -48,13 +48,6 @@ from .systems import (
 DEFAULT_BUDGET = 2**22
 DEFAULT_CANDIDATE_CAP = 10**6
 DEFAULT_COUNT_CAP = 10**4
-
-
-def _require_ints(**values: object) -> None:
-    """Budgets and caps must be integers."""
-    for name, value in values.items():
-        if not is_int(value):
-            raise InvalidParams(f"{name} must be an integer, got {value!r}")
 
 
 def _bfs_edge_order(g: PolytopeGraph) -> list[int]:
@@ -92,7 +85,7 @@ def enumerate_acyclic_orientations(
     last two edges are decided from the closure before them, with no
     copy, so each node two edges from the end yields its leaves itself.
     """
-    _require_ints(budget=budget)
+    require_int(budget, "budget")
     m = len(g.edges)
     if 2**m > budget:
         raise BudgetExceeded(f"2^{m} orientations exceed budget {budget}")
@@ -201,7 +194,7 @@ def connected_k_regular_sets(
     pivot may join when it meets at most k of the set and none of those.
     """
     check_k_range(g, k)
-    _require_ints(candidate_cap=candidate_cap)
+    require_int(candidate_cap, "candidate_cap")
     adj = [vertex_mask(a) for a in g.adjacency]
     found: list[tuple[int, ...]] = []
 
@@ -373,9 +366,8 @@ def enumerate_k_systems(
     is bound to the graph with its members sorted, without
     :func:`~ksystems.systems.make_set_system`.
     """
-    _require_ints(candidate_cap=candidate_cap)
-    if not is_int(count_cap) or count_cap < 1:
-        raise InvalidParams(f"count_cap must be an integer >= 1, got {count_cap!r}")
+    require_int(candidate_cap, "candidate_cap")
+    require_int(count_cap, "count_cap", 1)
     candidates = connected_k_regular_sets(g, k, candidate_cap)
 
     def families() -> Iterator[list[tuple[int, ...]]]:

@@ -29,7 +29,7 @@ from .errors import (
     KOutOfRange,
     NotRegular,
 )
-from .graphs import PolytopeGraph, as_tuple, induced_leaves, is_int
+from .graphs import PolytopeGraph, as_tuple, check_vertex_ids, induced_leaves, is_int
 
 
 class KFrame(NamedTuple):
@@ -207,13 +207,10 @@ def frame_count(g: PolytopeGraph, k: int) -> int:
 def is_k_regular_set(g: PolytopeGraph, t: Iterable[int], k: int) -> bool:
     """True when every vertex of ``t`` has exactly k neighbours in ``t``.
 
-    Raises :class:`InvalidParams` for anything but vertex ids of ``g``,
-    checked by type, min and max.
+    Raises :class:`InvalidParams` for anything but vertex ids of ``g``.
     """
     t = as_tuple(t, "vertex set")
-    if not {*map(type, t)} <= {int} or t and not 0 <= min(t) <= max(t) < g.n:
-        bad = next(v for v in t if not is_int(v) or not 0 <= v < g.n)
-        raise InvalidParams(f"vertex id {bad!r} outside 0..{g.n - 1}")
+    check_vertex_ids(g.n, t)
     return all(len(leaves) == k for leaves in induced_leaves(g, t))
 
 
@@ -289,15 +286,20 @@ def validate_k_system(g: PolytopeGraph, s: SetSystem) -> KSystemReport:
     number of frames and no key repeats.  Coverage is accounted over the
     k-regular members only; a family with an irregular member is already
     invalid, and the per-vertex frame emission is meaningless for such
-    sets.
+    sets.  The member ids are checked before any frame is looked up, since
+    a :class:`SetSystem` built directly has not been through
+    :func:`make_set_system`.
     """
     check_system_bound(g, s)
+    check_k_range(g, s.k)
+    ids = [*chain.from_iterable(s.sets)]
+    check_vertex_ids(g.n, ids)
     keys = frame_index(g, s.k, s.sets)
     regular = tuple(fs is not None for fs in keys)
     frames = frame_count(g, s.k)
     valid = (
         all(regular)
-        and sum(map(len, s.sets)) == frames
+        and len(ids) == frames
         and len(set(chain.from_iterable(keys))) == frames
     )
     return KSystemReport(

@@ -43,10 +43,11 @@ from ksystems.graphs import (
     hk_sum,
     indegree_histogram,
     is_int,
+    require_int,
     topological_order,
 )
 from ksystems.oracle import Instance, faces_from_incidence
-from ksystems.search import _require_ints, enumerate_acyclic_orientations
+from ksystems.search import enumerate_acyclic_orientations
 from ksystems.systems import SetSystem, check_k_range, check_system_bound
 
 
@@ -112,7 +113,7 @@ def connected_k_regular_sets(
     """All vertex sets inducing a connected k-regular subgraph, sorted,
     grown over Python sets."""
     check_k_range(g, k)
-    _require_ints(candidate_cap=candidate_cap)
+    require_int(candidate_cap, "candidate_cap")
     adj = [set(a) for a in g.adjacency]
     found: list[tuple[int, ...]] = []
 

@@ -11,8 +11,10 @@ with an ``InvalidInput``; only the wording may differ.
 """
 
 import json
+import re
 import sys
 import tracemalloc
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -403,19 +405,77 @@ def test_orientations_built_directly_need_integer_heads(bit):
             call()
 
 
-@pytest.mark.parametrize("bad", [99, -1])
+#: One vertex id out of place: outside 0..7, or not an int (a bool is not).
+BAD_IDS = [99, -1, "a", 6.0, True, None]
+FACES2 = ks.faces_from_incidence(CUBE3, 2)
+VERTEX = IntEnum("VERTEX", [(f"v{i}", i) for i in range(8)])
+
+
+def _instance(v):
+    """cube(3) built directly, its facet (4, 5, 6, 7) written as (4, 5, 6, v)."""
+    facets = CUBE3.facets[:-1] + ((4, 5, 6, v),)
+    return ks.Instance(name=f"cube(3) with {v!r}", graph=G, facets=facets, coords=None)
+
+
+def _system(v):
+    """F_2 of cube(3) built directly, (4, 5, 6, 7) written as (4, 5, 6, v)."""
+    sets = tuple((4, 5, 6, v) if t == (4, 5, 6, 7) else t for t in FACES2.sets)
+    return ks.SetSystem(k=2, sets=sets, graph_fingerprint=G.fingerprint)
+
+
+#: Every call that reads vertex ids from a value built directly, given the
+#: id to put in place of vertex 7.
+ID_CALLS = {
+    "faces_from_incidence": lambda v: ks.faces_from_incidence(_instance(v), 2),
+    "is_aof_oracle": lambda v: ks.is_aof_oracle(_instance(v), ORIENTATION),
+    "validate_k_system": lambda v: ks.validate_k_system(G, _system(v)),
+    "frame_coverage": lambda v: ks.frame_coverage(G, _system(v)),
+    "verify_face_certificate": lambda v: ks.verify_face_certificate(
+        G, ks.FaceCertificate(k=2, claimed_sets=_system(v), witness_orientation=ORIENTATION)
+    ),
+    "verify_larger_system": lambda v: ks.verify_larger_system(G, FACES2, _system(v)),
+    "verify_aof_certificate": lambda v: ks.verify_aof_certificate(
+        G, ks.AofCertificate(candidate_orientation=ORIENTATION, witness_two_system=_system(v))
+    ),
+    "facets_from_2faces": lambda v: ks.facets_from_2faces(G, _system(v)),
+    "unique_sink_per_set": lambda v: ks.unique_sink_per_set(G, ORIENTATION, _system(v)),
+    "is_k_regular_set": lambda v: ks.is_k_regular_set(G, (4, 5, 6, v), 2),
+    "sinks_in_subset": lambda v: ks.sinks_in_subset(G, ORIENTATION, (4, 5, 6, v)),
+}
+INSTANCE_CALLS = ["faces_from_incidence", "is_aof_oracle"]
+
+
+def _refused(call, bad):
+    with pytest.raises(InvalidParams, match=f"^vertex id {re.escape(repr(bad))} outside 0..7$"):
+        ID_CALLS[call](bad)
+
+
+@pytest.mark.parametrize("bad", BAD_IDS)
 def test_instances_built_directly_need_facet_ids_in_range(bad):
-    # 99 used to raise a bare IndexError; -1 silently read vertex 7's facets
-    inst = ks.Instance(
-        name="cube(3)",
-        graph=G,
-        facets=CUBE3.facets[:-1] + ((4, 5, 6, bad),),
-        coords=None,
-    )
-    calls = [
-        lambda: ks.faces_from_incidence(inst, 2),
-        lambda: ks.is_aof_oracle(inst, ORIENTATION),
-    ]
-    for call in calls:
-        with pytest.raises(InvalidParams, match=f"vertex id {bad} outside 0..7"):
-            call()
+    # 99 used to raise a bare IndexError and 'a' a bare TypeError; -1 read
+    # vertex 7's facets and True vertex 1's
+    for call in INSTANCE_CALLS:
+        _refused(call, bad)
+
+
+@pytest.mark.parametrize("bad", BAD_IDS)
+@pytest.mark.parametrize("call", sorted(set(ID_CALLS) - set(INSTANCE_CALLS)))
+def test_systems_and_sets_built_directly_need_vertex_ids(call, bad):
+    # a SetSystem with -1 for 7 was a valid 2-system, and VERIFIED as F_2
+    _refused(call, bad)
+
+
+@pytest.mark.parametrize("call", sorted(ID_CALLS))
+def test_int_enum_vertex_ids_are_accepted(call):
+    # is_k_regular_set used to raise a bare StopIteration on them
+    assert ID_CALLS[call](VERTEX.v7) == ID_CALLS[call](7)
+
+
+def test_checks_made_before_the_ids_still_come_first():
+    cyclic = ks.Orientation(heads=(0, 1) * 6, graph_fingerprint=G.fingerprint)
+    assert not ks.is_acyclic(G, cyclic)
+    with pytest.raises(ks.errors.NotAcyclic):
+        ks.unique_sink_per_set(G, cyclic, _system(99))
+    wrong_k = ks.SetSystem(k=3, sets=_system(99).sets, graph_fingerprint=G.fingerprint)
+    with pytest.raises(ks.errors.KOutOfRange):
+        ks.validate_k_system(G, wrong_k)

@@ -178,10 +178,34 @@ def test_faces_cache_is_bounded(cube3):
     assert ks.faces_from_incidence.cache_info().hits == hits + 1
 
 
-def test_instance_hash_is_cached_and_equality_is_by_field(cube3):
+def test_graphs_built_from_edges_in_any_order_hash_and_compare_equal(cube3):
+    g = cube3.graph
+    shuffled = [(v, u) for u, v in reversed(g.edges)]
+    twin = ks.validate_graph(g.d, g.n, shuffled)
+    assert twin == g and twin is not g and hash(twin) == hash(g)
+    assert hash(g) == hash((g.d, g.n, g.fingerprint))
+
+
+def test_instances_differing_in_facets_or_coords_are_separate_cache_entries(cube3):
+    # the hash reads the name and the graph only; equality reads every field
+    faces = ks.faces_from_incidence(cube3, 2)
+    others = [
+        dataclasses.replace(cube3, facets=tuple(reversed(cube3.facets))),
+        dataclasses.replace(cube3, coords=None),
+    ]
+    for other in others:
+        assert other != cube3 and hash(other) == hash(cube3)
+        misses = ks.faces_from_incidence.cache_info().misses
+        assert ks.faces_from_incidence(other, 2) == faces
+        assert ks.faces_from_incidence.cache_info().misses == misses + 1
+    assert ks.faces_from_incidence(cube3, 2) is faces
+
+
+def test_instance_hash_is_declared_and_equality_is_by_field(cube3):
     faces = ks.faces_from_incidence(cube3, 2)
     twin = ks.cube(3)
     assert twin == cube3 and twin is not cube3 and hash(twin) == hash(cube3)
+    assert hash(cube3) == hash((cube3.name, cube3.graph))
     info = ks.faces_from_incidence.cache_info()
     # an equal instance and a repeated (instance, k) both hit the cache
     assert ks.faces_from_incidence(twin, 2) is faces
