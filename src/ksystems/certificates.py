@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import deque
-from itertools import chain
 
 from .errors import (
     DimensionTooSmall,
@@ -36,11 +35,13 @@ from .graphs import (
     Orientation,
     PolytopeGraph,
     check_bound,
-    check_vertex_ids,
     first_without_unique_sink,
     hk_sum,
     indegree_histogram,
+    induced_flaw,
     induced_leaves,
+    member_ids,
+    neighbour_masks,
     out_masks,
     topological_order,
     vertex_mask,
@@ -48,7 +49,6 @@ from .graphs import (
 from .systems import (
     SetSystem,
     check_system_bound,
-    is_k_regular_set,
     validate_k_system,
 )
 
@@ -108,7 +108,7 @@ def unique_sink_per_set(
     check_system_bound(g, s)
     if topological_order(g, o).cycle is not None:
         raise NotAcyclic("orientation has a directed cycle")
-    check_vertex_ids(g.n, [*chain.from_iterable(s.sets)])
+    member_ids(g.n, s.sets, "set")
     bad = first_without_unique_sink(
         out_masks(g, o), ((t, vertex_mask(t)) for t in s.sets)
     )
@@ -341,8 +341,9 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
                     vertex_count[v] += 1
 
     found = sorted(facets)
+    nbr = neighbour_masks(g)
     for t in found:
-        if not is_k_regular_set(g, t, g.d - 1):
+        if induced_flaw(nbr, t, g.d - 1, connected=False):
             raise InconsistentTransport(
                 f"reconstructed facet {t} is not (d-1)-regular"
             )

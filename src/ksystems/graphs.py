@@ -19,7 +19,8 @@ import json
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     Disconnected,
@@ -132,6 +133,28 @@ def check_vertex_ids(n: int, ids: Sequence) -> None:
             raise InvalidParams(f"vertex id {v!r} outside 0..{n - 1}")
 
 
+def member_ids(n: int, members: Iterable[Iterable], what: str) -> list:
+    """The vertex ids of ``members``, flattened in order, after
+    :func:`check_vertex_ids`.
+
+    This is the check on the members of a family built directly, which has
+    not been through the checks of its constructor: a member that is not
+    a collection raises InvalidParams naming it as a ``what``, before any
+    id is looked at.
+    """
+    try:
+        ids = [*chain.from_iterable(members)]
+    except TypeError:
+        for raw in as_tuple(members, f"{what}s"):
+            try:
+                iter(raw)
+            except TypeError:
+                raise InvalidParams(f"{what} {raw!r} is not a set of vertex ids") from None
+        raise
+    check_vertex_ids(n, ids)
+    return ids
+
+
 def as_tuple(values: Iterable, what: str) -> tuple:
     """The items of a caller's collection, or InvalidParams naming ``what``
     when it is not a collection at all."""
@@ -210,21 +233,50 @@ def induced_leaves(g: PolytopeGraph, t: Sequence[int]) -> list[tuple[int, ...]]:
     return [tuple(filter(inside, adj[v])) for v in t]
 
 
-def induces_connected(g: PolytopeGraph, t: Iterable[int]) -> bool:
-    """True when the non-empty vertex set ``t`` induces a connected subgraph."""
-    members = set(t)
-    if not members:
-        return False
-    start = min(members)
-    reached = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in g.adjacency[u]:
-            if w in members and w not in reached:
-                reached.add(w)
-                stack.append(w)
-    return len(reached) == len(members)
+def neighbour_masks(g: PolytopeGraph) -> list[int]:
+    """The neighbours of each vertex as a bitmask (bit w for the edge to w)."""
+    bit = [1 << v for v in range(g.n)].__getitem__
+    return [sum(map(bit, nbrs)) for nbrs in g.adjacency]
+
+
+def induced_flaw(
+    nbr: Sequence[int] | Mapping[int, int],
+    t: Sequence[int],
+    k: int,
+    *,
+    connected: bool = True,
+) -> str | None:
+    """The first test the subgraph induced on ``t`` fails: ``"regular"``
+    when some vertex of ``t`` has other than k neighbours in ``t``, then
+    ``"connected"`` when that subgraph is not connected; None when it
+    passes both, or the first when ``connected`` is false.
+
+    ``nbr[v]`` is the neighbour mask of v, as :func:`neighbour_masks`
+    gives it, for each vertex v of ``t`` (no other is read); the ids of
+    ``t`` are not checked.  A degree is the popcount of a neighbour
+    mask cut to the bitmask of ``t``, and connectivity is a flood over
+    masks from ``t[0]`` that takes each vertex at most once and stops when
+    none is left to reach: O(|t|) operations on integers of n bits.  The
+    empty set is regular and not connected.  This is the one test of an
+    induced subgraph in the package.
+    """
+    mask = vertex_mask(t)
+    for v in t:
+        if (nbr[v] & mask).bit_count() != k:
+            return "regular"
+    if not connected:
+        return None
+    if not t:
+        return "connected"
+    frontier = 1 << t[0]
+    left = mask ^ frontier
+    while frontier and left:
+        low = frontier & -frontier
+        frontier ^= low
+        new = nbr[low.bit_length() - 1] & left
+        left ^= new
+        frontier |= new
+    return "connected" if left else None
 
 
 def make_orientation(g: PolytopeGraph, heads: Iterable[int]) -> Orientation:
@@ -273,7 +325,10 @@ def out_masks(g: PolytopeGraph, o: Orientation) -> list[int]:
 
 def vertex_mask(t: Iterable[int]) -> int:
     """The vertex set ``t`` as a bitmask."""
-    return sum(1 << v for v in set(t))
+    mask = 0
+    for v in t:
+        mask |= 1 << v
+    return mask
 
 
 def induced_sinks(out: Sequence[int], t: Iterable[int], mask: int) -> list[int]:

@@ -34,14 +34,16 @@ from .graphs import (
     PolytopeGraph,
     check_vertex_ids,
     first_without_unique_sink,
-    induces_connected,
+    induced_flaw,
     is_int,
+    member_ids,
+    neighbour_masks,
     out_masks,
     topological_order,
     validate_graph,
     vertex_mask,
 )
-from .systems import SetSystem, is_k_regular_set, vertex_sets
+from .systems import SetSystem, vertex_sets
 
 
 @dataclass(frozen=True)
@@ -100,10 +102,12 @@ def make_instance(
                 f"vertex {v} lies on {len(membership[v])} facets, expected {d}"
             )
 
+    nbr = neighbour_masks(graph)
     for i, t in enumerate(canon):
-        if not is_k_regular_set(graph, t, d - 1):
+        flaw = induced_flaw(nbr, t, d - 1)
+        if flaw == "regular":
             raise NotSimple(f"facet #{i} does not induce a (d-1)-regular subgraph")
-        if not induces_connected(graph, t):
+        if flaw == "connected":
             raise NotSimple(f"facet #{i} induces a disconnected subgraph")
 
     def shared(u: int, v: int) -> int:
@@ -139,10 +143,10 @@ def make_instance(
 
 def _facets_through(n: int, facets: Sequence[Sequence[int]]) -> list[list[int]]:
     """For each of the n vertices, the indices of the facets through it,
-    ascending.  The ids are checked once here, since an
+    ascending.  The facets and their ids are checked once here, since an
     :class:`Instance` built directly has not been through
     :func:`make_instance`."""
-    check_vertex_ids(n, [*chain.from_iterable(facets)])
+    member_ids(n, facets, "facet")
     membership: list[list[int]] = [[] for _ in range(n)]
     for i, t in enumerate(facets):
         for v in t:
@@ -373,11 +377,16 @@ def faces_from_incidence(inst: Instance, k: int) -> SetSystem:
     (d-k)-subset of its facets, not by intersecting facets.  Each face is
     checked to induce a connected k-regular subgraph, which catches
     corrupted inputs; a non-empty k-regular set has at least k+1 vertices.
-    The faces are distinct sorted tuples of vertex ids, listed in order,
-    so the family is bound to the graph as it stands, without
+    The check is :func:`~ksystems.graphs.induced_flaw` over the neighbour
+    masks of the graph, built once per call: per vertex of a face one
+    popcount of its neighbour mask cut to the face, then a flood over
+    masks that takes each vertex at most once.  The faces are distinct
+    sorted tuples of vertex ids, listed in order, so the family is bound
+    to the graph as it stands, without
     :func:`~ksystems.systems.make_set_system`.  On a simple polytope the
-    output lists each vertex C(d, k) times, and the filing and the checks
-    cost O(d) per listing: O(n * C(d, k) * d) in all.
+    output lists each vertex C(d, k) times; the filing costs O(d) per
+    listing and the check a few operations on n-bit integers per listing:
+    O(n * C(d, k) * d) in all.
     """
     g = inst.graph
     d = g.d
@@ -386,10 +395,12 @@ def faces_from_incidence(inst: Instance, k: int) -> SetSystem:
     meets = _meets(_facets_through(g.n, inst.facets), d - k)
     found = sorted(set(map(tuple, meets.values())))
 
+    nbr = neighbour_masks(g)
     for t in found:
-        if not is_k_regular_set(g, t, k):
+        flaw = induced_flaw(nbr, t, k)
+        if flaw == "regular":
             raise NotSimple(f"facet intersection {t} is not a {k}-face")
-        if not induces_connected(g, t):
+        if flaw == "connected":
             raise NotSimple(f"facet intersection {t} is disconnected")
 
     return SetSystem(k=k, sets=tuple(found), graph_fingerprint=g.fingerprint)

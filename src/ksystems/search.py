@@ -32,6 +32,7 @@ from .graphs import (
     PolytopeGraph,
     first_without_unique_sink,
     hk_sum,
+    neighbour_masks,
     out_masks,
     require_int,
     vertex_mask,
@@ -195,7 +196,7 @@ def connected_k_regular_sets(
     """
     check_k_range(g, k)
     require_int(candidate_cap, "candidate_cap")
-    adj = [vertex_mask(a) for a in g.adjacency]
+    adj = neighbour_masks(g)
     found: list[tuple[int, ...]] = []
 
     def grow(cur: int, forb: int) -> None:

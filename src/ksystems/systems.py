@@ -29,7 +29,16 @@ from .errors import (
     KOutOfRange,
     NotRegular,
 )
-from .graphs import PolytopeGraph, as_tuple, check_vertex_ids, induced_leaves, is_int
+from .graphs import (
+    PolytopeGraph,
+    as_tuple,
+    check_vertex_ids,
+    induced_flaw,
+    is_int,
+    member_ids,
+    neighbour_masks,
+    vertex_mask,
+)
 
 
 class KFrame(NamedTuple):
@@ -211,7 +220,8 @@ def is_k_regular_set(g: PolytopeGraph, t: Iterable[int], k: int) -> bool:
     """
     t = as_tuple(t, "vertex set")
     check_vertex_ids(g.n, t)
-    return all(len(leaves) == k for leaves in induced_leaves(g, t))
+    nbr = {v: vertex_mask(g.adjacency[v]) for v in t}
+    return induced_flaw(nbr, t, k, connected=False) is None
 
 
 def frame_coverage(g: PolytopeGraph, s: SetSystem) -> dict[KFrame, int]:
@@ -262,11 +272,11 @@ def frame_index(
     """
     table = frame_key_table(g, k)
     bit = [1 << v for v in range(g.n)].__getitem__
-    nbr_masks = [sum(map(bit, nbrs)) for nbrs in g.adjacency]
+    nbr = neighbour_masks(g)
     index: list[list[int] | None] = []
     for t in members:
         inside = sum(map(bit, t))
-        keys = [table[v].get(inside & nbr_masks[v]) for v in t]
+        keys = [table[v].get(inside & nbr[v]) for v in t]
         index.append(None if None in keys else keys)
     return index
 
@@ -292,8 +302,7 @@ def validate_k_system(g: PolytopeGraph, s: SetSystem) -> KSystemReport:
     """
     check_system_bound(g, s)
     check_k_range(g, s.k)
-    ids = [*chain.from_iterable(s.sets)]
-    check_vertex_ids(g.n, ids)
+    ids = member_ids(g.n, s.sets, "set")
     keys = frame_index(g, s.k, s.sets)
     regular = tuple(fs is not None for fs in keys)
     frames = frame_count(g, s.k)

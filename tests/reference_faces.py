@@ -10,8 +10,9 @@ Differential tests compare the package with three functions of it:
 - ``facets_from_2faces`` runs the transport closure from every one of the
   n*d seeds, so it rebuilds each facet once per state in it.
 
-The checks on caller data, the induced-subgraph helpers, the k-system
-validator and the set-system constructor come from the package.
+The checks on caller data, the k-system validator, the set-system
+constructor and ``induced_leaves`` come from the package; the set-based
+tests of an induced subgraph come from ``reference_induced``.
 """
 
 from __future__ import annotations
@@ -28,15 +29,16 @@ from ksystems.errors import (
     NotCycleSystem,
     NotSimple,
 )
-from ksystems.graphs import induced_leaves, induces_connected, is_int
+from ksystems.graphs import induced_leaves, is_int
 from ksystems.oracle import Instance, _rational_rows
 from ksystems.systems import (
     check_system_bound,
-    is_k_regular_set,
     make_set_system,
     validate_k_system,
     vertex_sets,
 )
+
+from reference_induced import induces_connected, is_k_regular_set
 
 
 def make_instance(name, graph, facets, coords=None):

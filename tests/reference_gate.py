@@ -6,8 +6,8 @@ data in their own copy of the loops.  Differential tests compare the
 package with these: what they accept must come out the same, what they
 refuse with a package error must be refused with the same error, and
 what made them crash must now be refused with ``InvalidParams``.  Only
-the result types, the error types, the graph fingerprint and the
-induced-subgraph helpers come from the package.
+the result types, the error types and the graph fingerprint come from
+the package; the induced-subgraph tests come from ``reference_induced``.
 """
 
 from __future__ import annotations
@@ -33,10 +33,11 @@ from ksystems.graphs import (
     Orientation,
     PolytopeGraph,
     graph_fingerprint,
-    induces_connected,
 )
 from ksystems.oracle import Instance
-from ksystems.systems import SetSystem, is_k_regular_set
+from ksystems.systems import SetSystem
+
+from reference_induced import induces_connected, is_k_regular_set
 
 
 # -- constructors ---------------------------------------------------------------

@@ -12,8 +12,9 @@ Differential tests compare the package with three pieces of it:
   variants and the set-system constructor come from the package.
 - ``facets_from_2faces`` from before the corner map was read from the
   validator's frame index: it keys corners by ``(v, frozenset(pair))``
-  and checks its members with the 0.1.0 code above.  The induced-subgraph
-  helpers and the set-system constructor come from the package.
+  and checks its members with the 0.1.0 code above.  ``induced_leaves``
+  and the set-system constructor come from the package, and the
+  set-based connectivity test from ``reference_induced``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from ksystems.errors import (
     NotCycleSystem,
     NotRegular,
 )
-from ksystems.graphs import induced_leaves, induces_connected
+from ksystems.graphs import induced_leaves
 from ksystems.search import _merged_variants, connected_k_regular_sets
 from ksystems.systems import (
     KFrame,
@@ -37,6 +38,8 @@ from ksystems.systems import (
     enumerate_k_frames,
     make_set_system,
 )
+
+from reference_induced import induces_connected
 
 
 @dataclass

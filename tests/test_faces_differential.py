@@ -109,6 +109,31 @@ def test_faces_and_refusals_match_reference_on_unchecked_facets(name):
                 )
 
 
+#: Facets that meet in a disconnected k-regular face for k = 0, 1 and 2:
+#: two non-adjacent vertices, two disjoint edges and two disjoint squares,
+#: each listed as the only facet, d times over
+SPLIT_FACETS = [
+    ("cube3", (0, 3)),
+    ("cube3", (0, 1, 6, 7)),
+    ("cube4", (0, 1, 2, 3, 12, 13, 14, 15)),
+]
+
+
+@pytest.mark.parametrize("name,facet", SPLIT_FACETS)
+def test_disconnected_faces_are_refused_as_the_reference_refuses_them(name, facet):
+    # the facet lists of PAIR_CASES reach only the "not a k-face" refusal;
+    # each of these reaches it for some k and "is disconnected" for another
+    g = INSTANCES[name].graph
+    inst = Instance(name=name, graph=g, facets=(facet,) * g.d, coords=None)
+    refusals = set()
+    for k in range(g.d):
+        got = _outcome(ks.faces_from_incidence, inst, k)
+        assert got == _outcome(ref.faces_from_incidence, inst, k)
+        assert got[0] is NotSimple
+        refusals.add(got[1].endswith("is disconnected"))
+    assert refusals == {False, True}
+
+
 # -- facets_from_2faces ---------------------------------------------------------
 
 

@@ -411,34 +411,42 @@ FACES2 = ks.faces_from_incidence(CUBE3, 2)
 VERTEX = IntEnum("VERTEX", [(f"v{i}", i) for i in range(8)])
 
 
-def _instance(v):
-    """cube(3) built directly, its facet (4, 5, 6, 7) written as (4, 5, 6, v)."""
-    facets = CUBE3.facets[:-1] + ((4, 5, 6, v),)
-    return ks.Instance(name=f"cube(3) with {v!r}", graph=G, facets=facets, coords=None)
+def _instance(facet):
+    """cube(3) built directly, its facet (4, 5, 6, 7) written as ``facet``."""
+    facets = CUBE3.facets[:-1] + (facet,)
+    return ks.Instance(name=f"cube(3) with {facet!r}", graph=G, facets=facets, coords=None)
 
 
-def _system(v):
-    """F_2 of cube(3) built directly, (4, 5, 6, 7) written as (4, 5, 6, v)."""
-    sets = tuple((4, 5, 6, v) if t == (4, 5, 6, 7) else t for t in FACES2.sets)
+def _system(member):
+    """F_2 of cube(3) built directly, (4, 5, 6, 7) written as ``member``."""
+    sets = tuple(member if t == (4, 5, 6, 7) else t for t in FACES2.sets)
     return ks.SetSystem(k=2, sets=sets, graph_fingerprint=G.fingerprint)
 
 
+#: Every call that reads the members of a family built directly, given the
+#: member to put in place of (4, 5, 6, 7), and the word its refusal uses.
+MEMBER_CALLS = {
+    "faces_from_incidence": ("facet", lambda m: ks.faces_from_incidence(_instance(m), 2)),
+    "is_aof_oracle": ("facet", lambda m: ks.is_aof_oracle(_instance(m), ORIENTATION)),
+    "validate_k_system": ("set", lambda m: ks.validate_k_system(G, _system(m))),
+    "frame_coverage": ("set", lambda m: ks.frame_coverage(G, _system(m))),
+    "verify_face_certificate": ("set", lambda m: ks.verify_face_certificate(
+        G, ks.FaceCertificate(k=2, claimed_sets=_system(m), witness_orientation=ORIENTATION)
+    )),
+    "verify_larger_system": ("set", lambda m: ks.verify_larger_system(G, FACES2, _system(m))),
+    "verify_aof_certificate": ("set", lambda m: ks.verify_aof_certificate(
+        G, ks.AofCertificate(candidate_orientation=ORIENTATION, witness_two_system=_system(m))
+    )),
+    "facets_from_2faces": ("set", lambda m: ks.facets_from_2faces(G, _system(m))),
+    "unique_sink_per_set": ("set", lambda m: ks.unique_sink_per_set(G, ORIENTATION, _system(m))),
+}
 #: Every call that reads vertex ids from a value built directly, given the
 #: id to put in place of vertex 7.
 ID_CALLS = {
-    "faces_from_incidence": lambda v: ks.faces_from_incidence(_instance(v), 2),
-    "is_aof_oracle": lambda v: ks.is_aof_oracle(_instance(v), ORIENTATION),
-    "validate_k_system": lambda v: ks.validate_k_system(G, _system(v)),
-    "frame_coverage": lambda v: ks.frame_coverage(G, _system(v)),
-    "verify_face_certificate": lambda v: ks.verify_face_certificate(
-        G, ks.FaceCertificate(k=2, claimed_sets=_system(v), witness_orientation=ORIENTATION)
-    ),
-    "verify_larger_system": lambda v: ks.verify_larger_system(G, FACES2, _system(v)),
-    "verify_aof_certificate": lambda v: ks.verify_aof_certificate(
-        G, ks.AofCertificate(candidate_orientation=ORIENTATION, witness_two_system=_system(v))
-    ),
-    "facets_from_2faces": lambda v: ks.facets_from_2faces(G, _system(v)),
-    "unique_sink_per_set": lambda v: ks.unique_sink_per_set(G, ORIENTATION, _system(v)),
+    **{
+        name: (lambda v, call=call: call((4, 5, 6, v)))
+        for name, (_, call) in MEMBER_CALLS.items()
+    },
     "is_k_regular_set": lambda v: ks.is_k_regular_set(G, (4, 5, 6, v), 2),
     "sinks_in_subset": lambda v: ks.sinks_in_subset(G, ORIENTATION, (4, 5, 6, v)),
 }
@@ -471,11 +479,20 @@ def test_int_enum_vertex_ids_are_accepted(call):
     assert ID_CALLS[call](VERTEX.v7) == ID_CALLS[call](7)
 
 
+@pytest.mark.parametrize("member", [5, None, 4.5])
+@pytest.mark.parametrize("call", sorted(MEMBER_CALLS))
+def test_members_built_directly_must_be_collections(call, member):
+    # 5 in place of (4, 5, 6, 7) used to raise a bare TypeError
+    what, run = MEMBER_CALLS[call]
+    with pytest.raises(InvalidParams, match=f"^{what} {member!r} is not a set of vertex ids$"):
+        run(member)
+
+
 def test_checks_made_before_the_ids_still_come_first():
     cyclic = ks.Orientation(heads=(0, 1) * 6, graph_fingerprint=G.fingerprint)
     assert not ks.is_acyclic(G, cyclic)
     with pytest.raises(ks.errors.NotAcyclic):
-        ks.unique_sink_per_set(G, cyclic, _system(99))
-    wrong_k = ks.SetSystem(k=3, sets=_system(99).sets, graph_fingerprint=G.fingerprint)
+        ks.unique_sink_per_set(G, cyclic, _system((4, 5, 6, 99)))
+    wrong_k = ks.SetSystem(k=3, sets=_system((4, 5, 6, 99)).sets, graph_fingerprint=G.fingerprint)
     with pytest.raises(ks.errors.KOutOfRange):
         ks.validate_k_system(G, wrong_k)

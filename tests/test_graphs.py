@@ -16,7 +16,7 @@ from ksystems.errors import (
     NotRegular,
     SelfLoop,
 )
-from ksystems.graphs import induced_leaves, induces_connected
+from ksystems.graphs import induced_flaw, induced_leaves, neighbour_masks
 
 import reference_search as ref
 from conftest import cycle_graph
@@ -66,9 +66,13 @@ def test_induced_leaves_and_connectivity(cube3):
     g = cube3.graph
     assert induced_leaves(g, (0, 1, 2, 3)) == [(1, 2), (0, 3), (0, 3), (1, 2)]
     assert induced_leaves(g, (0, 1, 7)) == [(1,), (0,), ()]
-    assert induces_connected(g, (0, 1, 2, 3))
-    assert not induces_connected(g, (0, 1, 6, 7))
-    assert not induces_connected(g, ())
+    nbr = neighbour_masks(g)
+    assert nbr[0] == 0b10110
+    assert induced_flaw(nbr, (0, 1, 2, 3), 2) is None
+    assert induced_flaw(nbr, (0, 1, 7), 1) == "regular"
+    assert induced_flaw(nbr, (0, 1, 6, 7), 1) == "connected"
+    assert induced_flaw(nbr, (0, 1, 6, 7), 1, connected=False) is None
+    assert induced_flaw(nbr, (), 0) == "connected"
 
 
 def test_fingerprint_ignores_edge_order(cube3):
