@@ -20,7 +20,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     Disconnected,
@@ -240,7 +240,7 @@ def neighbour_masks(g: PolytopeGraph) -> list[int]:
 
 
 def induced_flaw(
-    nbr: Sequence[int] | Mapping[int, int],
+    nbr: Sequence[int],
     t: Sequence[int],
     k: int,
     *,
@@ -251,9 +251,8 @@ def induced_flaw(
     ``"connected"`` when that subgraph is not connected; None when it
     passes both, or the first when ``connected`` is false.
 
-    ``nbr[v]`` is the neighbour mask of v, as :func:`neighbour_masks`
-    gives it, for each vertex v of ``t`` (no other is read); the ids of
-    ``t`` are not checked.  A degree is the popcount of a neighbour
+    ``nbr`` is the list of neighbour masks :func:`neighbour_masks` gives;
+    the ids of ``t`` are not checked.  A degree is the popcount of a neighbour
     mask cut to the bitmask of ``t``, and connectivity is a flood over
     masks from ``t[0]`` that takes each vertex at most once and stops when
     none is left to reach: O(|t|) operations on integers of n bits.  The

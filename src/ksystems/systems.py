@@ -220,8 +220,7 @@ def is_k_regular_set(g: PolytopeGraph, t: Iterable[int], k: int) -> bool:
     """
     t = as_tuple(t, "vertex set")
     check_vertex_ids(g.n, t)
-    nbr = {v: vertex_mask(g.adjacency[v]) for v in t}
-    return induced_flaw(nbr, t, k, connected=False) is None
+    return induced_flaw(neighbour_masks(g), t, k, connected=False) is None
 
 
 def frame_coverage(g: PolytopeGraph, s: SetSystem) -> dict[KFrame, int]:
@@ -271,11 +270,10 @@ def frame_index(
     built: validation and the exact cover both read it.
     """
     table = frame_key_table(g, k)
-    bit = [1 << v for v in range(g.n)].__getitem__
     nbr = neighbour_masks(g)
     index: list[list[int] | None] = []
     for t in members:
-        inside = sum(map(bit, t))
+        inside = vertex_mask(t)
         keys = [table[v].get(inside & nbr[v]) for v in t]
         index.append(None if None in keys else keys)
     return index

@@ -22,10 +22,12 @@ comparison.
 Usage, from anywhere::
 
     python3 tools/pairs.py --parent DIR [--change DIR] --workload faces \\
-        [--pairs 10] [--seconds 30] [--seed 1]
+        [--pairs 10] [--seed 1]
 
-``--change`` defaults to the checkout this script lies in.  Pair i runs
-with seed ``--seed`` + i.  The quartiles are those of
+``--change`` defaults to the checkout this script lies in.  Every run
+lasts the ``run_seconds`` of ``BENCHMARK.json``, the same on both sides.
+``--pairs`` is at least ten, the fewest the nine-in-ten rule can judge.
+Pair i runs with seed ``--seed`` + i.  The quartiles are those of
 ``statistics.quantiles(method="inclusive")``.
 """
 
@@ -78,12 +80,12 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--change", type=Path, default=HERE)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
-    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    if args.pairs < 10:
+        parser.error("--pairs must be at least 10")
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
 
@@ -91,14 +93,14 @@ def main(argv: list[str]) -> int:
         seed = args.seed + i
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
-            result = run_once(sides[side], args.workload, seed, args.seconds)
+            result = run_once(sides[side], args.workload, seed, seconds)
             runs[side].append(result)
             shown = " ".join(
                 f"{m['name']}={result['metrics'][m['name']]['value']:.4g}" for m in metrics
             )
             print(f"pair {i + 1} seed {seed} {side}: {shown}", flush=True)
 
-    print(f"\n{args.workload}: {args.pairs} pairs of {args.seconds:g} s")
+    print(f"\n{args.workload}: {args.pairs} pairs of {seconds:g} s")
     print(f"{'metric':<14}{'parent median [q1, q3]':>30}{'change median [q1, q3]':>30}"
           f"{'won':>6}  verdict")
     for m in metrics:
