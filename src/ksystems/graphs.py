@@ -18,6 +18,7 @@ import heapq
 import json
 import math
 from collections import Counter, deque
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Sequence
@@ -98,7 +99,12 @@ class TopoResult:
 
 def graph_fingerprint(d: int, n: int, edges: Iterable[tuple[int, int]]) -> str:
     """Hex digest binding documents to a graph: hash of d, n, sorted edges."""
-    canon = sorted(sorted(e) for e in edges)
+    return _canonical_digest(d, n, sorted(sorted(e) for e in edges))
+
+
+def _canonical_digest(d: int, n: int, canon: Sequence[Sequence[int]]) -> str:
+    """:func:`graph_fingerprint` of an edge list already canonical: each
+    pair ascending, the pairs sorted."""
     doc = {"d": d, "edges": canon, "n": n}
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
@@ -119,14 +125,22 @@ def require_int(value: object, what: str, least: int | None = None) -> int:
     return value
 
 
+def plain_vertex_ids(n: int, ids: Sequence) -> bool:
+    """True when every item of ``ids`` is of type ``int`` (not a subclass)
+    and lies in 0..n-1: a test of the whole sequence by its types and its
+    min and max."""
+    return {*map(type, ids)} <= {int} and (not ids or 0 <= min(ids) and max(ids) < n)
+
+
 def check_vertex_ids(n: int, ids: Sequence) -> None:
     """Raise InvalidParams naming the first item of ``ids`` that is not a
     vertex id 0..n-1 passing :func:`is_int`.
 
-    Ids that are all of type ``int`` are checked by their min and max;
-    any other ids (bools, floats, ``IntEnum`` members, ...) one at a time.
+    Ids that are all of type ``int`` are checked by their min and max
+    (:func:`plain_vertex_ids`); any other ids (bools, floats, ``IntEnum``
+    members, ...) one at a time.
     """
-    if {*map(type, ids)} <= {int} and (not ids or 0 <= min(ids) and max(ids) < n):
+    if plain_vertex_ids(n, ids):
         return
     for v in ids:
         if not is_int(v) or not 0 <= v < n:
@@ -139,18 +153,20 @@ def member_ids(n: int, members: Iterable[Iterable], what: str) -> list:
 
     This is the check on the members of a family built directly, which has
     not been through the checks of its constructor: a member that is not
-    a collection raises InvalidParams naming it as a ``what``, before any
-    id is looked at.
+    a collection (a number, None, or an iterator, which one reading uses
+    up) raises InvalidParams naming it as a ``what``, before any id is
+    looked at.
     """
     try:
         ids = [*chain.from_iterable(members)]
+        sized = sum(map(len, members)) == len(ids)
     except TypeError:
+        sized = False
+    if not sized:
         for raw in as_tuple(members, f"{what}s"):
-            try:
-                iter(raw)
-            except TypeError:
-                raise InvalidParams(f"{what} {raw!r} is not a set of vertex ids") from None
-        raise
+            if not isinstance(raw, Collection):
+                raise InvalidParams(f"{what} {raw!r} is not a set of vertex ids")
+        raise InvalidParams(f"{what}s hold other than as many ids as their lengths")
     check_vertex_ids(n, ids)
     return ids
 
@@ -218,7 +234,7 @@ def validate_graph(d: int, n: int, edge_list: Iterable[Iterable[int]]) -> Polyto
         n=n,
         edges=tuple(canonical),
         adjacency=tuple(tuple(sorted(a)) for a in nbrs),
-        fingerprint=graph_fingerprint(d, n, canonical),
+        fingerprint=_canonical_digest(d, n, canonical),
     )
 
 

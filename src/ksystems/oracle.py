@@ -32,6 +32,7 @@ from .errors import (
 from .graphs import (
     Orientation,
     PolytopeGraph,
+    as_tuple,
     check_vertex_ids,
     first_without_unique_sink,
     induced_flaw,
@@ -43,7 +44,7 @@ from .graphs import (
     validate_graph,
     vertex_mask,
 )
-from .systems import SetSystem, vertex_sets
+from .systems import SetSystem, distinct_vertex_sets, vertex_sets
 
 
 @dataclass(frozen=True)
@@ -86,13 +87,16 @@ def make_instance(
     if not isinstance(name, str):
         raise InvalidParams("instance name must be a string")
     d, n = graph.d, graph.n
-    canon: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for t in vertex_sets(graph, facets, "facet"):
-        if t in seen:
-            raise NotSimple(f"facet {t} listed twice")
-        seen.add(t)
-        canon.append(t)
+    family = as_tuple(facets, "facets")
+    canon = distinct_vertex_sets(graph, family)
+    if canon is None:  # walk the facets to name the first fault
+        canon = []
+        seen: set[tuple[int, ...]] = set()
+        for t in vertex_sets(graph, family, "facet"):
+            if t in seen:
+                raise NotSimple(f"facet {t} listed twice")
+            seen.add(t)
+            canon.append(t)
     canon.sort()
 
     membership = _facets_through(n, canon)

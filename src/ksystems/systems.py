@@ -7,19 +7,25 @@ lies in exactly one member.  The vertex sets of the k-faces of a simple
 polytope form one; certificates revolve around comparing candidate
 families against that benchmark.
 
-Internally a frame is an integer key, its position in frame order (roots
-ascending, leaf sets in lexicographic order): :func:`frame_index` gives
-each member's keys, and validation is a pigeonhole count over them.  The
-``KFrame`` named tuples of a report (``frame_members``, ``coverage`` and
-the frame defect lines) are built from the keys only when they are read.
+Validation reads a frame as a pair (root, leaf mask): a vertex of a
+member and its neighbours inside the member as a vertex bitmask, found
+for the whole family in one pass, and the verdict is a pigeonhole count
+over those pairs.  The exact cover of :mod:`ksystems.search` reads a frame
+as an integer key, its position in frame order (roots ascending, leaf
+sets in lexicographic order), which :func:`frame_index` gives each
+member.  The ``KFrame`` named tuples of a report (``frame_members``,
+``coverage`` and the frame defect lines) are built only when they are
+read.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations, count, islice
+from itertools import accumulate, chain, combinations, compress, count, repeat
 from math import comb
+from operator import and_, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -37,6 +43,7 @@ from .graphs import (
     is_int,
     member_ids,
     neighbour_masks,
+    plain_vertex_ids,
     vertex_mask,
 )
 
@@ -74,27 +81,30 @@ class SetSystem:
 class KSystemReport:
     """Outcome of :func:`validate_k_system`.
 
-    ``set_is_regular[i]`` records whether member i induces a k-regular
-    subgraph, and ``frame_keys[i]`` lists its frames as integer keys,
-    positions in frame order (None for an irregular member; see
-    :func:`frame_index`).  ``valid`` requires all members regular and
-    every frame covered exactly once.  The ``KFrame``-keyed
+    ``set_is_regular[i]`` records whether member i of ``sets`` induces a
+    k-regular subgraph.  ``valid`` requires all members regular and every
+    frame covered exactly once.  An invalid report keeps the family's
+    frames as two flat lists in member order, ``roots`` (the vertices of
+    the members) and ``leaf_masks`` (the neighbours of each inside its
+    member, as a bitmask), which the frame part of :meth:`defect_lines`
+    reads; a valid report keeps neither.  The ``KFrame``-keyed
     ``frame_members`` (every k-frame of the graph, in frame order, with
     the indices of the regular members containing its node set) is built
-    from the keys when it is first read, and so is the frame part of
-    :meth:`defect_lines` for an invalid family.
+    from :func:`frame_index` when it is first read.
     """
 
     valid: bool
     k: int
     set_is_regular: tuple[bool, ...]
-    frame_keys: list[list[int] | None] = field(repr=False)
+    sets: Sequence[Sequence[int]] = field(repr=False)
     graph: PolytopeGraph = field(repr=False)
+    roots: list[int] = field(default_factory=list, repr=False)
+    leaf_masks: list[int] = field(default_factory=list, repr=False)
 
     @cached_property
     def _members_by_key(self) -> list[tuple[int, ...]]:
         by_key: list[tuple[int, ...]] = [()] * frame_count(self.graph, self.k)
-        for i, keys in enumerate(self.frame_keys):
+        for i, keys in enumerate(frame_index(self.graph, self.k, self.sets)):
             if keys is not None:
                 mine = (i,)  # () + mine is mine: frames covered once share it
                 for f in keys:
@@ -120,12 +130,33 @@ class KSystemReport:
             if not ok
         ]
         if not self.valid:
-            lines.extend(
-                f"frame {frame_at(self.graph, self.k, f).key()} covered {len(m)} times"
-                for f, m in enumerate(self._members_by_key)
-                if len(m) != 1
-            )
+            lines.extend(self._frame_lines())
         return lines
+
+    def _frame_lines(self) -> Iterator[str]:
+        """A line for each frame the regular members cover other than once,
+        in frame order.  A root whose frames number binom(d, k), counted
+        with and without repeats, has each exactly once; only the k-subsets
+        of the other roots' neighbours are walked."""
+        g, k = self.graph, self.k
+        roots, masks = self.roots, self.leaf_masks
+        if not all(self.set_is_regular):
+            sizes = map(len, self.sets)
+            keep = [*chain.from_iterable(map(repeat, self.set_is_regular, sizes))]
+            roots, masks = [*compress(roots, keep)], [*compress(masks, keep)]
+        covered = Counter(zip(roots, masks))
+        at_root = Counter(roots)
+        distinct = at_root  # unless a frame repeats, a root's frames are distinct
+        if len(covered) < len(roots):
+            distinct = Counter(map(itemgetter(0), covered))
+        per = comb(g.d, k)
+        for root in range(g.n):
+            if at_root[root] == per == distinct[root]:
+                continue
+            for leaves in combinations(g.adjacency[root], k):
+                times = covered[root, vertex_mask(leaves)]
+                if times != 1:
+                    yield f"frame {KFrame(root, leaves).key()} covered {times} times"
 
     def format(self) -> str:
         verdict = "VALID" if self.valid else "INVALID"
@@ -172,25 +203,61 @@ def vertex_sets(
         yield t
 
 
+def distinct_vertex_sets(g: PolytopeGraph, family: tuple) -> list[tuple[int, ...]] | None:
+    """Each member of ``family`` as a sorted tuple, in order, when one pass
+    over the whole family finds every member a list or tuple of distinct
+    vertex ids of ``g``, all of type ``int``, and no two members equal;
+    None when it finds anything else.
+
+    This is the bulk gate of :func:`make_set_system` and
+    :func:`~ksystems.oracle.make_instance`: on None they walk the family
+    with :func:`vertex_sets` and their own checks, member by member, which
+    names the first fault, or accepts a family the gate does not take
+    (members of other collection types, ids of an ``int`` subclass such
+    as ``IntEnum``).  Lists and tuples only, so that the gate reads no
+    member the walk cannot read again.
+    """
+    if not {*map(type, family)} <= {list, tuple}:
+        return None
+    try:
+        canon = [*map(tuple, map(sorted, family))]
+        ids = [*chain.from_iterable(canon)]
+        if (
+            plain_vertex_ids(g.n, ids)
+            and sum(map(len, map(set, canon))) == len(ids)
+            and len(set(canon)) == len(canon)
+        ):
+            return canon
+    except TypeError:  # ids that cannot be sorted or hashed
+        pass
+    return None
+
+
 def make_set_system(g: PolytopeGraph, k: int, sets: Iterable[Iterable[int]]) -> SetSystem:
     """Canonicalize and bind a family of vertex sets.
 
     Duplicate members are a hard error rather than a validation failure:
-    a file repeating a set is malformed, not refuted.
+    a file repeating a set is malformed, not refuted.  The family is
+    checked in bulk (:func:`distinct_vertex_sets`, and every member of at
+    least k+1 vertices); only when that fails is it walked member by
+    member to name the first fault.
     """
     if not is_int(k) or k < 0:
         raise InvalidParams(f"k must be a non-negative integer, got {k!r}")
-    canon: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for t in vertex_sets(g, sets, "set"):
-        if len(t) < k + 1:
-            raise InvalidParams(
-                f"set {t} has {len(t)} vertices; a {k}-regular subgraph needs >= {k + 1}"
-            )
-        if t in seen:
-            raise DuplicateSet(f"set {t} listed twice")
-        seen.add(t)
-        canon.append(t)
+    family = as_tuple(sets, "sets")
+    canon = distinct_vertex_sets(g, family)
+    if canon is None or min(map(len, canon), default=k + 1) <= k:
+        canon = []
+        seen: set[tuple[int, ...]] = set()
+        for t in vertex_sets(g, family, "set"):
+            if len(t) < k + 1:
+                raise InvalidParams(
+                    f"set {t} has {len(t)} vertices; a {k}-regular subgraph needs >= {k + 1}"
+                )
+            if t in seen:
+                raise DuplicateSet(f"set {t} listed twice")
+            seen.add(t)
+            canon.append(t)
     canon.sort()
     return SetSystem(k=k, sets=tuple(canon), graph_fingerprint=g.fingerprint)
 
@@ -266,8 +333,8 @@ def frame_index(
     and its neighbours inside the member.  Its keys are listed in the
     member's vertex order, each looked up in :func:`frame_key_table` by the
     bitmask of those neighbours; a vertex whose induced degree is not k
-    has no entry there.  This is the one place the frames of a family are
-    built: validation and the exact cover both read it.
+    has no entry there.  The exact cover and a report's ``frame_members``
+    read it; it builds the whole key table, so validation does not.
     """
     table = frame_key_table(g, k)
     nbr = neighbour_masks(g)
@@ -279,36 +346,51 @@ def frame_index(
     return index
 
 
-def frame_at(g: PolytopeGraph, k: int, key: int) -> KFrame:
-    """The frame with this key: the inverse of :func:`frame_key_table`."""
-    root, rank = divmod(key, comb(g.d, k))
-    return KFrame(root, next(islice(combinations(g.adjacency[root], k), rank, None)))
-
-
 def validate_k_system(g: PolytopeGraph, s: SetSystem) -> KSystemReport:
     """Check the defining property: regular members, each frame covered once.
 
-    The verdict on the family's :func:`frame_index`, by pigeonhole: with
-    every member k-regular, the family holds sum |S| frames, so it covers
-    all n * binom(d, k) of them exactly once iff that sum equals the
-    number of frames and no key repeats.  Coverage is accounted over the
-    k-regular members only; a family with an irregular member is already
-    invalid, and the per-vertex frame emission is meaningless for such
-    sets.  The member ids are checked before any frame is looked up, since
-    a :class:`SetSystem` built directly has not been through
-    :func:`make_set_system`.
+    One pass over the whole family gives each vertex of each member its
+    leaf mask, the bitmask of its neighbours inside the member; a member
+    is k-regular when every one of its leaf masks has k bits, and then
+    each (vertex, leaf mask) pair is one of its frames.  The verdict is a
+    pigeonhole count: with every member k-regular, the family holds
+    sum |S| frames, so it covers all n * binom(d, k) of them exactly once
+    iff that sum equals the number of frames and no pair repeats.
+    Coverage is accounted over the k-regular members only; a family with
+    an irregular member is already invalid, and the per-vertex frame
+    emission is meaningless for such sets.  The member ids are checked
+    before any frame is formed, since a :class:`SetSystem` built directly
+    has not been through :func:`make_set_system`.  Nothing here builds
+    the frame universe: the cost follows the family.
     """
     check_system_bound(g, s)
     check_k_range(g, s.k)
+    k = s.k
     ids = member_ids(g.n, s.sets, "set")
-    keys = frame_index(g, s.k, s.sets)
-    regular = tuple(fs is not None for fs in keys)
-    frames = frame_count(g, s.k)
+    sizes = [*map(len, s.sets)]
+    nbr = neighbour_masks(g)
+    inside = chain.from_iterable(map(repeat, map(vertex_mask, s.sets), sizes))
+    leaves = [*map(and_, inside, map(nbr.__getitem__, ids))]
+    degrees = [*map(int.bit_count, leaves)]
+    if degrees.count(k) == len(degrees):
+        regular = (True,) * len(sizes)
+    else:
+        ends = [*accumulate(sizes)]
+        regular = tuple(
+            degrees[a:b].count(k) == b - a for a, b in zip([0, *ends], ends)
+        )
+    frames = frame_count(g, k)
     valid = (
         all(regular)
         and len(ids) == frames
-        and len(set(chain.from_iterable(keys))) == frames
+        and len(set(zip(ids, leaves))) == frames
     )
     return KSystemReport(
-        valid=valid, k=s.k, set_is_regular=regular, frame_keys=keys, graph=g
+        valid=valid,
+        k=k,
+        set_is_regular=regular,
+        sets=s.sets,
+        graph=g,
+        roots=[] if valid else ids,
+        leaf_masks=[] if valid else leaves,
     )

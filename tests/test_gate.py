@@ -246,6 +246,45 @@ def test_parsers_refuse_what_the_reference_refused(name, data):
         assert got[0] != "ok", (want, got)
 
 
+def _two_faults(first, second):
+    """The facets of cube(3), which are its 2-faces, with member 1 made
+    into ``first`` and member 4 into ``second``: two faults in different
+    members."""
+    family = _lists(CUBE3.facets)
+    family[1] = first(family[1])
+    family[4] = second(family[4])
+    return family
+
+
+#: Families with two faults, each in a member of its own.
+TWO_FAULTS = {
+    "too_small_before_float": _two_faults(lambda t: t[:2], lambda t: [*t[:3], 7.5]),
+    "repeated_member_before_bool": _two_faults(
+        lambda t: _lists(CUBE3.facets)[0], lambda t: [*t[:3], True]
+    ),
+    "repeated_vertex_before_out_of_range": _two_faults(
+        lambda t: [t[0], *t[:3]], lambda t: [*t[:3], 99]
+    ),
+}
+
+
+#: The constructors that take a family, given the module and the family.
+FAMILY_CALLS = {
+    "make_set_system": lambda m, family: m.make_set_system(G, 2, family),
+    "make_instance": lambda m, family: m.make_instance("cube(3)", G, family),
+}
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("call", sorted(FAMILY_CALLS))
+@pytest.mark.parametrize("family", sorted(TWO_FAULTS))
+def test_the_first_of_two_faults_is_named(family, call, reverse):
+    members = TWO_FAULTS[family][::-1] if reverse else TWO_FAULTS[family]
+    got = outcome(FAMILY_CALLS[call], ks, members)
+    assert got[0] not in ("ok", "leak"), got
+    assert got == outcome(FAMILY_CALLS[call], ref, members)
+
+
 def test_parsers_refuse_an_empty_object_where_a_list_belongs():
     doc = _doc(fileio.set_system_doc(F2))
     for empty in ({}, ""):
@@ -479,12 +518,14 @@ def test_int_enum_vertex_ids_are_accepted(call):
     assert ID_CALLS[call](VERTEX.v7) == ID_CALLS[call](7)
 
 
-@pytest.mark.parametrize("member", [5, None, 4.5])
+@pytest.mark.parametrize("member", [5, None, 4.5, iter((4, 5, 6, 7))])
 @pytest.mark.parametrize("call", sorted(MEMBER_CALLS))
 def test_members_built_directly_must_be_collections(call, member):
-    # 5 in place of (4, 5, 6, 7) used to raise a bare TypeError
+    # 5 in place of (4, 5, 6, 7) used to raise a bare TypeError; an iterator
+    # was used up by the id check and then read as an empty member
     what, run = MEMBER_CALLS[call]
-    with pytest.raises(InvalidParams, match=f"^{what} {member!r} is not a set of vertex ids$"):
+    refusal = f"^{what} {re.escape(repr(member))} is not a set of vertex ids$"
+    with pytest.raises(InvalidParams, match=refusal):
         run(member)
 
 

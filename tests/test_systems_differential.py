@@ -1,13 +1,17 @@
 """The k-system validator agrees with the reference two-pass validator on
 mutated face families: the same verdict, regularity flags, coverage and
-defect lines, and the same refusal from ``frame_coverage``.  The frame
-keys it reads are positions in frame order."""
+defect lines, and the same refusal from ``frame_coverage``.  Verdicts and
+defect lines come without the frame key table, which only coverage
+reads; its keys are positions in frame order."""
+
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ksystems as ks
+from ksystems import systems
 from ksystems.errors import NotRegular
 from ksystems.systems import frame_key_table
 
@@ -46,12 +50,15 @@ def mutated_families(draw):
     """F_k of an instance after a few drops, additions, swaps and
     additions of arbitrary (mostly irregular) vertex sets.  A swap for a
     candidate of the same size keeps the sum of member sizes at the
-    number of frames, so only repeated frame keys can refute it."""
+    number of frames, so only repeated frame keys can refute it.  The
+    last kind adds an arbitrary set and a candidate not yet in the
+    family together, so that an irregular member and repeated frames
+    meet in one family."""
     name, k = draw(st.sampled_from(CASES))
     inst = INSTANCES[name]
     g = inst.graph
     family = list(ks.faces_from_incidence(inst, k).sets)
-    ops = ["drop", "add", "swap", "same_size", "irregular"]
+    ops = ["drop", "add", "swap", "same_size", "irregular", "irregular_and_repeated"]
     for op in draw(st.lists(st.sampled_from(ops), max_size=4)):
         if op in ("drop", "swap") and family:
             family.pop(draw(st.integers(0, len(family) - 1)))
@@ -62,9 +69,13 @@ def mutated_families(draw):
             alike = [t for t in REGULAR[(name, k)] if len(t) == size]
             if alike:  # none for an irregular member of a size no candidate has
                 family.append(draw(st.sampled_from(alike)))
-        if op == "irregular":
+        if op in ("irregular", "irregular_and_repeated"):
             vertices = st.integers(0, g.n - 1)
             family.append(tuple(sorted(draw(st.sets(vertices, min_size=k + 1)))))
+        if op == "irregular_and_repeated":
+            # on F_k, every candidate that is not a face repeats a frame
+            new = [t for t in REGULAR[(name, k)] if t not in family]
+            family.append(draw(st.sampled_from(new or REGULAR[(name, k)])))
     return g, ks.make_set_system(g, k, dict.fromkeys(family))
 
 
@@ -85,6 +96,7 @@ def test_validator_matches_reference(case):
     want = ref.validate_k_system(g, s)
     assert got.valid == want.valid
     assert got.set_is_regular == want.set_is_regular
+    assert got.defect_lines() == want.defect_lines()  # before coverage is read
     assert list(got.coverage.items()) == list(want.coverage.items())
     assert got.defect_lines() == want.defect_lines()
     assert _coverage_or_refusal(ks.frame_coverage, g, s) == _coverage_or_refusal(
@@ -126,3 +138,42 @@ def test_frame_keys_are_positions_in_frame_order(name, k):
     ]
     assert keys == list(range(ks.frame_count(g, k)))
     assert sum(map(len, table)) == len(keys)
+
+
+def _no_key_table(g, k):
+    raise AssertionError("the frame key table was built")
+
+
+def test_one_member_verdict_and_defects_skip_the_key_table(monkeypatch):
+    # one member of simplex(16), k = 8: 9 frames of the 17 * binom(16, 8)
+    # = 218 790, which the key table used to build on every call
+    g = ks.simplex(16).graph
+    s = ks.SetSystem(k=8, sets=(tuple(range(9)),), graph_fingerprint=g.fingerprint)
+    covered = {ks.KFrame(v, tuple(x for x in range(9) if x != v)) for v in range(9)}
+    want = [
+        f"frame {ks.KFrame(root, leaves).key()} covered 0 times"
+        for root in range(g.n)
+        for leaves in combinations(g.adjacency[root], 8)
+        if (root, leaves) not in covered
+    ]
+    monkeypatch.setattr(systems, "frame_key_table", _no_key_table)
+    report = ks.validate_k_system(g, s)
+    assert not report.valid
+    assert report.set_is_regular == (True,)
+    assert report.defect_lines() == want
+    assert len(want) == ks.frame_count(g, 8) - 9
+    with pytest.raises(AssertionError, match="key table was built"):
+        report.coverage
+
+
+def test_valid_verdict_skips_the_key_table(monkeypatch):
+    inst = INSTANCES["cube4"]
+    s = ks.faces_from_incidence(inst, 2)
+    monkeypatch.setattr(systems, "frame_key_table", _no_key_table)
+    report = ks.validate_k_system(inst.graph, s)
+    assert report.valid
+    assert report.set_is_regular == (True,) * len(s.sets)
+    assert report.defect_lines() == []
+    assert report.roots == report.leaf_masks == []
+    with pytest.raises(AssertionError, match="key table was built"):
+        report.frame_members
