@@ -39,7 +39,6 @@ from .graphs import (
     hk_sum,
     indegree_histogram,
     induced_flaw,
-    induced_leaves,
     member_ids,
     neighbour_masks,
     out_masks,
@@ -125,6 +124,15 @@ def _cycle_refutation(g: PolytopeGraph, o: Orientation, role: str) -> Verdict | 
     return Verdict.refuted("acyclic", f"{role} contains directed cycle {cyc}")
 
 
+def _system_refutation(g: PolytopeGraph, s: SetSystem, what: str) -> Verdict | None:
+    """REFUTED at the "k-system" check, its reason ``what`` followed by
+    the first defect of ``s``; None when ``s`` is a k-system."""
+    report = validate_k_system(g, s)
+    if report.valid:
+        return None
+    return Verdict.refuted("k-system", f"{what} ({report.first_defect()})")
+
+
 def verify_face_certificate(g: PolytopeGraph, cert: FaceCertificate) -> Verdict:
     """Check a claim that cert.claimed_sets = F_k.
 
@@ -141,11 +149,10 @@ def verify_face_certificate(g: PolytopeGraph, cert: FaceCertificate) -> Verdict:
     if cert.k != s.k:
         raise KMismatch(f"certificate k={cert.k} but set system k={s.k}")
 
-    report = validate_k_system(g, s)
-    if not report.valid:
-        first = report.defect_lines()[0]
-        return Verdict.refuted("k-system", f"claimed sets are not a k-system ({first})")
-    if (refuted := _cycle_refutation(g, o, "witness")) is not None:
+    refuted = _system_refutation(g, s, "claimed sets are not a k-system")
+    if refuted is None:
+        refuted = _cycle_refutation(g, o, "witness")
+    if refuted is not None:
         return refuted
     hk = hk_sum(indegree_histogram(g, o), cert.k)
     if len(s.sets) != hk:
@@ -166,10 +173,9 @@ def verify_larger_system(g: PolytopeGraph, s: SetSystem, s_prime: SetSystem) -> 
     check_system_bound(g, s_prime)
     if s.k != s_prime.k:
         raise KMismatch(f"systems have k={s.k} and k={s_prime.k}")
-    report = validate_k_system(g, s_prime)
-    if not report.valid:
-        first = report.defect_lines()[0]
-        return Verdict.refuted("k-system", f"competitor is not a k-system ({first})")
+    refuted = _system_refutation(g, s_prime, "competitor is not a k-system")
+    if refuted is not None:
+        return refuted
     if len(s_prime.sets) <= len(s.sets):
         return Verdict.refuted(
             "count",
@@ -196,11 +202,10 @@ def verify_aof_certificate(g: PolytopeGraph, cert: AofCertificate) -> Verdict:
     if s.k != 2:
         raise KMismatch(f"witness must be a 2-system, got k={s.k}")
 
-    report = validate_k_system(g, s)
-    if not report.valid:
-        first = report.defect_lines()[0]
-        return Verdict.refuted("k-system", f"witness is not a 2-system ({first})")
-    if (refuted := _cycle_refutation(g, o, "candidate")) is not None:
+    refuted = _system_refutation(g, s, "witness is not a 2-system")
+    if refuted is None:
+        refuted = _cycle_refutation(g, o, "candidate")
+    if refuted is not None:
         return refuted
     h2 = hk_sum(indegree_histogram(g, o), 2)
     if len(s.sets) != h2:
@@ -278,9 +283,7 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
         raise KMismatch(f"expected a 2-system, got k={f2.k}")
     report = validate_k_system(g, f2)
     if not report.valid:
-        raise NotCycleSystem(
-            f"not a valid 2-system: {report.defect_lines()[0]}"
-        )
+        raise NotCycleSystem(f"not a valid 2-system: {report.first_defect()}")
 
     # step[u][m][w], for the other neighbours w of u in adjacency order:
     # the neighbour of w missed by the facet that misses m at u, that is
@@ -290,14 +293,16 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
         {m: dict.fromkeys(w for w in nbrs if w != m) for m in nbrs}
         for nbrs in g.adjacency
     ]
+    nbr = neighbour_masks(g)
     for i, t in enumerate(f2.sets):
         # a 2-regular member is connected when the walk around the cycle
-        # through t[0] takes in all of it
-        leaves = dict(zip(t, induced_leaves(g, t)))
-        cycle = [t[0], leaves[t[0]][0]]
+        # through t[0], first to its lower neighbour in t, takes in all of it
+        mask = vertex_mask(t)
+        ends = nbr[t[0]] & mask
+        cycle = [t[0], (ends & -ends).bit_length() - 1]
         while True:
-            x, y = leaves[cycle[-1]]
-            if (nxt := y if x == cycle[-2] else x) == t[0]:
+            ends = nbr[cycle[-1]] & mask
+            if (nxt := (ends ^ 1 << cycle[-2]).bit_length() - 1) == t[0]:
                 break
             cycle.append(nxt)
         if len(cycle) < len(t):
@@ -341,7 +346,6 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
                     vertex_count[v] += 1
 
     found = sorted(facets)
-    nbr = neighbour_masks(g)
     for t in found:
         if induced_flaw(nbr, t, g.d - 1, connected=False):
             raise InconsistentTransport(

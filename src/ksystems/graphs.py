@@ -238,17 +238,6 @@ def validate_graph(d: int, n: int, edge_list: Iterable[Iterable[int]]) -> Polyto
     )
 
 
-def induced_leaves(g: PolytopeGraph, t: Sequence[int]) -> list[tuple[int, ...]]:
-    """For each vertex of ``t``, in order, its neighbours inside ``t``.
-
-    These are the leaves of the one frame each vertex spans in the
-    subgraph induced on ``t``; its induced degree is their number.
-    """
-    inside = set(t).__contains__
-    adj = g.adjacency
-    return [tuple(filter(inside, adj[v])) for v in t]
-
-
 def neighbour_masks(g: PolytopeGraph) -> list[int]:
     """The neighbours of each vertex as a bitmask (bit w for the edge to w)."""
     bit = [1 << v for v in range(g.n)].__getitem__

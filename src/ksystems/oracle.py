@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -77,12 +78,12 @@ def make_instance(
     """Canonicalize and cross-check an instance (see :class:`Instance`).
 
     Adjacent vertices must share d-1 facets and no other pair may.  That
-    is checked without visiting every vertex pair: each edge is checked,
-    and each vertex is filed under each (d-1)-subset of its d facets, so
-    the pairs sharing d-1 facets are the pairs filed together (on a simple
-    polytope, its edges).  That is O(n * d) filings and checks.  Of the
-    bad pairs, the smallest (u, v) is reported, as a loop over all pairs
-    would report it.
+    is checked without visiting every vertex pair: each vertex is filed
+    under each (d-1)-subset of its d facets, so the pairs sharing d-1
+    facets are the pairs filed together exactly once (on a simple
+    polytope, its edges), and each edge is looked up among them.  That is
+    O(n * d) filings and checks.  Of the bad pairs, the smallest (u, v) is
+    reported, as a loop over all pairs would report it.
     """
     if not isinstance(name, str):
         raise InvalidParams("instance name must be a string")
@@ -114,20 +115,22 @@ def make_instance(
         if flaw == "connected":
             raise NotSimple(f"facet #{i} induces a disconnected subgraph")
 
-    def shared(u: int, v: int) -> int:
-        return len(set(membership[u]).intersection(membership[v]))
-
-    bad = [
-        ((u, v), f"edge ({u},{v}) shares {shared(u, v)} facets, expected {d - 1}")
-        for u, v in graph.edges
-        if shared(u, v) != d - 1
-    ]
-    edges = set(graph.edges)
+    # every vertex lies on d facets, so a pair sharing s >= d-1 of them is
+    # filed together C(s, d-1) times: once for s = d-1, d times for s = d
+    filed: Counter[tuple[int, int]] = Counter()
+    for group in _meets(membership, d - 1).values():
+        filed.update(combinations(group, 2))
+    bad = []
+    for u, v in graph.edges:
+        if (times := filed.pop((u, v), 0)) != 1:
+            shared = d if times else len({*membership[u]} & {*membership[v]})
+            bad.append(
+                ((u, v), f"edge ({u},{v}) shares {shared} facets, expected {d - 1}")
+            )
     bad.extend(
         ((u, v), f"non-adjacent pair ({u},{v}) shares {d - 1} facets")
-        for group in _meets(membership, d - 1).values()
-        for u, v in combinations(group, 2)
-        if (u, v) not in edges and shared(u, v) == d - 1
+        for (u, v), times in filed.items()
+        if times == 1
     )
     if bad:
         raise NotSimple(min(bad)[1])

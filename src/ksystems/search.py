@@ -10,18 +10,19 @@ over the n masks.
 k-system enumeration is exact cover over the frame universe: candidate
 member sets are the connected induced k-regular subgraphs, grown and
 pruned over vertex bitmasks, and a family covers every frame exactly
-once iff it is a k-system.  Frames are the
-integer keys of :func:`ksystems.systems.frame_index` (positions in frame
-order), the index validation is built on, and the cover is Algorithm X
-over integer bitmasks: one int for the frames still uncovered, one mask
-of frames per candidate and one mask of candidates per frame.  Merged
-variants of a cover are generated lazily, so ``count_cap`` bounds them.
+once iff it is a k-system.  Here, and only here, a frame is an integer
+key, its position in frame order (roots ascending, leaf sets in
+lexicographic order), and the cover is Algorithm X over integer
+bitmasks: one int for the frames still uncovered, one mask of frames per
+candidate and one mask of candidates per frame.  Merged variants of a
+cover are generated lazily, so ``count_cap`` bounds them.
 """
 
 from __future__ import annotations
 
 from functools import cache, partial, reduce
-from itertools import islice
+from itertools import combinations, count, islice
+from math import comb
 from operator import itemgetter, or_
 from typing import Iterator
 
@@ -42,7 +43,6 @@ from .systems import (
     SetSystem,
     check_k_range,
     frame_count,
-    frame_index,
     validate_k_system,
 )
 
@@ -242,11 +242,25 @@ def _bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _frame_keys(g: PolytopeGraph, k: int) -> list[dict[int, int]]:
+    """The key table: for each vertex, the vertex bitmask of each k-subset
+    of its neighbours mapped to the key of that frame, its position in
+    frame order: ``root * binom(d, k)`` plus the rank of its leaf set
+    among the k-subsets of the root's neighbours."""
+    per = comb(g.d, k)
+    bits = [1 << v for v in range(g.n)]
+    return [
+        dict(zip(map(sum, combinations([bits[x] for x in nbrs], k)), count(v * per)))
+        for v, nbrs in enumerate(g.adjacency)
+    ]
+
+
 def _cover_index(
     g: PolytopeGraph, k: int, candidates: list[tuple[int, ...]]
 ) -> tuple[list[int], list[int], list[int]]:
-    """The exact-cover matrix as bitmasks, from
-    :func:`~ksystems.systems.frame_index` (every candidate is k-regular).
+    """The exact-cover matrix as bitmasks.  A k-regular candidate holds
+    one frame per vertex, the vertex and its neighbours inside the
+    candidate, looked up in :func:`_frame_keys` by their bitmask.
 
     Returns each candidate's frames (a mask over frame keys), each
     frame's candidates (a mask over candidate indices), and the
@@ -254,7 +268,12 @@ def _cover_index(
     itself included).
     """
     frame_cands = [0] * frame_count(g, k)
-    cand_keys = frame_index(g, k, candidates)
+    table = _frame_keys(g, k)
+    nbr = neighbour_masks(g)
+    cand_keys = [
+        [table[v][inside & nbr[v]] for v in t]
+        for t, inside in zip(candidates, map(vertex_mask, candidates))
+    ]
     for i, keys in enumerate(cand_keys):
         for f in keys:
             frame_cands[f] |= 1 << i

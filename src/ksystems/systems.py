@@ -7,15 +7,13 @@ lies in exactly one member.  The vertex sets of the k-faces of a simple
 polytope form one; certificates revolve around comparing candidate
 families against that benchmark.
 
-Validation reads a frame as a pair (root, leaf mask): a vertex of a
-member and its neighbours inside the member as a vertex bitmask, found
-for the whole family in one pass, and the verdict is a pigeonhole count
-over those pairs.  The exact cover of :mod:`ksystems.search` reads a frame
-as an integer key, its position in frame order (roots ascending, leaf
-sets in lexicographic order), which :func:`frame_index` gives each
-member.  The ``KFrame`` named tuples of a report (``frame_members``,
+Here a frame is a pair (root, leaf mask): a vertex of a member and its
+neighbours inside the member as a vertex bitmask, found for the whole
+family in one pass, and the verdict is a pigeonhole count over those
+pairs.  The ``KFrame`` named tuples of a report (``frame_members``,
 ``coverage`` and the frame defect lines) are built only when they are
-read.
+read, and the defect lines one at a time, so a refutation that shows
+the first pays for no other.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, combinations, compress, count, repeat
+from itertools import accumulate, chain, combinations, compress, repeat
 from math import comb
 from operator import and_, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -86,11 +84,12 @@ class KSystemReport:
     frame covered exactly once.  An invalid report keeps the family's
     frames as two flat lists in member order, ``roots`` (the vertices of
     the members) and ``leaf_masks`` (the neighbours of each inside its
-    member, as a bitmask), which the frame part of :meth:`defect_lines`
-    reads; a valid report keeps neither.  The ``KFrame``-keyed
-    ``frame_members`` (every k-frame of the graph, in frame order, with
-    the indices of the regular members containing its node set) is built
-    from :func:`frame_index` when it is first read.
+    member, as a bitmask), which the frame defect lines and
+    ``frame_members`` read; a valid report keeps neither and forms them
+    again, with the pass validation makes, when ``frame_members`` is
+    read.  ``frame_members`` holds every k-frame of the graph, in frame
+    order, with the indices of the regular members containing its node
+    set.
     """
 
     valid: bool
@@ -101,21 +100,33 @@ class KSystemReport:
     roots: list[int] = field(default_factory=list, repr=False)
     leaf_masks: list[int] = field(default_factory=list, repr=False)
 
-    @cached_property
-    def _members_by_key(self) -> list[tuple[int, ...]]:
-        by_key: list[tuple[int, ...]] = [()] * frame_count(self.graph, self.k)
-        for i, keys in enumerate(frame_index(self.graph, self.k, self.sets)):
-            if keys is not None:
-                mine = (i,)  # () + mine is mine: frames covered once share it
-                for f in keys:
-                    by_key[f] += mine
-        return by_key
+    def _regular_frames(self) -> tuple[Iterator[int], list[int], list[int]]:
+        """The frames of the regular members in member order: the index of
+        the member (an iterator, read only by ``frame_members``), the root
+        and the leaf mask."""
+        roots, masks = self.roots, self.leaf_masks
+        if self.valid:
+            roots, masks, _ = _member_frames(self.graph, self.k, self.sets)
+        sizes = [*map(len, self.sets)]
+        owners = chain.from_iterable(map(repeat, range(len(sizes)), sizes))
+        if all(self.set_is_regular):
+            return owners, roots, masks
+        keep = [*chain.from_iterable(map(repeat, self.set_is_regular, sizes))]
+        roots, masks = [*compress(roots, keep)], [*compress(masks, keep)]
+        return compress(owners, keep), roots, masks
 
     @cached_property
     def frame_members(self) -> dict[KFrame, tuple[int, ...]]:
         """Every k-frame, in frame order, with the indices of the regular
         members containing it."""
-        return dict(zip(enumerate_k_frames(self.graph, self.k), self._members_by_key))
+        owners, roots, masks = self._regular_frames()
+        held: dict[tuple[int, int], tuple[int, ...]] = {}
+        for i, pair in zip(owners, zip(roots, masks)):
+            held[pair] = held.get(pair, ()) + (i,)
+        return {
+            f: held.get((f.root, vertex_mask(f.leaves)), ())
+            for f in enumerate_k_frames(self.graph, self.k)
+        }
 
     @property
     def coverage(self) -> dict[KFrame, int]:
@@ -124,26 +135,31 @@ class KSystemReport:
         return {f: len(m) for f, m in self.frame_members.items()}
 
     def defect_lines(self) -> list[str]:
-        lines = [
-            f"set #{i} not {self.k}-regular"
-            for i, ok in enumerate(self.set_is_regular)
-            if not ok
-        ]
-        if not self.valid:
-            lines.extend(self._frame_lines())
-        return lines
+        """Every defect: a line for each member that is not k-regular, then
+        one for each frame the regular members cover other than once, in
+        frame order.  Empty for a valid report."""
+        return [*self._defects()]
 
-    def _frame_lines(self) -> Iterator[str]:
-        """A line for each frame the regular members cover other than once,
-        in frame order.  A root whose frames number binom(d, k), counted
-        with and without repeats, has each exactly once; only the k-subsets
-        of the other roots' neighbours are walked."""
+    def first_defect(self) -> str | None:
+        """The first of :meth:`defect_lines`, or None for a valid report.
+
+        The lines come one at a time, so this forms only the first: its
+        cost follows the family, as validation's does, not the frame
+        universe."""
+        return next(self._defects(), None)
+
+    def _defects(self) -> Iterator[str]:
+        """The lines of :meth:`defect_lines`, in order.  A root whose frames
+        number binom(d, k), counted with and without repeats, has each
+        exactly once; only the k-subsets of the other roots' neighbours
+        are walked."""
         g, k = self.graph, self.k
-        roots, masks = self.roots, self.leaf_masks
-        if not all(self.set_is_regular):
-            sizes = map(len, self.sets)
-            keep = [*chain.from_iterable(map(repeat, self.set_is_regular, sizes))]
-            roots, masks = [*compress(roots, keep)], [*compress(masks, keep)]
+        for i, ok in enumerate(self.set_is_regular):
+            if not ok:
+                yield f"set #{i} not {k}-regular"
+        if self.valid:
+            return
+        _, roots, masks = self._regular_frames()
         covered = Counter(zip(roots, masks))
         at_root = Counter(roots)
         distinct = at_root  # unless a frame repeats, a root's frames are distinct
@@ -296,54 +312,14 @@ def frame_coverage(g: PolytopeGraph, s: SetSystem) -> dict[KFrame, int]:
     Each member contributes exactly one frame per vertex (the vertex plus
     its neighbours inside the set), which is why members must be
     k-regular: families where that accounting would not make sense are
-    rejected.  Cost is O(sum |S| * k), not frames-times-members.
+    rejected.  Cost is O(sum |S|) for the family plus O(k) for each of
+    the n * binom(d, k) frames listed, not frames-times-members.
     """
     report = validate_k_system(g, s)
     for i, ok in enumerate(report.set_is_regular):
         if not ok:
             raise NotRegular(f"set #{i} is not {s.k}-regular")
     return report.coverage
-
-
-def frame_key_table(g: PolytopeGraph, k: int) -> list[dict[int, int]]:
-    """The key table: for each vertex, the vertex bitmask of each k-subset
-    of its neighbours mapped to the key of that frame.
-
-    A frame's key is its position in frame order (see
-    :func:`enumerate_k_frames`): ``root * binom(d, k)`` plus the rank of
-    its leaf set among the k-subsets of the root's neighbours.  Raises
-    KOutOfRange unless 2 <= k <= d-1.
-    """
-    check_k_range(g, k)
-    per = comb(g.d, k)
-    bits = [1 << v for v in range(g.n)]
-    return [
-        dict(zip(map(sum, combinations([bits[x] for x in nbrs], k)), count(v * per)))
-        for v, nbrs in enumerate(g.adjacency)
-    ]
-
-
-def frame_index(
-    g: PolytopeGraph, k: int, members: Sequence[Sequence[int]]
-) -> list[list[int] | None]:
-    """The frame keys of each member, or None for a member that is not
-    k-regular.
-
-    A k-regular member contains exactly one frame per vertex: the vertex
-    and its neighbours inside the member.  Its keys are listed in the
-    member's vertex order, each looked up in :func:`frame_key_table` by the
-    bitmask of those neighbours; a vertex whose induced degree is not k
-    has no entry there.  The exact cover and a report's ``frame_members``
-    read it; it builds the whole key table, so validation does not.
-    """
-    table = frame_key_table(g, k)
-    nbr = neighbour_masks(g)
-    index: list[list[int] | None] = []
-    for t in members:
-        inside = vertex_mask(t)
-        keys = [table[v].get(inside & nbr[v]) for v in t]
-        index.append(None if None in keys else keys)
-    return index
 
 
 def validate_k_system(g: PolytopeGraph, s: SetSystem) -> KSystemReport:
@@ -364,22 +340,8 @@ def validate_k_system(g: PolytopeGraph, s: SetSystem) -> KSystemReport:
     the frame universe: the cost follows the family.
     """
     check_system_bound(g, s)
-    check_k_range(g, s.k)
-    k = s.k
-    ids = member_ids(g.n, s.sets, "set")
-    sizes = [*map(len, s.sets)]
-    nbr = neighbour_masks(g)
-    inside = chain.from_iterable(map(repeat, map(vertex_mask, s.sets), sizes))
-    leaves = [*map(and_, inside, map(nbr.__getitem__, ids))]
-    degrees = [*map(int.bit_count, leaves)]
-    if degrees.count(k) == len(degrees):
-        regular = (True,) * len(sizes)
-    else:
-        ends = [*accumulate(sizes)]
-        regular = tuple(
-            degrees[a:b].count(k) == b - a for a, b in zip([0, *ends], ends)
-        )
-    frames = frame_count(g, k)
+    frames = frame_count(g, s.k)
+    ids, leaves, regular = _member_frames(g, s.k, s.sets)
     valid = (
         all(regular)
         and len(ids) == frames
@@ -387,10 +349,32 @@ def validate_k_system(g: PolytopeGraph, s: SetSystem) -> KSystemReport:
     )
     return KSystemReport(
         valid=valid,
-        k=k,
+        k=s.k,
         set_is_regular=regular,
         sets=s.sets,
         graph=g,
         roots=[] if valid else ids,
         leaf_masks=[] if valid else leaves,
     )
+
+
+def _member_frames(
+    g: PolytopeGraph, k: int, sets: Sequence[Sequence[int]]
+) -> tuple[list[int], list[int], tuple[bool, ...]]:
+    """The one pass over a family: the vertices of its members (their ids
+    checked), flat in member order, the leaf mask of each inside its
+    member, and whether each member is k-regular, that is whether all its
+    leaf masks have k bits."""
+    ids = member_ids(g.n, sets, "set")
+    sizes = [*map(len, sets)]
+    nbr = neighbour_masks(g)
+    inside = chain.from_iterable(map(repeat, map(vertex_mask, sets), sizes))
+    leaves = [*map(and_, inside, map(nbr.__getitem__, ids))]
+    degrees = [*map(int.bit_count, leaves)]
+    if degrees.count(k) == len(degrees):
+        return ids, leaves, (True,) * len(sizes)
+    ends = [*accumulate(sizes)]
+    regular = tuple(
+        degrees[a:b].count(k) == b - a for a, b in zip([0, *ends], ends)
+    )
+    return ids, leaves, regular

@@ -10,8 +10,8 @@ Differential tests compare the package with three functions of it:
 - ``facets_from_2faces`` runs the transport closure from every one of the
   n*d seeds, so it rebuilds each facet once per state in it.
 
-The checks on caller data, the k-system validator, the set-system
-constructor and ``induced_leaves`` come from the package; the set-based
+The checks on caller data, the k-system validator and the set-system
+constructor come from the package; ``induced_leaves`` and the set-based
 tests of an induced subgraph come from ``reference_induced``.
 """
 
@@ -29,7 +29,7 @@ from ksystems.errors import (
     NotCycleSystem,
     NotSimple,
 )
-from ksystems.graphs import induced_leaves, is_int
+from ksystems.graphs import is_int
 from ksystems.oracle import Instance, _rational_rows
 from ksystems.systems import (
     check_system_bound,
@@ -38,7 +38,7 @@ from ksystems.systems import (
     vertex_sets,
 )
 
-from reference_induced import induces_connected, is_k_regular_set
+from reference_induced import induced_leaves, induces_connected, is_k_regular_set
 
 
 def make_instance(name, graph, facets, coords=None):

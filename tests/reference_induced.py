@@ -2,15 +2,22 @@
 written over vertex bitmasks, kept as a reference.
 
 Differential tests compare :func:`ksystems.graphs.induced_flaw` and the
-face code built on it with these two: ``is_k_regular_set`` lists each
-vertex's neighbours inside the set, and ``induces_connected`` is a
-breadth-first search over a Python set.  Only the id checks come from
-the package.
+face code built on it with these: ``induced_leaves`` and
+``is_k_regular_set`` list each vertex's neighbours inside the set, and
+``induces_connected`` is a breadth-first search over a Python set.  The
+reference ``facets_from_2faces`` walks its 2-faces with
+``induced_leaves``.  Only the id checks come from the package.
 """
 
 from __future__ import annotations
 
 from ksystems.graphs import as_tuple, check_vertex_ids
+
+
+def induced_leaves(g, t):
+    """For each vertex of ``t``, in order, its neighbours inside ``t``."""
+    inside = set(t).__contains__
+    return [tuple(filter(inside, g.adjacency[v])) for v in t]
 
 
 def is_k_regular_set(g, t, k):

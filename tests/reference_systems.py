@@ -12,8 +12,8 @@ Differential tests compare the package with three pieces of it:
   variants and the set-system constructor come from the package.
 - ``facets_from_2faces`` from before the corner map was read from the
   validator's frame index: it keys corners by ``(v, frozenset(pair))``
-  and checks its members with the 0.1.0 code above.  ``induced_leaves``
-  and the set-system constructor come from the package, and the
+  and checks its members with the 0.1.0 code above.  The set-system
+  constructor comes from the package, and ``induced_leaves`` and the
   set-based connectivity test from ``reference_induced``.
 """
 
@@ -29,7 +29,6 @@ from ksystems.errors import (
     NotCycleSystem,
     NotRegular,
 )
-from ksystems.graphs import induced_leaves
 from ksystems.search import _merged_variants, connected_k_regular_sets
 from ksystems.systems import (
     KFrame,
@@ -39,7 +38,7 @@ from ksystems.systems import (
     make_set_system,
 )
 
-from reference_induced import induces_connected
+from reference_induced import induced_leaves, induces_connected
 
 
 @dataclass

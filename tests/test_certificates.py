@@ -1,9 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 import ksystems as ks
-from ksystems import certificates
+from ksystems import certificates, systems
 from ksystems.errors import (
     DimensionTooSmall,
     InconsistentTransport,
@@ -79,6 +80,29 @@ def test_face_certificate_refutes_bad_system(cube3):
     assert not verdict.verified
     assert verdict.failed_check == "k-system"
     assert verdict.format().startswith("REFUTED")
+
+
+def test_k_system_refutation_stops_at_the_first_defect(monkeypatch):
+    # one member of simplex(16), k = 8, against 17 * binom(16, 8) = 218 790
+    # frames: root 0's first leaf set is the member's frame and its second
+    # the first defect, so two k-subsets are drawn, not one per frame
+    g = ks.simplex(16).graph
+    s = ks.SetSystem(k=8, sets=(tuple(range(9)),), graph_fingerprint=g.fingerprint)
+    cert = ks.FaceCertificate(8, s, ks.make_orientation(g, [1] * len(g.edges)))
+    drawn = []
+
+    def combinations(pool, r):
+        for leaves in itertools.combinations(pool, r):
+            drawn.append(leaves)
+            yield leaves
+
+    monkeypatch.setattr(systems, "combinations", combinations)
+    assert ks.verify_face_certificate(g, cert) == ks.Verdict(
+        False,
+        "k-system",
+        "claimed sets are not a k-system (frame (0|1,2,3,4,5,6,7,9) covered 0 times)",
+    )
+    assert len(drawn) == 2
 
 
 def test_face_certificate_refutes_cyclic_witness(simplex3):

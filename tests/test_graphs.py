@@ -16,9 +16,10 @@ from ksystems.errors import (
     NotRegular,
     SelfLoop,
 )
-from ksystems.graphs import induced_flaw, induced_leaves, neighbour_masks
+from ksystems.graphs import induced_flaw, neighbour_masks
 
 import reference_search as ref
+from reference_induced import induced_leaves
 from conftest import cycle_graph
 
 

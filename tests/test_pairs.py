@@ -1,0 +1,40 @@
+"""The verdicts of ``tools/pairs.py`` on made-up runs of ten pairs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+PATH = Path(__file__).resolve().parents[1] / "tools" / "pairs.py"
+spec = importlib.util.spec_from_file_location("pairs", PATH)
+pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(pairs)
+
+HIGHER = {"name": "ops_per_s", "better": "higher", "bound": 0.25}
+LOWER = {"name": "op_p50_ms", "better": "lower", "bound": 0.25}
+PARENT = [100.0, 101, 102, 103, 104, 105, 106, 107, 108, 109]  # quartiles 102.25, 106.75
+WIDE = [60.0] * 3 + [104, 105] * 2 + [150.0] * 3  # quartiles 71, 138.75; median 104.5
+
+
+@pytest.mark.parametrize(
+    "metric,parent,change,more_failed,want",
+    [
+        # all ten pairs won, median 110 above 104.5 by more than 4.5
+        (HIGHER, PARENT, [x + 10 for x in PARENT], False, (10, "gain")),
+        (HIGHER, PARENT, [x + 10 for x in PARENT], True, (10, "no gain")),
+        # eight of ten won: not nine in ten
+        (HIGHER, PARENT, [x + 10 for x in PARENT[:8]] + PARENT[8:], False, (8, "no gain")),
+        # every pair won, by less than the quartile distance
+        (HIGHER, PARENT, [x + 1 for x in PARENT], False, (10, "no gain")),
+        (HIGHER, PARENT, [x * 0.7 for x in PARENT], False, (0, "worse")),
+        (LOWER, PARENT, [x * 1.3 for x in PARENT], False, (0, "worse")),
+        (LOWER, PARENT, [x - 10 for x in PARENT], False, (10, "gain")),
+        # the parent's quartiles lie further apart than a quarter of its median
+        (HIGHER, WIDE, [104.5] * 10, False, (5, "unresolved")),
+        # ... unless every run of the change beats every run of the parent
+        (LOWER, WIDE, [59.0] * 10, False, (10, "no gain")),
+        (LOWER, WIDE, [61.0] * 10, False, (7, "unresolved")),
+    ],
+)
+def test_verdict(metric, parent, change, more_failed, want):
+    assert pairs.verdict(metric, parent, change, more_failed) == want

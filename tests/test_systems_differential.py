@@ -1,8 +1,8 @@
 """The k-system validator agrees with the reference two-pass validator on
 mutated face families: the same verdict, regularity flags, coverage and
-defect lines, and the same refusal from ``frame_coverage``.  Verdicts and
-defect lines come without the frame key table, which only coverage
-reads; its keys are positions in frame order."""
+defect lines, and the same refusal from ``frame_coverage``; the first
+defect is the first line.  The frame keys of the exact cover are
+positions in frame order."""
 
 from itertools import combinations
 
@@ -11,9 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ksystems as ks
-from ksystems import systems
 from ksystems.errors import NotRegular
-from ksystems.systems import frame_key_table
+from ksystems.search import _frame_keys
 
 import reference_systems as ref
 
@@ -97,6 +96,7 @@ def test_validator_matches_reference(case):
     assert got.valid == want.valid
     assert got.set_is_regular == want.set_is_regular
     assert got.defect_lines() == want.defect_lines()  # before coverage is read
+    assert got.first_defect() == (got.defect_lines() or [None])[0]
     assert list(got.coverage.items()) == list(want.coverage.items())
     assert got.defect_lines() == want.defect_lines()
     assert _coverage_or_refusal(ks.frame_coverage, g, s) == _coverage_or_refusal(
@@ -132,7 +132,7 @@ def test_equal_total_family_with_repeated_frames_is_invalid(cube3):
 @pytest.mark.parametrize("name,k", CASES)
 def test_frame_keys_are_positions_in_frame_order(name, k):
     g = INSTANCES[name].graph
-    table = frame_key_table(g, k)
+    table = _frame_keys(g, k)
     keys = [
         table[f.root][sum(1 << x for x in f.leaves)] for f in ks.enumerate_k_frames(g, k)
     ]
@@ -140,13 +140,9 @@ def test_frame_keys_are_positions_in_frame_order(name, k):
     assert sum(map(len, table)) == len(keys)
 
 
-def _no_key_table(g, k):
-    raise AssertionError("the frame key table was built")
-
-
-def test_one_member_verdict_and_defects_skip_the_key_table(monkeypatch):
+def test_one_member_verdict_and_defects_skip_the_key_table():
     # one member of simplex(16), k = 8: 9 frames of the 17 * binom(16, 8)
-    # = 218 790, which the key table used to build on every call
+    # = 218 790
     g = ks.simplex(16).graph
     s = ks.SetSystem(k=8, sets=(tuple(range(9)),), graph_fingerprint=g.fingerprint)
     covered = {ks.KFrame(v, tuple(x for x in range(9) if x != v)) for v in range(9)}
@@ -156,24 +152,18 @@ def test_one_member_verdict_and_defects_skip_the_key_table(monkeypatch):
         for leaves in combinations(g.adjacency[root], 8)
         if (root, leaves) not in covered
     ]
-    monkeypatch.setattr(systems, "frame_key_table", _no_key_table)
     report = ks.validate_k_system(g, s)
     assert not report.valid
     assert report.set_is_regular == (True,)
     assert report.defect_lines() == want
     assert len(want) == ks.frame_count(g, 8) - 9
-    with pytest.raises(AssertionError, match="key table was built"):
-        report.coverage
 
 
-def test_valid_verdict_skips_the_key_table(monkeypatch):
+def test_valid_verdict_skips_the_key_table():
     inst = INSTANCES["cube4"]
     s = ks.faces_from_incidence(inst, 2)
-    monkeypatch.setattr(systems, "frame_key_table", _no_key_table)
     report = ks.validate_k_system(inst.graph, s)
     assert report.valid
     assert report.set_is_regular == (True,) * len(s.sets)
     assert report.defect_lines() == []
     assert report.roots == report.leaf_masks == []
-    with pytest.raises(AssertionError, match="key table was built"):
-        report.frame_members

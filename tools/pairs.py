@@ -9,11 +9,15 @@ each metric of ``BENCHMARK.json`` (read from the change), the median and
 quartiles of each side, the number of pairs the change won (ties count
 for neither side) and a verdict:
 
-* ``gain`` when the change won at least nine tenths of the pairs and its
+* ``gain`` when the change won at least nine tenths of the pairs, its
   median is better than the parent's by more than the distance between
-  the parent's quartiles;
+  the parent's quartiles, and it failed no more ops than the parent;
 * ``worse`` when the change's median is worse than the parent's by more
   than the metric's bound, a fraction of the parent's median;
+* ``unresolved`` when the distance between the parent's quartiles is
+  more than that bound, so the runs spread too widely to call the
+  metric unchanged, unless every run of the change is better than every
+  run of the parent;
 * ``no gain`` otherwise.
 
 Failed ops are counted per side.  A run that prints no result stops the
@@ -61,16 +65,27 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def verdict(metric: dict, parent: list[float], change: list[float]) -> tuple[int, str]:
-    """Pairs won by the change and the verdict, as described above."""
+def verdict(
+    metric: dict, parent: list[float], change: list[float], more_failed: bool
+) -> tuple[int, str]:
+    """Pairs won by the change and the verdict, as described above;
+    ``more_failed`` says the change failed more ops than the parent."""
     sign = 1 if metric["better"] == "higher" else -1
     won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     p1, pmed, p3 = quartiles(parent)
     cmed = statistics.median(change)
-    if 10 * won >= 9 * len(parent) and sign * (cmed - pmed) > p3 - p1:
+    bound = metric["bound"] * pmed
+    if (
+        10 * won >= 9 * len(parent)
+        and sign * (cmed - pmed) > p3 - p1
+        and not more_failed
+    ):
         return won, "gain"
-    if -sign * (cmed - pmed) > metric["bound"] * pmed:
+    if -sign * (cmed - pmed) > bound:
         return won, "worse"
+    beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
+    if p3 - p1 > bound and not beats_all:
+        return won, "unresolved"
     return won, "no gain"
 
 
@@ -100,6 +115,8 @@ def main(argv: list[str]) -> int:
             )
             print(f"pair {i + 1} seed {seed} {side}: {shown}", flush=True)
 
+    failed = {side: sum(r["failed"] for r in runs[side]) for side in sides}
+    more_failed = failed["change"] > failed["parent"]
     print(f"\n{args.workload}: {args.pairs} pairs of {seconds:g} s")
     print(f"{'metric':<14}{'parent median [q1, q3]':>30}{'change median [q1, q3]':>30}"
           f"{'won':>6}  verdict")
@@ -107,16 +124,15 @@ def main(argv: list[str]) -> int:
         name = m["name"]
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
-        won, said = verdict(m, parent, change)
+        won, said = verdict(m, parent, change, more_failed)
         cells = []
         for values in (parent, change):
             q1, q2, q3 = quartiles(values)
             cells.append(f"{q2:.4g} [{q1:.4g}, {q3:.4g}]")
         print(f"{name:<14}{cells[0]:>30}{cells[1]:>30}{won:>4}/{args.pairs}  {said}")
     for side in sides:
-        failed = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])
-        print(f"{side}: {failed} of {attempted} ops failed")
+        print(f"{side}: {failed[side]} of {attempted} ops failed")
     return 0
 
 
