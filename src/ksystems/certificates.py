@@ -24,7 +24,6 @@ from collections import deque
 
 from .errors import (
     DimensionTooSmall,
-    FingerprintMismatch,
     InconsistentTransport,
     InvalidParams,
     KMismatch,

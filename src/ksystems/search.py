@@ -4,9 +4,12 @@ Everything here is brute force with budgets, meant for desk-scale
 instances.  Orientation enumeration walks edge directions in BFS order
 and prunes any partial assignment that already closes a directed cycle,
 so leaves of the search are exactly the acyclic orientations.  The cycle
-test reads a reachability closure kept per depth as one vertex bitmask
-per vertex, so trying an edge costs one bit test and taking it one pass
-over the n masks.
+test reads a reachability closure kept per depth as one integer of n * n
+bits, a row of n bits per vertex, so trying an edge costs one bit test
+and taking it a few operations on that integer: a shift and mask pick
+the rows that gain, and one multiplication writes the gained row into
+each of them.  ``minimize_hk`` and the k-sink search follow the stream
+by the edges whose heads changed from one orientation to the next.
 k-system enumeration is exact cover over the frame universe: candidate
 member sets are the connected induced k-regular subgraphs, grown and
 pruned over vertex bitmasks, and a family covers every frame exactly
@@ -21,9 +24,9 @@ cover are generated lazily, so ``count_cap`` bounds them.
 from __future__ import annotations
 
 from functools import cache, partial, reduce
-from itertools import combinations, count, islice
+from itertools import chain, combinations, compress, count, islice
 from math import comb
-from operator import itemgetter, or_
+from operator import ne, or_
 from typing import Iterator
 
 from .errors import BudgetExceeded, CandidateCapExceeded
@@ -78,22 +81,35 @@ def enumerate_acyclic_orientations(
     is checked when this is called, before the first orientation.
 
     The sweep is one loop over edge positions.  For each depth it keeps
-    the reachability closure of the arcs chosen so far, a list of n
-    masks: bit y of ``reach[x]`` is set when x reaches y by a path of
-    length >= 1.  The arc t -> h closes a cycle exactly when h reaches t;
-    adding it, every vertex that is t or reaches t gains h and all h
-    reaches.  Backtracking drops back to the previous depth's list.  The
-    last two edges are decided from the closure before them, with no
-    copy, so each node two edges from the end yields its leaves itself.
+    the reachability closure of the arcs chosen so far as one integer of
+    n * n bits, n to a row: bit ``x*n + y`` is set when x reaches y by a
+    path of length >= 1.  The arc t -> h closes a cycle exactly when h
+    reaches t, bit ``h*n + t``.  Adding it, every vertex that is t or
+    reaches t gains h and all h reaches: bit 0 of those rows is picked
+    out by shifting the closure right by t and masking with ``col`` (bit
+    0 of every row), and multiplying that by the gained row puts the row
+    into each of them.  A row is n bits wide, so the product cannot carry
+    from one row into the next.  Backtracking drops back to the previous
+    depth's integer.  The last two edges are decided from the closure
+    before them, with no new integer, so each node two edges from the end
+    yields its leaves itself.
     """
     require_int(budget, "budget")
     m = len(g.edges)
     if 2**m > budget:
         raise BudgetExceeded(f"2^{m} orientations exceed budget {budget}")
     fp = g.fingerprint
-    # per position: (edge, head bit, tail, head) for bit 0, then bit 1
+    n = g.n
+    full = (1 << n) - 1
+    col = sum(1 << x * n for x in range(n))
+    # per position, for bit 0 then bit 1: (edge, head bit, tail, head, bit
+    # of "head reaches tail", start of the head's row, tail's row bit 0,
+    # head bit)
     choices = [
-        ((e, 0, v, u), (e, 1, u, v))
+        tuple(
+            (e, b, t, h, h * n + t, h * n, 1 << t * n, 1 << h)
+            for b, t, h in ((0, v, u), (1, u, v))
+        )
         for e in _bfs_edge_order(g)
         for u, v in [g.edges[e]]
     ]
@@ -106,7 +122,7 @@ def enumerate_acyclic_orientations(
         heads = [0] * m
         last = m - 2
         # reach[p] is replaced, never changed, when the loop descends to p
-        reach: list[list[int]] = [[0] * g.n] * (last + 1)
+        reach = [0] * (last + 1)
         tried = [0] * (last + 1)
         pos = 0
         while pos >= 0:
@@ -115,15 +131,14 @@ def enumerate_acyclic_orientations(
                 # with t1 -> h1 added, h2 reaches t2 iff it did before, or
                 # it reaches t1 (or is t1) and h1 reaches t2 (or is t2)
                 second = choices[pos + 1]
-                for e1, b1, t1, h1 in choices[pos]:
-                    if r[h1] >> t1 & 1:
+                for e1, b1, t1, h1, back1, row1, _, _ in choices[pos]:
+                    if r >> back1 & 1:
                         continue
                     heads[e1] = b1
-                    for e2, b2, t2, h2 in second:
-                        rh = r[h2]
-                        if rh >> t2 & 1 or (
-                            (h2 == t1 or rh >> t1 & 1)
-                            and (h1 == t2 or r[h1] >> t2 & 1)
+                    for e2, b2, t2, h2, back2, row2, _, _ in second:
+                        if r >> back2 & 1 or (
+                            (h2 == t1 or r >> row2 + t1 & 1)
+                            and (h1 == t2 or r >> row1 + t2 & 1)
                         ):
                             continue
                         heads[e2] = b2
@@ -136,16 +151,12 @@ def enumerate_acyclic_orientations(
                 pos -= 1
                 continue
             tried[pos] = i + 1
-            e, b, t, h = choices[pos][i]
-            rh = r[h]
-            if rh >> t & 1:
+            e, b, t, _, back, row, tail_row, head_bit = choices[pos][i]
+            if r >> back & 1:
                 continue
             heads[e] = b
-            gain = (1 << h) | rh
-            nxt = [x | gain if x >> t & 1 else x for x in r]
-            nxt[t] |= gain
             pos += 1
-            reach[pos] = nxt
+            reach[pos] = r | ((r >> t & col) | tail_row) * (head_bit | (r >> row & full))
 
     return stream()
 
@@ -156,23 +167,39 @@ def minimize_hk(
     """Minimum of H^k over all acyclic orientations, with first witness.
 
     H^k sums a weight over the vertices, the weight of in-degree i being
-    H^k of the one-vertex histogram e_i, so each orientation is scored
-    from its heads through a table of those d + 1 weights.
+    H^k of the one-vertex histogram e_i.  The in-degrees and their sum of
+    weights are kept from one orientation to the next and updated at the
+    edges whose heads changed only, starting from every edge headed at
+    its first end.  The first orientation of least H^k is the witness.
     """
     weight = [
         hk_sum(HVector(tuple(int(i == j) for j in range(g.d + 1))), k)
         for i in range(g.d + 1)
     ]
-    edges, n = g.edges, g.n
-
-    def score(o: Orientation) -> int:
-        indeg = [0] * n
-        for e, b in zip(edges, o.heads):
-            indeg[e[b]] += 1
-        return sum(map(weight.__getitem__, indeg))
-
-    scored = ((score(o), o) for o in enumerate_acyclic_orientations(g, budget))
-    return min(scored, key=itemgetter(0))  # never empty: n >= 2, connected
+    # rise[i]: how much H^k grows when an in-degree goes from i to i + 1
+    rise = [b - a for a, b in zip(weight, weight[1:])]
+    edges = g.edges
+    m = len(edges)
+    indeg = [0] * g.n
+    for u, _ in edges:
+        indeg[u] += 1
+    total = sum(map(weight.__getitem__, indeg))
+    prev: tuple[int, ...] = (0,) * m
+    best: int | None = None
+    witness: Orientation | None = None
+    for o in enumerate_acyclic_orientations(g, budget):
+        heads = o.heads
+        for e in compress(range(m), map(ne, prev, heads)):
+            ends = edges[e]
+            lost, won = ends[prev[e]], ends[heads[e]]
+            indeg[lost] -= 1
+            total += rise[indeg[won]] - rise[indeg[lost]]
+            indeg[won] += 1
+        prev = heads
+        if best is None or total < best:
+            best, witness = total, o
+    assert best is not None and witness is not None  # n >= 2, connected
+    return best, witness
 
 
 def connected_k_regular_sets(
@@ -322,42 +349,49 @@ def _exact_covers(
     yield from rec((1 << len(frame_cands)) - 1, (1 << len(candidates)) - 1)
 
 
-def _independent_members(g: PolytopeGraph, a: set[int], b: set[int]) -> bool:
-    """No shared vertices and no edges between: their union is then an
-    induced disjoint union, still k-regular."""
-    if a & b:
-        return False
-    adj = g.adjacency
-    return not any(x in b for v in a for x in adj[v])
-
-
 def _merged_variants(
     g: PolytopeGraph, base: list[tuple[int, ...]]
 ) -> Iterator[list[tuple[int, ...]]]:
     """Coarsenings of a cover obtained by merging pairwise independent
     members into single (disconnected) sets.  Frame coverage is untouched
     by such merges, so every coarsening is again a k-system.  They are
-    yielded one at a time, so a caller that stops early does no more."""
-    m = len(base)
-    vsets = [set(t) for t in base]
-    compat: dict[tuple[int, int], bool] = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            compat[(i, j)] = _independent_members(g, vsets[i], vsets[j])
+    yielded one at a time, so a caller that stops early does no more.
 
-    blocks: list[list[int]] = []
+    Two members are independent when they share no vertex and no edge
+    joins them, so that their union is an induced disjoint union, still
+    k-regular: one member's vertex mask misses the other's closed
+    neighbourhood.  ``compat[i]`` is the mask of the earlier members
+    independent of member i, and each block is the mask of its members,
+    so a block admits member i when it holds nothing outside ``compat[i]``.
+    """
+    m = len(base)
+    nbr = neighbour_masks(g)
+    vmasks = list(map(vertex_mask, base))
+    closed = [
+        reduce(or_, map(nbr.__getitem__, t), vm) for t, vm in zip(base, vmasks)
+    ]
+    compat = [
+        sum(1 << j for j in range(i) if not vm & closed[j])
+        for i, vm in enumerate(vmasks)
+    ]
+    blocks: list[int] = []
+
+    def merged(block: int) -> tuple[int, ...]:
+        members = map(base.__getitem__, _bit_indices(block))
+        return tuple(sorted(chain.from_iterable(members)))
 
     def assign(i: int) -> Iterator[list[tuple[int, ...]]]:
         if i == m:
-            if any(len(b) > 1 for b in blocks):
-                yield [tuple(sorted(v for idx in b for v in base[idx])) for b in blocks]
+            if len(blocks) < m:  # some block holds two members or more
+                yield list(map(merged, blocks))
             return
-        for b in blocks:
-            if all(compat[(j, i)] for j in b):
-                b.append(i)
+        bit, outside = 1 << i, ~compat[i]
+        for x, held in enumerate(blocks):
+            if not held & outside:
+                blocks[x] = held | bit
                 yield from assign(i + 1)
-                b.pop()
-        blocks.append([i])
+                blocks[x] = held
+        blocks.append(bit)
         yield from assign(i + 1)
         blocks.pop()
 
@@ -451,24 +485,37 @@ def search_k_sink_counterexample(
     Each orientation is checked from the out-masks of its vertices, with no
     input check and no topological sort: the stream yields only acyclic
     orientations of ``inst.graph``.  A vertex is a sink of a face when its
-    out-mask misses the face's bitmask.  Each dimension's faces are fetched
+    out-mask misses the face's bitmask.  The out-masks are kept from one
+    orientation to the next and updated at the edges whose heads changed
+    only.  A vertex or an edge has one sink under any acyclic orientation,
+    so 0- and 1-faces are not tested, and the whole polytope has one sink
+    when one out-mask is empty.  Each dimension's faces are still fetched
     once per call, the k-faces first and the others when the AOF check
     first reaches them, in the order :func:`~ksystems.oracle.is_aof_oracle`
-    reaches them.
+    reaches them, so a corrupted instance raises the same error.
     """
     g = inst.graph
     faces = cache(partial(_face_masks, inst))
     k_faces = faces(k)
-    orientations = enumerate_acyclic_orientations(g, budget)
-    whole = [(range(g.n), (1 << g.n) - 1)]
+    edges = g.edges
+    m = len(edges)
+    prev: tuple[int, ...] = (0,) * m
+    out = out_masks(g, Orientation(prev, g.fingerprint))
     others = [j for j in range(1, g.d) if j != k]
-    for o in orientations:
-        out = out_masks(g, o)
-        if first_without_unique_sink(out, k_faces) is not None:
+    for o in enumerate_acyclic_orientations(g, budget):
+        heads = o.heads
+        for e in compress(range(m), map(ne, prev, heads)):
+            u, v = edges[e]
+            out[u] ^= 1 << v
+            out[v] ^= 1 << u
+        prev = heads
+        if k > 1 and first_without_unique_sink(out, k_faces) is not None:
             continue
         # is_aof_oracle, less the checks the stream and the k-faces passed
-        if first_without_unique_sink(out, whole) is not None or any(
-            first_without_unique_sink(out, faces(j)) is not None for j in others
-        ):
+        if out.count(0) != 1:
             return o
+        for j in others:
+            faces_j = faces(j)
+            if j > 1 and first_without_unique_sink(out, faces_j) is not None:
+                return o
     return None

@@ -17,15 +17,19 @@ The orientation stream as it was before it kept reachability masks: a
 recursive generator that ran a depth-first search over out-masks for
 every edge direction it tried.  The listing of connected k-regular
 candidate sets as it was before it grew bitmasks: Python sets copied at
-every state and a dict of degrees rebuilt at each.  And the out-neighbour
-lists, which the package no longer uses.
+every state and a dict of degrees rebuilt at each.  The merged variants
+of a cover as they were before they were built over bitmasks: a dict of
+pairwise independence verdicts over Python sets, and blocks as lists of
+member indices.  And the out-neighbour lists, which the package no
+longer uses.
 
 Differential tests compare the package with these: the same orientations
 in the same order, the same least H^k with the same first witness, the
-same sink verdicts and errors, the same first k-sink counterexample, and
-the same candidate sets and cap errors.  Only the result types, the input
-checks, the topological sort, the orientation stream, the faces and the
-two scoring functions come from the package.
+same sink verdicts and errors, the same first k-sink counterexample, the
+same candidate sets and cap errors, and the same merged variants in the
+same order.  Only the result types, the input checks, the topological
+sort, the orientation stream, the faces and the two scoring functions
+come from the package.
 """
 
 from __future__ import annotations
@@ -144,6 +148,46 @@ def connected_k_regular_sets(
         grow({r}, set(range(r)))
     found.sort()
     return found
+
+
+def _independent_members(g: PolytopeGraph, a: set[int], b: set[int]) -> bool:
+    """No shared vertices and no edges between: their union is then an
+    induced disjoint union, still k-regular."""
+    if a & b:
+        return False
+    adj = g.adjacency
+    return not any(x in b for v in a for x in adj[v])
+
+
+def _merged_variants(
+    g: PolytopeGraph, base: list[tuple[int, ...]]
+) -> Iterator[list[tuple[int, ...]]]:
+    """Coarsenings of a cover obtained by merging pairwise independent
+    members into single (disconnected) sets, yielded one at a time."""
+    m = len(base)
+    vsets = [set(t) for t in base]
+    compat: dict[tuple[int, int], bool] = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            compat[(i, j)] = _independent_members(g, vsets[i], vsets[j])
+
+    blocks: list[list[int]] = []
+
+    def assign(i: int) -> Iterator[list[tuple[int, ...]]]:
+        if i == m:
+            if any(len(b) > 1 for b in blocks):
+                yield [tuple(sorted(v for idx in b for v in base[idx])) for b in blocks]
+            return
+        for b in blocks:
+            if all(compat[(j, i)] for j in b):
+                b.append(i)
+                yield from assign(i + 1)
+                b.pop()
+        blocks.append([i])
+        yield from assign(i + 1)
+        blocks.pop()
+
+    return assign(0)
 
 
 def out_adjacency(g: PolytopeGraph, o: Orientation) -> list[list[int]]:

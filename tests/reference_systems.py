@@ -8,8 +8,9 @@ Differential tests compare the package with three pieces of it:
   and the bounds checks come from the package.
 - the exact cover and the ``enumerate_k_systems`` stream from before
   frames had one index, with their own frame class (a frozen, ordered
-  dataclass) and their own frame index.  The candidate sets, the merged
-  variants and the set-system constructor come from the package.
+  dataclass) and their own frame index.  The candidate sets and the
+  set-system constructor come from the package, the merged variants from
+  ``reference_search``.
 - ``facets_from_2faces`` from before the corner map was read from the
   validator's frame index: it keys corners by ``(v, frozenset(pair))``
   and checks its members with the 0.1.0 code above.  The set-system
@@ -29,7 +30,7 @@ from ksystems.errors import (
     NotCycleSystem,
     NotRegular,
 )
-from ksystems.search import _merged_variants, connected_k_regular_sets
+from ksystems.search import connected_k_regular_sets
 from ksystems.systems import (
     KFrame,
     check_k_range,
@@ -39,6 +40,7 @@ from ksystems.systems import (
 )
 
 from reference_induced import induced_leaves, induces_connected
+from reference_search import _merged_variants
 
 
 @dataclass

@@ -13,8 +13,6 @@ from ksystems.errors import (
     NotCycleSystem,
 )
 
-from conftest import cycle_graph
-
 W3 = [Fraction(1), Fraction(2), Fraction(4)]
 WP = [Fraction(1), Fraction(3), Fraction(9)]
 

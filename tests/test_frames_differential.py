@@ -1,7 +1,8 @@
 """Facet reconstruction and the k-system stream agree with the earlier
 code kept in ``reference_systems``, which built its own frames: the same
 facets or the same refusal (error type and message) on mutated 2-face
-families, and the same k-systems in the same order."""
+families, and the same k-systems in the same order, also on relabelled
+graphs."""
 
 from itertools import islice
 
@@ -124,3 +125,17 @@ def test_k_system_stream_matches_reference(name, k, count_cap, include_merged):
     want = list(islice(ref.enumerate_k_systems(g, k, include_merged), count_cap))
     assert got == want
     assert 0 < len(got) <= count_cap
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from(["cube3", "prism", "fig1", "triangle_x_square"]),
+    st.booleans(),
+    st.data(),
+)
+def test_k_system_stream_matches_reference_after_relabelling(name, include_merged, data):
+    g = INSTANCES[name].graph
+    perm = data.draw(st.permutations(range(g.n)))
+    rg = ks.validate_graph(g.d, g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    got = list(islice(ks.enumerate_k_systems(rg, 2, include_merged=include_merged), 200))
+    assert got == list(islice(ref.enumerate_k_systems(rg, 2, include_merged), 200))

@@ -3,9 +3,10 @@
 from ``minimize_hk`` the same least H^k with the same first witness as
 scoring every orientation through ``indegree_histogram`` and ``hk_sum``;
 from the sink checks the same verdicts and errors; from
-``search_k_sink_counterexample`` the same first witness, or None; and
+``search_k_sink_counterexample`` the same first witness, or None;
 from ``connected_k_regular_sets`` the same sorted candidate sets, or the
-same cap error."""
+same cap error; and from ``_merged_variants`` the same coarsenings of a
+cover in the same order."""
 
 import random
 from itertools import islice, product
@@ -16,7 +17,12 @@ from hypothesis import strategies as st
 
 import ksystems as ks
 from ksystems import search
-from ksystems.errors import BudgetExceeded, CandidateCapExceeded, KSystemsError
+from ksystems.errors import (
+    BudgetExceeded,
+    CandidateCapExceeded,
+    KSystemsError,
+    NotSimple,
+)
 
 import reference_search as ref
 
@@ -181,6 +187,19 @@ def test_k_sink_search_errors_match_reference(cube3):
         assert _agree("search_k_sink_counterexample", cube3, k, budget)
 
 
+@pytest.mark.parametrize("name", ["cube3", "tet_x_segment"])
+def test_k_sink_search_fetches_the_faces_it_does_not_test(name):
+    # a repeated facet makes the pair (facet, its copy) meet in the whole
+    # facet, so the 1-faces are not edges; the sink test skips 1-faces but
+    # must still fetch them, and refuse them where the reference does
+    inst = SINK_INSTANCES[name]
+    bad = ks.Instance(inst.name, inst.graph, (*inst.facets, inst.facets[0]), None)
+    for k in range(inst.graph.d):
+        got = _outcome(ks.search_k_sink_counterexample, bad, k)
+        assert got == _outcome(ref.search_k_sink_counterexample, bad, k)
+        assert got[0] is NotSimple
+
+
 def _families(inst):
     """Set systems on the graph: every F_k, the connected k-regular sets,
     and some arbitrary subsets (which may induce no sink structure at all)."""
@@ -287,3 +306,58 @@ def test_candidate_errors_match_reference(cube3):
     g = cube3.graph
     for k, cap in [(1, 10), (3, 10), (-1, 10), (2.0, 10), (2, 10.0), (2, None), (2, 0)]:
         assert _agree("connected_k_regular_sets", g, k, cap)
+
+
+# -- the merged variants -------------------------------------------------------
+
+MERGE_INSTANCES = {
+    "triangle_x_square": ks.product(TRIANGLE, ks.cube(2)),
+    "tet_x_triangle": ks.product(TET, TRIANGLE),
+    "cube4": ks.cube(4),
+    "fig1": INSTANCES["fig1"],
+}
+
+
+def _covers(g, k):
+    """Every exact cover of the connected candidates, as member lists."""
+    candidates = ks.connected_k_regular_sets(g, k)
+    for cover in search._exact_covers(g, k, candidates):
+        yield [candidates[i] for i in cover]
+
+
+def _same_merges(g, base):
+    got = list(search._merged_variants(g, base))
+    assert got == list(ref._merged_variants(g, base))
+    return len(got)
+
+
+@pytest.mark.parametrize(
+    "name,k",
+    [("triangle_x_square", 2), ("triangle_x_square", 3), ("tet_x_triangle", 2),
+     ("tet_x_triangle", 3), ("tet_x_triangle", 4), ("cube4", 3), ("fig1", 2)],
+)
+def test_merged_variants_match_reference_on_every_cover(name, k):
+    g = MERGE_INSTANCES[name].graph
+    merges = sum(_same_merges(g, base) for base in _covers(g, k))
+    if (name, k) == ("triangle_x_square", 2):
+        assert merges == 114  # over its 38 covers
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["triangle_x_square", "tet_x_triangle", "fig1"]), st.data())
+def test_merged_variants_match_reference_after_relabelling(name, data):
+    g = MERGE_INSTANCES[name].graph
+    rg = _relabelled(g, data.draw(st.permutations(range(g.n))))
+    for base in islice(_covers(rg, 2), 8):
+        _same_merges(rg, base)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_merged_variants_match_reference_on_any_member_list(data):
+    # members need not form a cover: any list of candidates, overlapping or
+    # adjacent ones included, in any order
+    g = MERGE_INSTANCES["cube4"].graph
+    pool = ks.connected_k_regular_sets(g, 2)
+    base = data.draw(st.lists(st.sampled_from(pool), max_size=7))
+    _same_merges(g, base)
