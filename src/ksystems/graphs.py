@@ -335,24 +335,25 @@ def vertex_mask(t: Iterable[int]) -> int:
     return mask
 
 
-def induced_sinks(out: Sequence[int], t: Iterable[int], mask: int) -> list[int]:
-    """The vertices of ``t`` with no out-neighbour in ``mask``, the bitmask
-    of ``t``: the sinks of the orientation induced on ``t``, given the
-    out-masks of :func:`out_masks`.  This is the one sink test of the
-    package; an acyclic orientation induces at least one sink on every
-    non-empty set.
-    """
-    return [v for v in t if not out[v] & mask]
-
-
 def first_without_unique_sink(
     out: Sequence[int], sets: Iterable[tuple[Sequence[int], int]]
 ) -> Sequence[int] | None:
     """The first vertex set t of ``sets``, given as pairs (t, bitmask of
     t), on which the orientation of out-masks ``out`` does not induce
-    exactly one sink; None when it induces one on each."""
+    exactly one sink; None when it induces one on each.
+
+    A sink of t is a vertex of t with no out-neighbour in its mask, and
+    the count of a set stops at its second sink.  An acyclic orientation
+    induces at least one sink on every non-empty set.
+    """
     for t, mask in sets:
-        if len(induced_sinks(out, t, mask)) != 1:
+        sinks = 0
+        for v in t:
+            if not out[v] & mask:
+                if sinks:
+                    return t
+                sinks = 1
+        if not sinks:
             return t
     return None
 
@@ -447,7 +448,8 @@ def sinks_in_subset(g: PolytopeGraph, o: Orientation, w: Iterable[int]) -> set[i
     check_vertex_ids(g.n, ids)
     if topological_order(g, o).cycle is not None:
         raise NotAcyclic("orientation has a directed cycle")
-    sinks = set(induced_sinks(out_masks(g, o), ids, vertex_mask(ids)))
+    out, mask = out_masks(g, o), vertex_mask(ids)
+    sinks = {v for v in ids if not out[v] & mask}
     if not sinks:  # impossible for acyclic input; guard against bugs
         raise AssertionError("acyclic induced orientation lost its sink")
     return sinks

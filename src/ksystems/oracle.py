@@ -33,7 +33,6 @@ from .errors import (
 from .graphs import (
     Orientation,
     PolytopeGraph,
-    as_tuple,
     check_vertex_ids,
     first_without_unique_sink,
     induced_flaw,
@@ -45,7 +44,7 @@ from .graphs import (
     validate_graph,
     vertex_mask,
 )
-from .systems import SetSystem, distinct_vertex_sets, vertex_sets
+from .systems import SetSystem, canonical_members
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,10 @@ class Instance:
     same dimension.  Construction via :func:`make_instance` enforces the
     simplicity bookkeeping: every vertex on exactly d facets, facets
     inducing connected (d-1)-regular subgraphs, and adjacency equivalent
-    to sharing exactly d-1 facets.
+    to sharing exactly d-1 facets.  An instance built directly has been
+    through none of that: :func:`faces_from_incidence`, through which the
+    face, orientation and search code read the facets, checks their ids
+    and the faces they meet in.
 
     Equality compares every field; the hash reads the name and the graph
     only, so the faces cache looks an instance up in constant time.
@@ -88,17 +90,7 @@ def make_instance(
     if not isinstance(name, str):
         raise InvalidParams("instance name must be a string")
     d, n = graph.d, graph.n
-    family = as_tuple(facets, "facets")
-    canon = distinct_vertex_sets(graph, family)
-    if canon is None:  # walk the facets to name the first fault
-        canon = []
-        seen: set[tuple[int, ...]] = set()
-        for t in vertex_sets(graph, family, "facet"):
-            if t in seen:
-                raise NotSimple(f"facet {t} listed twice")
-            seen.add(t)
-            canon.append(t)
-    canon.sort()
+    canon = canonical_members(graph, facets, "facet", 0, NotSimple)
 
     membership = _facets_through(n, canon)
     for v in range(n):
@@ -150,10 +142,9 @@ def make_instance(
 
 def _facets_through(n: int, facets: Sequence[Sequence[int]]) -> list[list[int]]:
     """For each of the n vertices, the indices of the facets through it,
-    ascending.  The facets and their ids are checked once here, since an
-    :class:`Instance` built directly has not been through
-    :func:`make_instance`."""
-    member_ids(n, facets, "facet")
+    ascending.  Nothing is checked: the ids must lie in 0..n-1, as
+    :func:`make_instance` leaves them and :func:`faces_from_incidence`
+    checks them."""
     membership: list[list[int]] = [[] for _ in range(n)]
     for i, t in enumerate(facets):
         for v in t:
@@ -399,6 +390,7 @@ def faces_from_incidence(inst: Instance, k: int) -> SetSystem:
     d = g.d
     if not is_int(k) or not 0 <= k <= d - 1:
         raise KOutOfRange(f"k must satisfy 0 <= k <= d-1 = {d - 1}, got {k!r}")
+    member_ids(g.n, inst.facets, "facet")  # an Instance may be built directly
     meets = _meets(_facets_through(g.n, inst.facets), d - k)
     found = sorted(set(map(tuple, meets.values())))
 

@@ -10,17 +10,16 @@ families against that benchmark.
 Here a frame is a pair (root, leaf mask): a vertex of a member and its
 neighbours inside the member as a vertex bitmask, found for the whole
 family in one pass, and the verdict is a pigeonhole count over those
-pairs.  The ``KFrame`` named tuples of a report (``frame_members``,
-``coverage`` and the frame defect lines) are built only when they are
-read, and the defect lines one at a time, so a refutation that shows
-the first pays for no other.
+pairs.  The ``KFrame`` named tuples of a report (``coverage`` and the
+frame defect lines) are built only when they are read, and the defect
+lines one at a time, so a refutation that shows the first pays for no
+other.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate, chain, combinations, compress, repeat
 from math import comb
 from operator import and_, itemgetter
@@ -31,6 +30,7 @@ from .errors import (
     FingerprintMismatch,
     InvalidParams,
     KOutOfRange,
+    KSystemsError,
     NotRegular,
 )
 from .graphs import (
@@ -84,12 +84,9 @@ class KSystemReport:
     frame covered exactly once.  An invalid report keeps the family's
     frames as two flat lists in member order, ``roots`` (the vertices of
     the members) and ``leaf_masks`` (the neighbours of each inside its
-    member, as a bitmask), which the frame defect lines and
-    ``frame_members`` read; a valid report keeps neither and forms them
-    again, with the pass validation makes, when ``frame_members`` is
-    read.  ``frame_members`` holds every k-frame of the graph, in frame
-    order, with the indices of the regular members containing its node
-    set.
+    member, as a bitmask), which ``coverage`` and the frame defect lines
+    count; a valid report keeps neither, since it covers every frame
+    once.
     """
 
     valid: bool
@@ -100,39 +97,24 @@ class KSystemReport:
     roots: list[int] = field(default_factory=list, repr=False)
     leaf_masks: list[int] = field(default_factory=list, repr=False)
 
-    def _regular_frames(self) -> tuple[Iterator[int], list[int], list[int]]:
-        """The frames of the regular members in member order: the index of
-        the member (an iterator, read only by ``frame_members``), the root
-        and the leaf mask."""
-        roots, masks = self.roots, self.leaf_masks
-        if self.valid:
-            roots, masks, _ = _member_frames(self.graph, self.k, self.sets)
-        sizes = [*map(len, self.sets)]
-        owners = chain.from_iterable(map(repeat, range(len(sizes)), sizes))
+    def _covered(self) -> Counter[tuple[int, int]]:
+        """How many regular members hold each (root, leaf mask) pair."""
+        pairs = zip(self.roots, self.leaf_masks)
         if all(self.set_is_regular):
-            return owners, roots, masks
-        keep = [*chain.from_iterable(map(repeat, self.set_is_regular, sizes))]
-        roots, masks = [*compress(roots, keep)], [*compress(masks, keep)]
-        return compress(owners, keep), roots, masks
-
-    @cached_property
-    def frame_members(self) -> dict[KFrame, tuple[int, ...]]:
-        """Every k-frame, in frame order, with the indices of the regular
-        members containing it."""
-        owners, roots, masks = self._regular_frames()
-        held: dict[tuple[int, int], tuple[int, ...]] = {}
-        for i, pair in zip(owners, zip(roots, masks)):
-            held[pair] = held.get(pair, ()) + (i,)
-        return {
-            f: held.get((f.root, vertex_mask(f.leaves)), ())
-            for f in enumerate_k_frames(self.graph, self.k)
-        }
+            return Counter(pairs)
+        sizes = map(len, self.sets)
+        keep = chain.from_iterable(map(repeat, self.set_is_regular, sizes))
+        return Counter(compress(pairs, keep))
 
     @property
     def coverage(self) -> dict[KFrame, int]:
         """Every k-frame, in frame order, with the number of regular
         members containing it."""
-        return {f: len(m) for f, m in self.frame_members.items()}
+        frames = enumerate_k_frames(self.graph, self.k)
+        if self.valid:
+            return dict.fromkeys(frames, 1)
+        covered = self._covered()
+        return {f: covered[f.root, vertex_mask(f.leaves)] for f in frames}
 
     def defect_lines(self) -> list[str]:
         """Every defect: a line for each member that is not k-regular, then
@@ -149,25 +131,22 @@ class KSystemReport:
         return next(self._defects(), None)
 
     def _defects(self) -> Iterator[str]:
-        """The lines of :meth:`defect_lines`, in order.  A root whose frames
-        number binom(d, k), counted with and without repeats, has each
-        exactly once; only the k-subsets of the other roots' neighbours
-        are walked."""
+        """The lines of :meth:`defect_lines`, in order.  A root whose
+        binom(d, k) frames are each covered once is skipped; only the
+        k-subsets of the other roots' neighbours are walked."""
         g, k = self.graph, self.k
         for i, ok in enumerate(self.set_is_regular):
             if not ok:
                 yield f"set #{i} not {k}-regular"
         if self.valid:
             return
-        _, roots, masks = self._regular_frames()
-        covered = Counter(zip(roots, masks))
-        at_root = Counter(roots)
-        distinct = at_root  # unless a frame repeats, a root's frames are distinct
-        if len(covered) < len(roots):
-            distinct = Counter(map(itemgetter(0), covered))
+        covered = self._covered()
+        once = Counter(map(itemgetter(0), covered))  # distinct pairs per root
+        if covered.total() > len(covered):  # less those that repeat
+            once.subtract(root for (root, _), times in covered.items() if times > 1)
         per = comb(g.d, k)
         for root in range(g.n):
-            if at_root[root] == per == distinct[root]:
+            if once[root] == per:
                 continue
             for leaves in combinations(g.adjacency[root], k):
                 times = covered[root, vertex_mask(leaves)]
@@ -194,18 +173,46 @@ def check_system_bound(g: PolytopeGraph, s: SetSystem) -> None:
         )
 
 
-def vertex_sets(
-    g: PolytopeGraph, family: Iterable[Iterable[int]], what: str
-) -> Iterator[tuple[int, ...]]:
-    """Each member of ``family`` as a sorted tuple of vertex ids of ``g``.
+def canonical_members(
+    g: PolytopeGraph,
+    family: Iterable[Iterable[int]],
+    what: str,
+    least: int,
+    repeated: type[KSystemsError],
+) -> list[tuple[int, ...]]:
+    """The members of a caller's ``family`` as sorted tuples of vertex ids
+    of ``g``, listed in order: the one check on a family from outside,
+    run by :func:`make_set_system` and :func:`~ksystems.oracle.make_instance`.
 
-    Members are checked and yielded one at a time, so a caller's own
-    checks on a member come before the next member is looked at.  Raises
-    :class:`InvalidParams` when the family or a member is not iterable,
-    a member cannot be sorted or hashed, repeats a vertex, or holds
-    anything but a vertex id; ``what`` names a member in the messages.
+    One pass over the whole family accepts it when every member is a list
+    or tuple of at least ``least`` distinct ids of type ``int`` in range,
+    and no two members are equal.  The pass reads lists and tuples only,
+    so it reads no member that the walk cannot read again.  Only when it
+    fails are the members walked one at a time, which names the first
+    fault: :class:`InvalidParams` when the family or a member is not
+    iterable, a member cannot be sorted or hashed, repeats a vertex, holds
+    anything but a vertex id (:func:`~ksystems.graphs.check_vertex_ids`)
+    or has fewer than ``least`` vertices, and ``repeated`` when it equals
+    an earlier member; ``what`` names a member in the messages.  The walk
+    also accepts what the pass does not take: members of other collection
+    types, ids of an ``int`` subclass such as ``IntEnum``.
     """
-    for raw in as_tuple(family, f"{what}s"):
+    members = as_tuple(family, f"{what}s")
+    if {*map(type, members)} <= {list, tuple}:
+        try:
+            canon = [*map(tuple, map(sorted, members))]
+            ids = [*chain.from_iterable(canon)]
+            if (
+                plain_vertex_ids(g.n, ids)
+                and sum(map(len, map(set, canon))) == len(ids)
+                and len(set(canon)) == len(canon)
+                and min(map(len, canon), default=least) >= least
+            ):
+                return sorted(canon)
+        except TypeError:  # ids that cannot be sorted or hashed
+            pass
+    canon, seen = [], set()
+    for raw in members:
         try:
             t = tuple(sorted(raw))
             repeats = len(set(t)) != len(t)
@@ -213,68 +220,29 @@ def vertex_sets(
             raise InvalidParams(f"{what} {raw!r} is not a set of vertex ids") from None
         if repeats:
             raise InvalidParams(f"{what} {t} repeats a vertex")
-        for v in t:
-            if not is_int(v) or not 0 <= v < g.n:
-                raise InvalidParams(f"vertex id {v!r} outside 0..{g.n - 1}")
-        yield t
-
-
-def distinct_vertex_sets(g: PolytopeGraph, family: tuple) -> list[tuple[int, ...]] | None:
-    """Each member of ``family`` as a sorted tuple, in order, when one pass
-    over the whole family finds every member a list or tuple of distinct
-    vertex ids of ``g``, all of type ``int``, and no two members equal;
-    None when it finds anything else.
-
-    This is the bulk gate of :func:`make_set_system` and
-    :func:`~ksystems.oracle.make_instance`: on None they walk the family
-    with :func:`vertex_sets` and their own checks, member by member, which
-    names the first fault, or accepts a family the gate does not take
-    (members of other collection types, ids of an ``int`` subclass such
-    as ``IntEnum``).  Lists and tuples only, so that the gate reads no
-    member the walk cannot read again.
-    """
-    if not {*map(type, family)} <= {list, tuple}:
-        return None
-    try:
-        canon = [*map(tuple, map(sorted, family))]
-        ids = [*chain.from_iterable(canon)]
-        if (
-            plain_vertex_ids(g.n, ids)
-            and sum(map(len, map(set, canon))) == len(ids)
-            and len(set(canon)) == len(canon)
-        ):
-            return canon
-    except TypeError:  # ids that cannot be sorted or hashed
-        pass
-    return None
+        check_vertex_ids(g.n, t)
+        if len(t) < least:
+            raise InvalidParams(
+                f"{what} {t} has {len(t)} vertices; "
+                f"a {least - 1}-regular subgraph needs >= {least}"
+            )
+        if t in seen:
+            raise repeated(f"{what} {t} listed twice")
+        seen.add(t)
+        canon.append(t)
+    return sorted(canon)
 
 
 def make_set_system(g: PolytopeGraph, k: int, sets: Iterable[Iterable[int]]) -> SetSystem:
     """Canonicalize and bind a family of vertex sets.
 
+    Every member needs at least k+1 vertices (:func:`canonical_members`).
     Duplicate members are a hard error rather than a validation failure:
-    a file repeating a set is malformed, not refuted.  The family is
-    checked in bulk (:func:`distinct_vertex_sets`, and every member of at
-    least k+1 vertices); only when that fails is it walked member by
-    member to name the first fault.
+    a file repeating a set is malformed, not refuted.
     """
     if not is_int(k) or k < 0:
         raise InvalidParams(f"k must be a non-negative integer, got {k!r}")
-    family = as_tuple(sets, "sets")
-    canon = distinct_vertex_sets(g, family)
-    if canon is None or min(map(len, canon), default=k + 1) <= k:
-        canon = []
-        seen: set[tuple[int, ...]] = set()
-        for t in vertex_sets(g, family, "set"):
-            if len(t) < k + 1:
-                raise InvalidParams(
-                    f"set {t} has {len(t)} vertices; a {k}-regular subgraph needs >= {k + 1}"
-                )
-            if t in seen:
-                raise DuplicateSet(f"set {t} listed twice")
-            seen.add(t)
-            canon.append(t)
-    canon.sort()
+    canon = canonical_members(g, sets, "set", k + 1, DuplicateSet)
     return SetSystem(k=k, sets=tuple(canon), graph_fingerprint=g.fingerprint)
 
 

@@ -10,9 +10,10 @@ Differential tests compare the package with three functions of it:
 - ``facets_from_2faces`` runs the transport closure from every one of the
   n*d seeds, so it rebuilds each facet once per state in it.
 
-The checks on caller data, the k-system validator and the set-system
-constructor come from the package; ``induced_leaves`` and the set-based
-tests of an induced subgraph come from ``reference_induced``.
+The k-system validator and the set-system constructor come from the
+package; ``make_instance`` walks the facets itself, one at a time, with
+the messages of the package; ``induced_leaves`` and the set-based tests
+of an induced subgraph come from ``reference_induced``.
 """
 
 from __future__ import annotations
@@ -35,17 +36,37 @@ from ksystems.systems import (
     check_system_bound,
     make_set_system,
     validate_k_system,
-    vertex_sets,
 )
 
 from reference_induced import induced_leaves, induces_connected, is_k_regular_set
+
+
+def facet_tuples(n, facets):
+    """Each facet as a sorted tuple of vertex ids 0..n-1, checked one
+    facet at a time, in order."""
+    try:
+        facets = tuple(facets)
+    except TypeError:
+        raise InvalidParams(f"facets must be a list, got {facets!r}") from None
+    for raw in facets:
+        try:
+            t = tuple(sorted(raw))
+            repeats = len(set(t)) != len(t)
+        except TypeError:
+            raise InvalidParams(f"facet {raw!r} is not a set of vertex ids") from None
+        if repeats:
+            raise InvalidParams(f"facet {t} repeats a vertex")
+        for v in t:
+            if not is_int(v) or not 0 <= v < n:
+                raise InvalidParams(f"vertex id {v!r} outside 0..{n - 1}")
+        yield t
 
 
 def make_instance(name, graph, facets, coords=None):
     d, n = graph.d, graph.n
     canon = []
     seen = set()
-    for t in vertex_sets(graph, facets, "facet"):
+    for t in facet_tuples(n, facets):
         if t in seen:
             raise NotSimple(f"facet {t} listed twice")
         seen.add(t)

@@ -16,7 +16,7 @@ from ksystems.errors import (
     NotRegular,
     SelfLoop,
 )
-from ksystems.graphs import induced_flaw, neighbour_masks
+from ksystems.graphs import first_without_unique_sink, induced_flaw, neighbour_masks
 
 import reference_search as ref
 from reference_induced import induced_leaves
@@ -223,6 +223,36 @@ def test_sinks_in_subset(cube3):
     assert ks.sinks_in_subset(g, o, frozenset({0, 1, 2, 3})) == frozenset({3})
     with pytest.raises(EmptySubset):
         ks.sinks_in_subset(g, o, frozenset())
+
+
+# Out-masks by hand: 0 -> 1, 1 -> 0, 2 -> 0; vertices 3 and 4 point nowhere.
+OUT = [1 << 1, 1 << 0, 1 << 0, 0, 0]
+ONE = ((0, 2), 0b00101)  # 0 is the one sink: its out-neighbour 1 is outside
+NONE = ((0, 1), 0b00011)  # a directed cycle: no sink
+THREE = ((2, 3, 4), 0b11100)
+
+
+@pytest.mark.parametrize(
+    "sets,want",
+    [
+        ([ONE, NONE, THREE], NONE[0]),
+        ([ONE, THREE, NONE], THREE[0]),
+        ([ONE, ONE], None),
+        ([], None),
+    ],
+)
+def test_first_without_unique_sink_counts_sinks(sets, want):
+    assert first_without_unique_sink(OUT, sets) == want
+
+
+def test_the_sink_count_stops_at_the_second_sink():
+    def two_sinks_then_fail():
+        yield 3
+        yield 4
+        raise AssertionError("read past the second sink")
+
+    t = two_sinks_then_fail()
+    assert first_without_unique_sink(OUT, [ONE, (t, 0b11000)]) is t
 
 
 def test_sinks_in_subset_requires_acyclic(square):

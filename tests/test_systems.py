@@ -1,3 +1,4 @@
+from enum import IntEnum
 from itertools import combinations
 
 import pytest
@@ -8,7 +9,9 @@ from ksystems.errors import (
     FingerprintMismatch,
     InvalidParams,
     KOutOfRange,
+    KSystemsError,
     NotRegular,
+    NotSimple,
 )
 
 
@@ -79,6 +82,82 @@ def test_make_set_system_rejections(cube3):
         ks.make_set_system(g, 2, [[0, 1]])  # needs >= k+1 vertices
     with pytest.raises(InvalidParams):
         ks.make_set_system(g, 2, [[0, 1, 99]])
+
+
+CUBE3 = ks.cube(3)
+VERTEX = IntEnum("VERTEX", [(f"v{i}", i) for i in range(8)])
+
+
+def _range_or_list(t):
+    """``t`` as a range when its ids are consecutive, else as a list."""
+    run = range(min(t), max(t) + 1)
+    return run if sorted(t) == list(run) else list(t)
+
+
+#: Ways to write a member: as the bulk pass takes it (lists, tuples), or as
+#: only the walk takes it (sets, ranges among lists, IntEnum ids).
+FORMS = {
+    "lists": list,
+    "tuples": tuple,
+    "sets": set,
+    "ranges": _range_or_list,
+    "int_enum": lambda t: [VERTEX(v) for v in t],
+}
+#: The two constructors that take a family from outside.
+BUILDS = {
+    "make_set_system": lambda family: ks.make_set_system(CUBE3.graph, 2, family),
+    "make_instance": lambda family: ks.make_instance(
+        "cube(3)", CUBE3.graph, family, CUBE3.coords
+    ),
+}
+
+
+def _outcome(build, family):
+    try:
+        return "ok", BUILDS[build](family)
+    except KSystemsError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+@pytest.mark.parametrize("build", sorted(BUILDS))
+def test_every_form_of_a_family_builds_the_same(build, form):
+    # the facets of cube(3), which are also its 2-faces, written in reverse
+    family = [FORMS[form](t[::-1]) for t in CUBE3.facets[::-1]]
+    want = CUBE3 if build == "make_instance" else ks.faces_from_incidence(CUBE3, 2)
+    assert _outcome(build, family) == ("ok", want)
+
+
+#: One fault each, in the facets of cube(3) written as lists.
+FAULTS = {
+    "too_small": lambda fam: [fam[0][:2], *fam[1:]],
+    "listed_twice": lambda fam: [*fam, fam[0]],
+    "repeats_a_vertex": lambda fam: [[fam[0][0], *fam[0]], *fam[1:]],
+}
+NAMED = {
+    ("make_set_system", "too_small"): (
+        InvalidParams, "set (0, 1) has 2 vertices; a 2-regular subgraph needs >= 3"
+    ),
+    ("make_set_system", "listed_twice"): (DuplicateSet, "set (0, 1, 2, 3) listed twice"),
+    ("make_set_system", "repeats_a_vertex"): (
+        InvalidParams, "set (0, 0, 1, 2, 3) repeats a vertex"
+    ),
+    ("make_instance", "too_small"): (NotSimple, "vertex 2 lies on 2 facets, expected 3"),
+    ("make_instance", "listed_twice"): (NotSimple, "facet (0, 1, 2, 3) listed twice"),
+    ("make_instance", "repeats_a_vertex"): (
+        InvalidParams, "facet (0, 0, 1, 2, 3) repeats a vertex"
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("build", sorted(BUILDS))
+def test_the_bulk_pass_and_the_walk_name_the_same_fault(build, fault):
+    lists = FAULTS[fault]([list(t) for t in CUBE3.facets])
+    # a set cannot repeat a vertex, so that member stays a list; one set in
+    # the family is enough for the bulk pass to leave it to the walk
+    walked = [t if len(set(t)) < len(t) else set(t) for t in lists]
+    assert _outcome(build, lists) == _outcome(build, walked) == NAMED[build, fault]
 
 
 def test_is_k_regular_set(cube3):
@@ -153,6 +232,15 @@ def test_validate_reports_double_coverage(cube3):
     assert not report.valid
     counts = sorted(report.coverage.values())
     assert counts[0] == 0 or counts[-1] >= 2
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_valid_report_covers_every_frame_once(cube4, k):
+    g = cube4.graph
+    report = ks.validate_k_system(g, ks.faces_from_incidence(cube4, k))
+    assert report.valid
+    want = dict.fromkeys(ks.enumerate_k_frames(g, k), 1)
+    assert list(report.coverage.items()) == list(want.items())
 
 
 def test_validate_valid_report_is_quiet(cube3):
