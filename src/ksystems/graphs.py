@@ -258,21 +258,31 @@ def induced_flaw(
 
     ``nbr`` is the list of neighbour masks :func:`neighbour_masks` gives;
     the ids of ``t`` are not checked.  A degree is the popcount of a neighbour
-    mask cut to the bitmask of ``t``, and connectivity is a flood over
-    masks from ``t[0]`` that takes each vertex at most once and stops when
-    none is left to reach: O(|t|) operations on integers of n bits.  The
-    empty set is regular and not connected.  This is the one test of an
-    induced subgraph in the package.
+    mask cut to the bitmask of ``t``, and connectivity is
+    :func:`induces_connected`.  The empty set is regular and not
+    connected.  This is the one test of an induced subgraph in the package.
     """
     mask = vertex_mask(t)
     for v in t:
         if (nbr[v] & mask).bit_count() != k:
             return "regular"
-    if not connected:
+    if not connected or induces_connected(nbr, mask):
         return None
-    if not t:
-        return "connected"
-    frontier = 1 << t[0]
+    return "connected"
+
+
+def induces_connected(nbr: Sequence[int], mask: int) -> bool:
+    """True when the vertex bitmask ``mask`` induces a connected subgraph;
+    false for the empty mask.
+
+    ``nbr`` is the list of neighbour masks :func:`neighbour_masks` gives.
+    A flood over masks from the lowest vertex of ``mask`` takes each
+    vertex at most once and stops when none is left to reach: O(|mask|)
+    operations on integers of n bits.  This is the one connectivity test
+    of a vertex subset in the package (:func:`validate_graph` searches the
+    whole graph before any mask exists).
+    """
+    frontier = mask & -mask
     left = mask ^ frontier
     while frontier and left:
         low = frontier & -frontier
@@ -280,7 +290,7 @@ def induced_flaw(
         new = nbr[low.bit_length() - 1] & left
         left ^= new
         frontier |= new
-    return "connected" if left else None
+    return bool(mask) and not left
 
 
 def make_orientation(g: PolytopeGraph, heads: Iterable[int]) -> Orientation:

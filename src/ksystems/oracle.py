@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
@@ -36,6 +36,7 @@ from .graphs import (
     check_vertex_ids,
     first_without_unique_sink,
     induced_flaw,
+    induces_connected,
     is_int,
     member_ids,
     neighbour_masks,
@@ -56,19 +57,28 @@ class Instance:
     same dimension.  Construction via :func:`make_instance` enforces the
     simplicity bookkeeping: every vertex on exactly d facets, facets
     inducing connected (d-1)-regular subgraphs, and adjacency equivalent
-    to sharing exactly d-1 facets.  An instance built directly has been
-    through none of that: :func:`faces_from_incidence`, through which the
-    face, orientation and search code read the facets, checks their ids
-    and the faces they meet in.
+    to sharing exactly d-1 facets.  It keeps what those checks built, the
+    facets through each vertex and the neighbour masks, in a private field
+    that :func:`faces_from_incidence` reads as the proof that the checks
+    passed.  An instance built directly, or through
+    :func:`dataclasses.replace`, has been through none of that and carries
+    no proof (the field cannot be passed to either):
+    :func:`faces_from_incidence`, through which the face, orientation and
+    search code read the facets, checks their ids and the faces they meet
+    in.
 
-    Equality compares every field; the hash reads the name and the graph
-    only, so the faces cache looks an instance up in constant time.
+    Equality compares every field but the proof; the hash reads the name
+    and the graph only, so the faces cache looks an instance up in
+    constant time.
     """
 
     name: str
     graph: PolytopeGraph
     facets: tuple[tuple[int, ...], ...] = field(hash=False)
     coords: tuple[tuple[Fraction, ...], ...] | None = field(hash=False)
+    _proof: tuple[list[list[int]], list[int]] | None = field(
+        default=None, init=False, compare=False, hash=False, repr=False
+    )
 
 
 def make_instance(
@@ -86,6 +96,10 @@ def make_instance(
     polytope, its edges), and each edge is looked up among them.  That is
     O(n * d) filings and checks.  Of the bad pairs, the smallest (u, v) is
     reported, as a loop over all pairs would report it.
+
+    The instance returned keeps the facet-membership lists and neighbour
+    masks built here as its proof (see :class:`Instance`), so that
+    :func:`faces_from_incidence` neither rebuilds nor rechecks them.
     """
     if not isinstance(name, str):
         raise InvalidParams("instance name must be a string")
@@ -137,14 +151,18 @@ def make_instance(
             raise InvalidParams("coordinate rows must share a positive dimension")
         frozen_coords = tuple(rows)
 
-    return Instance(name=name, graph=graph, facets=tuple(canon), coords=frozen_coords)
+    inst = Instance(name=name, graph=graph, facets=tuple(canon), coords=frozen_coords)
+    object.__setattr__(inst, "_proof", (membership, nbr))
+    return inst
 
 
 def _facets_through(n: int, facets: Sequence[Sequence[int]]) -> list[list[int]]:
     """For each of the n vertices, the indices of the facets through it,
     ascending.  Nothing is checked: the ids must lie in 0..n-1, as
     :func:`make_instance` leaves them and :func:`faces_from_incidence`
-    checks them."""
+    checks them on an instance without a proof.  :func:`make_instance`
+    keeps the lists on the instance it returns, so they are built once
+    per instance it accepts."""
     membership: list[list[int]] = [[] for _ in range(n)]
     for i, t in enumerate(facets):
         for v in t:
@@ -329,8 +347,8 @@ def fig1() -> Instance:
     (1,1,0) from id 3 to id 2; both lie on the facet z = 0 and are not
     adjacent.  The result has 12 vertices, 18 edges and 8 facets.
     """
-    once = truncate_vertex(cube(3), 0)
-    return replace(truncate_vertex(once, 2), name="fig1")
+    twice = truncate_vertex(truncate_vertex(cube(3), 0), 2)
+    return make_instance("fig1", twice.graph, twice.facets, twice.coords)
 
 
 #: family name -> (generator, the type of each of its parameters)
@@ -372,31 +390,66 @@ def faces_from_incidence(inst: Instance, k: int) -> SetSystem:
     In a simple polytope the faces through a vertex form a Boolean
     lattice: every (d-k)-subset of its d facets meets in a distinct
     k-face.  The faces are found by filing each vertex under each
-    (d-k)-subset of its facets, not by intersecting facets.  Each face is
-    checked to induce a connected k-regular subgraph, which catches
-    corrupted inputs; a non-empty k-regular set has at least k+1 vertices.
-    The check is :func:`~ksystems.graphs.induced_flaw` over the neighbour
-    masks of the graph, built once per call: per vertex of a face one
-    popcount of its neighbour mask cut to the face, then a flood over
-    masks that takes each vertex at most once.  The faces are distinct
-    sorted tuples of vertex ids, listed in order, so the family is bound
-    to the graph as it stands, without
-    :func:`~ksystems.systems.make_set_system`.  On a simple polytope the
-    output lists each vertex C(d, k) times; the filing costs O(d) per
-    listing and the check a few operations on n-bit integers per listing:
-    O(n * C(d, k) * d) in all.
+    (d-k)-subset of its facets, not by intersecting facets.  The faces
+    are distinct sorted tuples of vertex ids, listed in order, so the
+    family is bound to the graph as it stands, without
+    :func:`~ksystems.systems.make_set_system`.
+
+    On an instance :func:`make_instance` accepted, its checks have proved
+    most of what a face check would show:
+
+    - **k-regularity.**  Each facet through a vertex v induces a
+      (d-1)-regular subgraph, so it misses exactly one neighbour of v;
+      each neighbour shares d-1 facets with v, so it misses exactly one
+      of v's facets.  A (d-k)-subset of v's facets therefore holds the k
+      neighbours whose missed facet is outside it: every facet
+      intersection is k-regular, and non-empty.
+    - **F_0 and F_1.**  No two vertices share all d facets.  If u and w
+      did, a neighbour x of u would share d-1 facets with u, hence with
+      w, so it would be adjacent to w as well; the facet of x that misses
+      u then misses w too, and x would have two neighbours outside a
+      facet in which it has d-1 of its d neighbours.  So F_0 is the
+      vertices.  And F_1 is the edges: the 1-face of v that misses a
+      facet holds v, the one neighbour of v that misses that facet, and
+      no other vertex, since a vertex sharing d-1 facets with v is its
+      neighbour.
+    - **F_{d-1}** is the facets, which were checked themselves.
+
+    So such an instance gets F_0, F_1 and F_{d-1} without any filing, its
+    membership lists and neighbour masks are read off the instance, and
+    the other faces are checked to be connected only, by
+    :func:`~ksystems.graphs.induces_connected`.  Any other instance, such
+    as one built directly, has its facet ids checked and each face checked
+    to induce a connected k-regular subgraph by
+    :func:`~ksystems.graphs.induced_flaw`, over neighbour masks built once
+    per call; a non-empty k-regular set has at least k+1 vertices.  Either
+    test costs a few operations on n-bit integers per vertex of a face.
+    On a simple polytope the output lists each vertex C(d, k) times; the
+    filing costs O(d) per listing: O(n * C(d, k) * d) in all.
     """
     g = inst.graph
     d = g.d
     if not is_int(k) or not 0 <= k <= d - 1:
         raise KOutOfRange(f"k must satisfy 0 <= k <= d-1 = {d - 1}, got {k!r}")
-    member_ids(g.n, inst.facets, "facet")  # an Instance may be built directly
-    meets = _meets(_facets_through(g.n, inst.facets), d - k)
-    found = sorted(set(map(tuple, meets.values())))
+    proof = inst._proof
+    if proof is None:
+        member_ids(g.n, inst.facets, "facet")  # an Instance may be built directly
+        membership, nbr = _facets_through(g.n, inst.facets), neighbour_masks(g)
+    elif k in (0, 1, d - 1):
+        if k == d - 1:
+            known = inst.facets
+        else:
+            known = g.edges if k else tuple((v,) for v in range(g.n))
+        return SetSystem(k=k, sets=known, graph_fingerprint=g.fingerprint)
+    else:
+        membership, nbr = proof
+    found = sorted(set(map(tuple, _meets(membership, d - k).values())))
 
-    nbr = neighbour_masks(g)
     for t in found:
-        flaw = induced_flaw(nbr, t, k)
+        if proof is None:
+            flaw = induced_flaw(nbr, t, k)
+        else:  # k-regular, as proved above
+            flaw = None if induces_connected(nbr, vertex_mask(t)) else "connected"
         if flaw == "regular":
             raise NotSimple(f"facet intersection {t} is not a {k}-face")
         if flaw == "connected":

@@ -492,7 +492,9 @@ def search_k_sink_counterexample(
     when one out-mask is empty.  Each dimension's faces are still fetched
     once per call, the k-faces first and the others when the AOF check
     first reaches them, in the order :func:`~ksystems.oracle.is_aof_oracle`
-    reaches them, so a corrupted instance raises the same error.
+    reaches them, so a corrupted instance raises the same error; on an
+    instance from :func:`~ksystems.oracle.make_instance` the 0- and
+    1-faces come back without any filing.
     """
     g = inst.graph
     faces = cache(partial(_face_masks, inst))

@@ -5,6 +5,7 @@ type and message) from ``facets_from_2faces``, and the same instance or
 the same refusal from ``make_instance``."""
 
 import re
+from dataclasses import replace
 from itertools import islice
 
 import pytest
@@ -92,6 +93,18 @@ def test_faces_match_reference_on_relabelled_instances(name, data):
     for k in range(g.d):
         got = ks.faces_from_incidence(relabelled, k)
         assert got == ref.faces_from_incidence(relabelled, k)
+    _assert_twin_agrees(relabelled)
+
+
+def _assert_twin_agrees(checked):
+    """For every k, the instance ``checked`` (from make_instance) gives the
+    same faces or refusal as its twin built directly and as the reference;
+    the cache is bypassed, since the twin is an equal key."""
+    twin = Instance(checked.name, checked.graph, checked.facets, checked.coords)
+    for k in range(checked.graph.d):
+        got = _outcome(ks.faces_from_incidence.__wrapped__, checked, k)
+        assert got == _outcome(ks.faces_from_incidence.__wrapped__, twin, k)
+        assert got == _outcome(ref.faces_from_incidence, checked, k)
 
 
 @pytest.mark.parametrize("name", PAIR_CASES)
@@ -107,6 +120,14 @@ def test_faces_and_refusals_match_reference_on_unchecked_facets(name):
                 assert _outcome(ks.faces_from_incidence, inst, k) == _outcome(
                     ref.faces_from_incidence, inst, k
                 )
+    # and those of the lists make_instance accepts, built through it
+    accepted = 0
+    for facets in FACET_LISTS[name]:
+        checked = _outcome(ks.make_instance, name, g, facets)
+        if isinstance(checked, Instance):
+            _assert_twin_agrees(checked)
+            accepted += 1
+    assert accepted >= 1
 
 
 #: Facets that meet in a disconnected k-regular face for k = 0, 1 and 2:
@@ -122,16 +143,19 @@ SPLIT_FACETS = [
 @pytest.mark.parametrize("name,facet", SPLIT_FACETS)
 def test_disconnected_faces_are_refused_as_the_reference_refuses_them(name, facet):
     # the facet lists of PAIR_CASES reach only the "not a k-face" refusal;
-    # each of these reaches it for some k and "is disconnected" for another
+    # each of these reaches it for some k and "is disconnected" for another,
+    # also when replace writes it into a checked instance, whose proof
+    # replace leaves behind
     g = INSTANCES[name].graph
-    inst = Instance(name=name, graph=g, facets=(facet,) * g.d, coords=None)
-    refusals = set()
-    for k in range(g.d):
-        got = _outcome(ks.faces_from_incidence, inst, k)
-        assert got == _outcome(ref.faces_from_incidence, inst, k)
-        assert got[0] is NotSimple
-        refusals.add(got[1].endswith("is disconnected"))
-    assert refusals == {False, True}
+    direct = Instance(name=name, graph=g, facets=(facet,) * g.d, coords=None)
+    for inst in (direct, replace(INSTANCES[name], facets=direct.facets)):
+        refusals = set()
+        for k in range(g.d):
+            got = _outcome(ks.faces_from_incidence, inst, k)
+            assert got == _outcome(ref.faces_from_incidence, inst, k)
+            assert got[0] is NotSimple
+            refusals.add(got[1].endswith("is disconnected"))
+        assert refusals == {False, True}
 
 
 # -- facets_from_2faces ---------------------------------------------------------
@@ -198,9 +222,10 @@ def test_make_instance_matches_reference_on_relabelled_facet_systems(name, data)
     g0 = INSTANCES[name].graph
     family = data.draw(st.sampled_from(FACET_LISTS[name]))
     g, facets = _relabelled(g0, family, data.draw(st.permutations(range(g0.n))))
-    assert _outcome(ks.make_instance, name, g, facets) == _outcome(
-        ref.make_instance, name, g, facets
-    )
+    got = _outcome(ks.make_instance, name, g, facets)
+    assert got == _outcome(ref.make_instance, name, g, facets)
+    if isinstance(got, Instance):
+        _assert_twin_agrees(got)
 
 
 @st.composite
@@ -235,9 +260,10 @@ def mutated_facet_lists(draw):
 @given(mutated_facet_lists())
 def test_make_instance_matches_reference_on_mutated_facets(case):
     name, g, facets = case
-    assert _outcome(ks.make_instance, name, g, facets) == _outcome(
-        ref.make_instance, name, g, facets
-    )
+    got = _outcome(ks.make_instance, name, g, facets)
+    assert got == _outcome(ref.make_instance, name, g, facets)
+    if isinstance(got, Instance):
+        _assert_twin_agrees(got)
 
 
 # fig1's graph with 7 connected 2-regular facets, every vertex on 3 of

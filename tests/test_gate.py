@@ -10,6 +10,7 @@ reference crashed with anything else, the package raises
 with an ``InvalidInput``; only the wording may differ.
 """
 
+import dataclasses
 import json
 import re
 import sys
@@ -527,6 +528,25 @@ def test_members_built_directly_must_be_collections(call, member):
     refusal = f"^{what} {re.escape(repr(member))} is not a set of vertex ids$"
     with pytest.raises(InvalidParams, match=refusal):
         run(member)
+
+
+def _replaced(facet):
+    """cube(3) from make_instance, its facet (4, 5, 6, 7) written as
+    ``facet`` by dataclasses.replace, which leaves the proof of
+    make_instance behind."""
+    return dataclasses.replace(CUBE3, facets=CUBE3.facets[:-1] + (facet,))
+
+
+@pytest.mark.parametrize("call", INSTANCE_CALLS)
+def test_instances_replaced_from_checked_ones_are_refused_alike(monkeypatch, call):
+    # the calls above, on cube(3) edited by replace instead of built directly
+    monkeypatch.setitem(globals(), "_instance", _replaced)
+    for bad in BAD_IDS:
+        _refused(call, bad)
+    for member in [5, None, 4.5, iter((4, 5, 6, 7))]:
+        refusal = f"^facet {re.escape(repr(member))} is not a set of vertex ids$"
+        with pytest.raises(InvalidParams, match=refusal):
+            MEMBER_CALLS[call][1](member)
 
 
 def test_checks_made_before_the_ids_still_come_first():

@@ -1,14 +1,16 @@
 """The bitmask test of an induced subgraph agrees with the set-based pair
 kept in ``reference_induced``: ``induced_flaw`` names the same first
 failing test (regularity before connectivity) as ``is_k_regular_set``
-followed by ``induces_connected``, and ``is_k_regular_set`` gives the same
-verdict, on vertex subsets of generator graphs for every k in 0..d."""
+followed by ``induces_connected``, ``is_k_regular_set`` gives the same
+verdict, and the flood ``graphs.induces_connected`` over the subset's
+bitmask gives the same connectivity as the set-based search, on vertex
+subsets of generator graphs for every k in 0..d."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ksystems as ks
-from ksystems.graphs import induced_flaw, neighbour_masks
+from ksystems.graphs import induced_flaw, induces_connected, neighbour_masks, vertex_mask
 
 import reference_induced as ref
 
@@ -76,3 +78,4 @@ def test_induced_flaw_matches_the_set_based_tests(case):
     assert induced_flaw(nbr, t, k) == want
     assert induced_flaw(nbr, t, k, connected=False) == (None if regular else "regular")
     assert ks.is_k_regular_set(g, t, k) == regular
+    assert induces_connected(nbr, vertex_mask(t)) == ref.induces_connected(g, t)

@@ -1,8 +1,10 @@
+import copy
 import dataclasses
 import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import islice, permutations
 from math import comb
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import ksystems as ks
+from ksystems import oracle
 from ksystems.oracle import FACES_CACHE_SIZE
 from ksystems.errors import (
     DegenerateWeights,
@@ -19,6 +22,8 @@ from ksystems.errors import (
     NoCoordinates,
     NotSimple,
 )
+
+from test_search import _counting
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -242,6 +247,74 @@ def test_instance_copy_in_another_process_hashes_afresh(cube3, tmp_path):
         env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": "1"},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+#: One instance from each generator, and from the dispatch over them.
+GENERATED = {
+    "simplex": lambda: ks.simplex(4),
+    "cube": lambda: ks.cube(4),
+    "product": lambda: ks.product(ks.simplex(2), ks.cube(2)),
+    "truncate_vertex": lambda: ks.truncate_vertex(ks.cube(3), 5),
+    "fig1": ks.fig1,
+    "generate": lambda: ks.generate("product", ks.simplex(3), ks.simplex(2)),
+}
+
+
+def _twin(inst):
+    """``inst`` built directly, without the checks of make_instance."""
+    return ks.Instance(inst.name, inst.graph, inst.facets, inst.coords)
+
+
+@pytest.mark.parametrize("family", sorted(GENERATED))
+def test_generated_instances_skip_the_proved_face_work(monkeypatch, family):
+    # F_0, F_1 and F_{d-1} are read off without filing and no face is
+    # tested for regularity; the twin built directly does both, with the
+    # same faces
+    inst = GENERATED[family]()
+    twin = _twin(inst)
+    faces = ks.faces_from_incidence.__wrapped__
+    calls = Counter()
+    _counting(monkeypatch, oracle, "_meets", calls)
+    _counting(monkeypatch, oracle, "induced_flaw", calls)
+    d = inst.graph.d
+    for k in range(d):
+        want = faces(twin, k)
+        assert calls["_meets"] == 1 and calls["induced_flaw"] == len(want.sets)
+        calls.clear()
+        assert faces(inst, k) == want
+        assert calls["_meets"] == (k not in (0, 1, d - 1))
+        assert calls["induced_flaw"] == 0
+        calls.clear()
+
+
+def test_the_proof_cannot_be_passed_in(cube3):
+    with pytest.raises(TypeError):
+        ks.Instance(cube3.name, cube3.graph, cube3.facets, None, cube3._proof)
+    with pytest.raises(TypeError):
+        ks.Instance(cube3.name, cube3.graph, cube3.facets, None, _proof=cube3._proof)
+    with pytest.raises(ValueError):
+        dataclasses.replace(cube3, _proof=cube3._proof)
+    assert dataclasses.replace(cube3, name="renamed")._proof is None
+    assert _twin(cube3)._proof is None and cube3._proof is not None
+
+
+@pytest.mark.parametrize("family", sorted(GENERATED))
+def test_a_checked_instance_and_its_twin_are_one_key(family):
+    inst = GENERATED[family]()
+    twin = _twin(inst)
+    assert twin == inst and hash(twin) == hash(inst)
+    assert {inst: 1}[twin] == 1
+    assert repr(twin) == repr(inst)
+
+
+@pytest.mark.parametrize("family", sorted(GENERATED))
+def test_pickled_and_copied_instances_keep_equality_and_faces(family):
+    inst = GENERATED[family]()
+    faces = ks.faces_from_incidence.__wrapped__
+    for other in (pickle.loads(pickle.dumps(inst)), copy.copy(inst), copy.deepcopy(inst)):
+        assert other == inst and hash(other) == hash(inst)
+        for k in range(inst.graph.d):
+            assert faces(other, k) == faces(inst, k)
 
 
 def test_make_instance_coordinate_checks(cube3):
