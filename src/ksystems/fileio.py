@@ -124,10 +124,7 @@ def h_vector_doc(h: HVector) -> list[int]:
 def parse_h_vector(doc: Any) -> HVector:
     if not isinstance(doc, list) or not doc:
         raise InvalidParams("h-vector document must be a non-empty list")
-    counts = [require_int(c, "h-vector entry") for c in doc]
-    if any(c < 0 for c in counts):
-        raise InvalidParams("h-vector entries must be non-negative")
-    return HVector(tuple(counts))
+    return HVector(tuple(doc))
 
 
 # -- instances ---------------------------------------------------------------

@@ -79,9 +79,19 @@ class Orientation:
 
 @dataclass(frozen=True)
 class HVector:
-    """In-degree histogram (h_0, ..., h_d) of an orientation."""
+    """In-degree histogram (h_0, ..., h_d) of an orientation.
+
+    Every count must pass :func:`require_int` and be non-negative; the
+    constructor raises InvalidParams otherwise.
+    """
 
     counts: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        for c in self.counts:
+            require_int(c, "h-vector entry")
+        if min(self.counts, default=0) < 0:
+            raise InvalidParams("h-vector entries must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ from .graphs import (
     induced_flaw,
     induces_connected,
     is_int,
-    member_ids,
     neighbour_masks,
     out_masks,
     topological_order,
@@ -52,42 +51,17 @@ from .systems import SetSystem, canonical_members
 class Instance:
     """A claimed simple polytope: graph, facet vertex sets, optional coords.
 
-    Facets are canonical sorted tuples in lexicographic order.  Coordinates,
-    when present, are exact rationals, one vector per vertex, all of the
-    same dimension.  Construction via :func:`make_instance` enforces the
-    simplicity bookkeeping: every vertex on exactly d facets, facets
-    inducing connected (d-1)-regular subgraphs, and adjacency equivalent
-    to sharing exactly d-1 facets.  It keeps what those checks built, the
-    facets through each vertex and the neighbour masks, in a private field
-    that :func:`faces_from_incidence` reads as the proof that the checks
-    passed.  An instance built directly, or through
-    :func:`dataclasses.replace`, has been through none of that and carries
-    no proof (the field cannot be passed to either):
-    :func:`faces_from_incidence`, through which the face, orientation and
-    search code read the facets, checks their ids and the faces they meet
-    in.
-
-    Equality compares every field but the proof; the hash reads the name
-    and the graph only, so the faces cache looks an instance up in
-    constant time.
-    """
-
-    name: str
-    graph: PolytopeGraph
-    facets: tuple[tuple[int, ...], ...] = field(hash=False)
-    coords: tuple[tuple[Fraction, ...], ...] | None = field(hash=False)
-    _proof: tuple[list[list[int]], list[int]] | None = field(
-        default=None, init=False, compare=False, hash=False, repr=False
-    )
-
-
-def make_instance(
-    name: str,
-    graph: PolytopeGraph,
-    facets: Iterable[Iterable[int]],
-    coords: Sequence[Sequence[Fraction | int]] | None = None,
-) -> Instance:
-    """Canonicalize and cross-check an instance (see :class:`Instance`).
+    The constructor is the one gate, however the instance is built:
+    ``Instance(...)``, :func:`make_instance` (the same constructor),
+    :func:`dataclasses.replace`, or the generators.  It refuses a name
+    that is not a string and a graph that is not a :class:`PolytopeGraph`,
+    checks the facets as a family (:func:`~ksystems.systems.canonical_members`),
+    and then the simplicity bookkeeping: every vertex on exactly d facets,
+    facets inducing connected (d-1)-regular subgraphs, and adjacency
+    equivalent to sharing exactly d-1 facets.  Facets are kept as
+    canonical sorted tuples in lexicographic order; coordinates, when
+    present, as exact rationals, one vector per vertex, all of the same
+    dimension.
 
     Adjacent vertices must share d-1 facets and no other pair may.  That
     is checked without visiting every vertex pair: each vertex is filed
@@ -97,77 +71,89 @@ def make_instance(
     O(n * d) filings and checks.  Of the bad pairs, the smallest (u, v) is
     reported, as a loop over all pairs would report it.
 
-    The instance returned keeps the facet-membership lists and neighbour
-    masks built here as its proof (see :class:`Instance`), so that
-    :func:`faces_from_incidence` neither rebuilds nor rechecks them.
+    What the checks built, the facets through each vertex and the
+    neighbour masks, is kept in a private field, the proof that
+    :func:`faces_from_incidence` reads.  The field cannot be passed in;
+    :mod:`pickle` and :mod:`copy` keep the proof they were given.
+    Equality compares every field but the proof; the hash reads the name
+    and the graph only, so the faces cache looks an instance up in
+    constant time.
     """
-    if not isinstance(name, str):
-        raise InvalidParams("instance name must be a string")
-    d, n = graph.d, graph.n
-    canon = canonical_members(graph, facets, "facet", 0, NotSimple)
 
-    membership = _facets_through(n, canon)
-    for v in range(n):
-        if len(membership[v]) != d:
-            raise NotSimple(
-                f"vertex {v} lies on {len(membership[v])} facets, expected {d}"
-            )
-
-    nbr = neighbour_masks(graph)
-    for i, t in enumerate(canon):
-        flaw = induced_flaw(nbr, t, d - 1)
-        if flaw == "regular":
-            raise NotSimple(f"facet #{i} does not induce a (d-1)-regular subgraph")
-        if flaw == "connected":
-            raise NotSimple(f"facet #{i} induces a disconnected subgraph")
-
-    # every vertex lies on d facets, so a pair sharing s >= d-1 of them is
-    # filed together C(s, d-1) times: once for s = d-1, d times for s = d
-    filed: Counter[tuple[int, int]] = Counter()
-    for group in _meets(membership, d - 1).values():
-        filed.update(combinations(group, 2))
-    bad = []
-    for u, v in graph.edges:
-        if (times := filed.pop((u, v), 0)) != 1:
-            shared = d if times else len({*membership[u]} & {*membership[v]})
-            bad.append(
-                ((u, v), f"edge ({u},{v}) shares {shared} facets, expected {d - 1}")
-            )
-    bad.extend(
-        ((u, v), f"non-adjacent pair ({u},{v}) shares {d - 1} facets")
-        for (u, v), times in filed.items()
-        if times == 1
+    name: str
+    graph: PolytopeGraph
+    facets: tuple[tuple[int, ...], ...] = field(hash=False)
+    coords: tuple[tuple[Fraction, ...], ...] | None = field(default=None, hash=False)
+    _proof: tuple[list[list[int]], list[int]] = field(
+        init=False, compare=False, hash=False, repr=False
     )
-    if bad:
-        raise NotSimple(min(bad)[1])
 
-    frozen_coords: tuple[tuple[Fraction, ...], ...] | None = None
-    if coords is not None:
-        rows = _rational_rows(coords, "coordinates")
-        if len(rows) != n:
-            raise InvalidParams(f"{len(rows)} coordinate rows for {n} vertices")
-        dims = {len(r) for r in rows}
-        if len(dims) != 1 or min(dims) < 1:
-            raise InvalidParams("coordinate rows must share a positive dimension")
-        frozen_coords = tuple(rows)
+    def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise InvalidParams("instance name must be a string")
+        graph = self.graph
+        if not isinstance(graph, PolytopeGraph):
+            raise InvalidParams(
+                f"instance graph must be a PolytopeGraph, got {type(graph).__name__}"
+            )
+        d, n = graph.d, graph.n
+        canon = canonical_members(graph, self.facets, "facet", 0, NotSimple)
 
-    inst = Instance(name=name, graph=graph, facets=tuple(canon), coords=frozen_coords)
-    object.__setattr__(inst, "_proof", (membership, nbr))
-    return inst
+        membership: list[list[int]] = [[] for _ in range(n)]
+        for i, t in enumerate(canon):
+            for v in t:
+                membership[v].append(i)
+        for v in range(n):
+            if len(membership[v]) != d:
+                raise NotSimple(
+                    f"vertex {v} lies on {len(membership[v])} facets, expected {d}"
+                )
+
+        nbr = neighbour_masks(graph)
+        for i, t in enumerate(canon):
+            flaw = induced_flaw(nbr, t, d - 1)
+            if flaw == "regular":
+                raise NotSimple(f"facet #{i} does not induce a (d-1)-regular subgraph")
+            if flaw == "connected":
+                raise NotSimple(f"facet #{i} induces a disconnected subgraph")
+
+        # every vertex lies on d facets, so a pair sharing s >= d-1 of them is
+        # filed together C(s, d-1) times: once for s = d-1, d times for s = d
+        filed: Counter[tuple[int, int]] = Counter()
+        for group in _meets(membership, d - 1).values():
+            filed.update(combinations(group, 2))
+        bad = []
+        for u, v in graph.edges:
+            if (times := filed.pop((u, v), 0)) != 1:
+                shared = d if times else len({*membership[u]} & {*membership[v]})
+                bad.append(
+                    ((u, v), f"edge ({u},{v}) shares {shared} facets, expected {d - 1}")
+                )
+        bad.extend(
+            ((u, v), f"non-adjacent pair ({u},{v}) shares {d - 1} facets")
+            for (u, v), times in filed.items()
+            if times == 1
+        )
+        if bad:
+            raise NotSimple(min(bad)[1])
+
+        coords = self.coords
+        if coords is not None:
+            coords = tuple(_rational_rows(coords, "coordinates"))
+            if len(coords) != n:
+                raise InvalidParams(f"{len(coords)} coordinate rows for {n} vertices")
+            dims = {len(r) for r in coords}
+            if len(dims) != 1 or min(dims) < 1:
+                raise InvalidParams("coordinate rows must share a positive dimension")
+
+        object.__setattr__(self, "facets", tuple(canon))
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "_proof", (membership, nbr))
 
 
-def _facets_through(n: int, facets: Sequence[Sequence[int]]) -> list[list[int]]:
-    """For each of the n vertices, the indices of the facets through it,
-    ascending.  Nothing is checked: the ids must lie in 0..n-1, as
-    :func:`make_instance` leaves them and :func:`faces_from_incidence`
-    checks them on an instance without a proof.  :func:`make_instance`
-    keeps the lists on the instance it returns, so they are built once
-    per instance it accepts."""
-    membership: list[list[int]] = [[] for _ in range(n)]
-    for i, t in enumerate(facets):
-        for v in t:
-            membership[v].append(i)
-    return membership
+#: Canonicalize and cross-check an instance: the constructor of
+#: :class:`Instance`, under the name the package has always exported.
+make_instance = Instance
 
 
 def _meets(
@@ -380,10 +366,12 @@ def generate(family: str, *args) -> Instance:
 
 #: Most (instance, k) pairs :func:`faces_from_incidence` keeps; the least
 #: recently used pair goes first, so memory stays flat over many instances.
+#: The keys are typed, so a k of 1.0 or True is refused as on a miss rather
+#: than answered from the entry for 1.
 FACES_CACHE_SIZE = 128
 
 
-@lru_cache(maxsize=FACES_CACHE_SIZE)
+@lru_cache(maxsize=FACES_CACHE_SIZE, typed=True)
 def faces_from_incidence(inst: Instance, k: int) -> SetSystem:
     """Vertex sets of all k-faces, 0 <= k <= d-1, from facet intersections.
 
@@ -395,8 +383,8 @@ def faces_from_incidence(inst: Instance, k: int) -> SetSystem:
     family is bound to the graph as it stands, without
     :func:`~ksystems.systems.make_set_system`.
 
-    On an instance :func:`make_instance` accepted, its checks have proved
-    most of what a face check would show:
+    The checks of the :class:`Instance` constructor have proved most of
+    what a face check would show:
 
     - **k-regularity.**  Each facet through a vertex v induces a
       (d-1)-regular subgraph, so it misses exactly one neighbour of v;
@@ -415,47 +403,37 @@ def faces_from_incidence(inst: Instance, k: int) -> SetSystem:
       neighbour.
     - **F_{d-1}** is the facets, which were checked themselves.
 
-    So such an instance gets F_0, F_1 and F_{d-1} without any filing, its
-    membership lists and neighbour masks are read off the instance, and
-    the other faces are checked to be connected only, by
-    :func:`~ksystems.graphs.induces_connected`.  Any other instance, such
-    as one built directly, has its facet ids checked and each face checked
-    to induce a connected k-regular subgraph by
-    :func:`~ksystems.graphs.induced_flaw`, over neighbour masks built once
-    per call; a non-empty k-regular set has at least k+1 vertices.  Either
-    test costs a few operations on n-bit integers per vertex of a face.
-    On a simple polytope the output lists each vertex C(d, k) times; the
-    filing costs O(d) per listing: O(n * C(d, k) * d) in all.
+    So F_0, F_1 and F_{d-1} come without any filing, the membership lists
+    and neighbour masks are read off the instance, and the other faces
+    are checked to be connected only, by
+    :func:`~ksystems.graphs.induces_connected`, a few operations on n-bit
+    integers per vertex of a face.  A face can be disconnected: the
+    checks bound the facets and the pairs of facets through a vertex,
+    not the intersections of more.  On a simple polytope the output lists
+    each vertex C(d, k) times; the filing costs O(d) per listing:
+    O(n * C(d, k) * d) in all.
     """
     g = inst.graph
     d = g.d
-    if not is_int(k) or not 0 <= k <= d - 1:
-        raise KOutOfRange(f"k must satisfy 0 <= k <= d-1 = {d - 1}, got {k!r}")
-    proof = inst._proof
-    if proof is None:
-        member_ids(g.n, inst.facets, "facet")  # an Instance may be built directly
-        membership, nbr = _facets_through(g.n, inst.facets), neighbour_masks(g)
-    elif k in (0, 1, d - 1):
+    check_face_k(g, k)
+    if k in (0, 1, d - 1):
         if k == d - 1:
             known = inst.facets
         else:
             known = g.edges if k else tuple((v,) for v in range(g.n))
         return SetSystem(k=k, sets=known, graph_fingerprint=g.fingerprint)
-    else:
-        membership, nbr = proof
+    membership, nbr = inst._proof
     found = sorted(set(map(tuple, _meets(membership, d - k).values())))
-
     for t in found:
-        if proof is None:
-            flaw = induced_flaw(nbr, t, k)
-        else:  # k-regular, as proved above
-            flaw = None if induces_connected(nbr, vertex_mask(t)) else "connected"
-        if flaw == "regular":
-            raise NotSimple(f"facet intersection {t} is not a {k}-face")
-        if flaw == "connected":
+        if not induces_connected(nbr, vertex_mask(t)):
             raise NotSimple(f"facet intersection {t} is disconnected")
-
     return SetSystem(k=k, sets=tuple(found), graph_fingerprint=g.fingerprint)
+
+
+def check_face_k(g: PolytopeGraph, k: int) -> None:
+    """k-faces exist for 0 <= k <= d-1 only."""
+    if not is_int(k) or not 0 <= k <= g.d - 1:
+        raise KOutOfRange(f"k must satisfy 0 <= k <= d-1 = {g.d - 1}, got {k!r}")
 
 
 def f_vector(inst: Instance) -> tuple[int, ...]:

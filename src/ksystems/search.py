@@ -41,7 +41,7 @@ from .graphs import (
     require_int,
     vertex_mask,
 )
-from .oracle import Instance, faces_from_incidence
+from .oracle import Instance, check_face_k, faces_from_incidence
 from .systems import (
     SetSystem,
     check_k_range,
@@ -488,22 +488,21 @@ def search_k_sink_counterexample(
     out-mask misses the face's bitmask.  The out-masks are kept from one
     orientation to the next and updated at the edges whose heads changed
     only.  A vertex or an edge has one sink under any acyclic orientation,
-    so 0- and 1-faces are not tested, and the whole polytope has one sink
-    when one out-mask is empty.  Each dimension's faces are still fetched
-    once per call, the k-faces first and the others when the AOF check
-    first reaches them, in the order :func:`~ksystems.oracle.is_aof_oracle`
-    reaches them, so a corrupted instance raises the same error; on an
-    instance from :func:`~ksystems.oracle.make_instance` the 0- and
-    1-faces come back without any filing.
+    so 0- and 1-faces are neither fetched nor tested, and the whole
+    polytope has one sink when one out-mask is empty.  The other faces are
+    fetched once per call, the k-faces first and the others when the AOF
+    check first reaches them, so a disconnected face is refused as
+    :func:`~ksystems.oracle.is_aof_oracle` refuses it.
     """
     g = inst.graph
+    check_face_k(g, k)
     faces = cache(partial(_face_masks, inst))
-    k_faces = faces(k)
+    k_faces = faces(k) if k > 1 else []
     edges = g.edges
     m = len(edges)
     prev: tuple[int, ...] = (0,) * m
     out = out_masks(g, Orientation(prev, g.fingerprint))
-    others = [j for j in range(1, g.d) if j != k]
+    others = [j for j in range(2, g.d) if j != k]
     for o in enumerate_acyclic_orientations(g, budget):
         heads = o.heads
         for e in compress(range(m), map(ne, prev, heads)):
@@ -511,13 +510,12 @@ def search_k_sink_counterexample(
             out[u] ^= 1 << v
             out[v] ^= 1 << u
         prev = heads
-        if k > 1 and first_without_unique_sink(out, k_faces) is not None:
+        if first_without_unique_sink(out, k_faces) is not None:
             continue
         # is_aof_oracle, less the checks the stream and the k-faces passed
         if out.count(0) != 1:
             return o
         for j in others:
-            faces_j = faces(j)
-            if j > 1 and first_without_unique_sink(out, faces_j) is not None:
+            if first_without_unique_sink(out, faces(j)) is not None:
                 return o
     return None

@@ -182,7 +182,8 @@ def canonical_members(
 ) -> list[tuple[int, ...]]:
     """The members of a caller's ``family`` as sorted tuples of vertex ids
     of ``g``, listed in order: the one check on a family from outside,
-    run by :func:`make_set_system` and :func:`~ksystems.oracle.make_instance`.
+    run by :func:`make_set_system` and the :class:`~ksystems.oracle.Instance`
+    constructor.
 
     One pass over the whole family accepts it when every member is a list
     or tuple of at least ``least`` distinct ids of type ``int`` in range,

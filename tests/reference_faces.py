@@ -12,8 +12,10 @@ Differential tests compare the package with three functions of it:
 
 The k-system validator and the set-system constructor come from the
 package; ``make_instance`` walks the facets itself, one at a time, with
-the messages of the package; ``induced_leaves`` and the set-based tests
-of an induced subgraph come from ``reference_induced``.
+the messages of the package, and returns the plain record of
+``reference_gate``, not the package's Instance, whose constructor runs the
+package's checks; ``induced_leaves`` and the set-based tests of an induced
+subgraph come from ``reference_induced``.
 """
 
 from __future__ import annotations
@@ -31,13 +33,14 @@ from ksystems.errors import (
     NotSimple,
 )
 from ksystems.graphs import is_int
-from ksystems.oracle import Instance, _rational_rows
+from ksystems.oracle import _rational_rows
 from ksystems.systems import (
     check_system_bound,
     make_set_system,
     validate_k_system,
 )
 
+from reference_gate import Instance
 from reference_induced import induced_leaves, induces_connected, is_k_regular_set
 
 

@@ -6,13 +6,14 @@ data in their own copy of the loops.  Differential tests compare the
 package with these: what they accept must come out the same, what they
 refuse with a package error must be refused with the same error, and
 what made them crash must now be refused with ``InvalidParams``.  Only
-the result types, the error types and the graph fingerprint come from
-the package; the induced-subgraph tests come from ``reference_induced``.
+the result types (but for the instance, a plain record here), the error
+types and the graph fingerprint come from the package; the
+induced-subgraph tests come from ``reference_induced``.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from fractions import Fraction
 
 from ksystems.certificates import AofCertificate, FaceCertificate
@@ -34,11 +35,14 @@ from ksystems.graphs import (
     PolytopeGraph,
     graph_fingerprint,
 )
-from ksystems.oracle import Instance
 from ksystems.systems import SetSystem
 
 from reference_induced import induces_connected, is_k_regular_set
 
+#: An instance as the reference makes it: a plain record of the four
+#: fields, since the package's Instance would run the package's own checks
+#: inside the reference.  It prints as the package's Instance prints.
+Instance = namedtuple("Instance", ["name", "graph", "facets", "coords"])
 
 # -- constructors ---------------------------------------------------------------
 

@@ -2,11 +2,12 @@
 did the same work many times over: the same k-faces or the same refusal
 from ``faces_from_incidence``, the same facets or the same refusal (error
 type and message) from ``facets_from_2faces``, and the same instance or
-the same refusal from ``make_instance``."""
+the same refusal from ``make_instance``, which is the constructor of
+``Instance``, however it is reached."""
 
 import re
 from dataclasses import replace
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -57,6 +58,17 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _made(make, *args):
+    """The instance ``make`` builds from ``args``, as the tuple of its four
+    fields (a package Instance and a reference record alike), or the type
+    and message of its refusal."""
+    try:
+        inst = make(*args)
+    except KSystemsError as exc:
+        return type(exc), str(exc)
+    return inst.name, inst.graph, inst.facets, inst.coords
+
+
 def _vertex_covers(g):
     """Every family of connected (d-1)-regular sets with each vertex on
     exactly d members: facet lists that pass every check of make_instance
@@ -93,41 +105,55 @@ def test_faces_match_reference_on_relabelled_instances(name, data):
     for k in range(g.d):
         got = ks.faces_from_incidence(relabelled, k)
         assert got == ref.faces_from_incidence(relabelled, k)
-    _assert_twin_agrees(relabelled)
+    _assert_faces_match_reference(relabelled)
 
 
-def _assert_twin_agrees(checked):
-    """For every k, the instance ``checked`` (from make_instance) gives the
-    same faces or refusal as its twin built directly and as the reference;
-    the cache is bypassed, since the twin is an equal key."""
-    twin = Instance(checked.name, checked.graph, checked.facets, checked.coords)
-    for k in range(checked.graph.d):
-        got = _outcome(ks.faces_from_incidence.__wrapped__, checked, k)
-        assert got == _outcome(ks.faces_from_incidence.__wrapped__, twin, k)
-        assert got == _outcome(ref.faces_from_incidence, checked, k)
+def _assert_faces_match_reference(inst):
+    """For every k, ``inst`` gives the same faces or refusal as the
+    reference; the cache is bypassed."""
+    for k in range(inst.graph.d):
+        got = _outcome(ks.faces_from_incidence.__wrapped__, inst, k)
+        assert got == _outcome(ref.faces_from_incidence, inst, k)
+
+
+def _constructors(base):
+    """Every way to build an instance on the graph of ``base``, given its
+    name, graph, facets and coordinates: make_instance, Instance,
+    dataclasses.replace on ``base`` (which keeps its name, graph and
+    coordinates), and the reference."""
+    return [
+        ks.make_instance,
+        Instance,
+        lambda name, g, facets, coords: replace(base, facets=facets),
+        ref.make_instance,
+    ]
+
+
+def _assert_constructors_agree(base, facets):
+    """Every constructor of :func:`_constructors` builds the same instance
+    from ``facets`` on the graph of ``base``, or refuses them with the same
+    error type and message; an instance built gives the reference's faces.
+    Returns whether the facets were accepted."""
+    args = (base.name, base.graph, facets, base.coords)
+    outcomes = [_made(make, *args) for make in _constructors(base)]
+    assert outcomes == outcomes[:1] * len(outcomes)
+    if len(outcomes[0]) == 4:  # the four fields of an instance built
+        _assert_faces_match_reference(ks.make_instance(*args))
+        return True
+    return False
 
 
 @pytest.mark.parametrize("name", PAIR_CASES)
 def test_faces_and_refusals_match_reference_on_unchecked_facets(name):
-    # instances built without make_instance, from facet lists it may refuse,
-    # also with a facet listed twice, so that two facet subsets meet in the
-    # same face
-    g = INSTANCES[name].graph
-    for facets in FACET_LISTS[name]:
-        for listed in (facets, facets + facets[:1]):
-            inst = Instance(name=name, graph=g, facets=tuple(sorted(listed)), coords=None)
-            for k in range(g.d):
-                assert _outcome(ks.faces_from_incidence, inst, k) == _outcome(
-                    ref.faces_from_incidence, inst, k
-                )
-    # and those of the lists make_instance accepts, built through it
+    # facet lists no constructor has checked yet, which make_instance may
+    # refuse, also with a facet listed twice, as given and sorted: every way
+    # to build an instance accepts or refuses them alike
+    base = INSTANCES[name]
     accepted = 0
     for facets in FACET_LISTS[name]:
-        checked = _outcome(ks.make_instance, name, g, facets)
-        if isinstance(checked, Instance):
-            _assert_twin_agrees(checked)
-            accepted += 1
-    assert accepted >= 1
+        for listed in (facets, facets + facets[:1], sorted(facets)):
+            accepted += _assert_constructors_agree(base, listed)
+    assert accepted >= 2  # the polytope's own facets, as given and sorted
 
 
 #: Facets that meet in a disconnected k-regular face for k = 0, 1 and 2:
@@ -142,20 +168,78 @@ SPLIT_FACETS = [
 
 @pytest.mark.parametrize("name,facet", SPLIT_FACETS)
 def test_disconnected_faces_are_refused_as_the_reference_refuses_them(name, facet):
-    # the facet lists of PAIR_CASES reach only the "not a k-face" refusal;
-    # each of these reaches it for some k and "is disconnected" for another,
-    # also when replace writes it into a checked instance, whose proof
-    # replace leaves behind
-    g = INSTANCES[name].graph
-    direct = Instance(name=name, graph=g, facets=(facet,) * g.d, coords=None)
-    for inst in (direct, replace(INSTANCES[name], facets=direct.facets)):
-        refusals = set()
-        for k in range(g.d):
-            got = _outcome(ks.faces_from_incidence, inst, k)
-            assert got == _outcome(ref.faces_from_incidence, inst, k)
-            assert got[0] is NotSimple
-            refusals.add(got[1].endswith("is disconnected"))
-        assert refusals == {False, True}
+    # no instance holds these facets: every constructor refuses the repeated
+    # facet, as the reference does, and so does replace on a checked
+    # instance, which keeps no proof of the facets it replaced
+    base = INSTANCES[name]
+    for facets in ([facet] * base.graph.d, [facet]):
+        assert not _assert_constructors_agree(base, facets)
+    with pytest.raises(NotSimple, match=re.escape(f"facet {facet} listed twice")):
+        replace(base, facets=(facet,) * base.graph.d)
+
+
+def _pseudomanifold_dual():
+    """The dual of a 3-pseudomanifold whose edge xy has two disjoint link
+    cycles, a0a1a2 and b0b1b2: its 42 tetrahedra are the vertices, two of
+    them adjacent when they share a triangle, and the stars of its 12
+    vertices are the facets (d = 4).  The 2-face of the edge xy is the
+    six tetrahedra through it, two disjoint triangles of the graph."""
+    x, y, z = 0, 1, 2
+    a, b, c = (3, 4, 5), (6, 7, 8), (9, 10, 11)
+
+    def strip(p, q):  # an annulus of six triangles from cycle p to cycle q
+        return [
+            t
+            for i, j in ((0, 1), (1, 2), (2, 0))
+            for t in ((p[i], p[j], q[i]), (p[j], q[i], q[j]))
+        ]
+
+    A, A2 = strip(a, b), strip(a, c) + strip(c, b)
+    link_xy = [(u, v) for p in (a, b) for u, v in combinations(p, 2)]
+    tets = sorted(
+        tuple(sorted(t))
+        for t in [(x, y, *e) for e in link_xy]
+        + [(x, *t) for t in A]
+        + [(y, *t) for t in A2]
+        + [(z, *t) for t in A + A2]
+    )
+    edges = [
+        (i, j)
+        for (i, s), (j, t) in combinations(enumerate(tets), 2)
+        if len({*s} & {*t}) == 3
+    ]
+    g = ks.validate_graph(4, len(tets), edges)
+    return g, [[i for i, t in enumerate(tets) if w in t] for w in range(12)]
+
+
+def test_a_checked_instance_can_have_a_disconnected_face():
+    # the constructor's checks bound facets and pairs of facets only, so a
+    # 2-face of a checked instance can fall apart; faces_from_incidence and
+    # the k-sink search refuse it as the reference does
+    g, facets = _pseudomanifold_dual()
+    inst = ks.make_instance("pseudomanifold", g, facets)
+    assert _made(ref.make_instance, "pseudomanifold", g, facets) == _made(
+        ks.make_instance, "pseudomanifold", g, facets
+    )
+    assert [len(ks.faces_from_incidence(inst, k).sets) for k in (0, 1, 3)] == [42, 84, 12]
+    _assert_faces_match_reference(inst)
+    refusal = _outcome(ref.faces_from_incidence, inst, 2)
+    assert refusal[0] is NotSimple and refusal[1].endswith("is disconnected")
+    assert _outcome(ks.faces_from_incidence, inst, 2) == refusal
+    assert _outcome(ks.search_k_sink_counterexample, inst, 2) == refusal
+
+
+def test_the_references_do_not_build_the_package_instance(monkeypatch):
+    # were the package's Instance built in a reference, its checks would
+    # run there too and hide a divergence
+    def refuse(self):
+        raise AssertionError("the package's Instance was built")
+
+    cube3 = INSTANCES["cube3"]
+    monkeypatch.setattr(Instance, "__post_init__", refuse)
+    for reference in (ref, reference_gate):
+        got = reference.make_instance(cube3.name, cube3.graph, cube3.facets, cube3.coords)
+        assert tuple(got) == (cube3.name, cube3.graph, cube3.facets, cube3.coords)
 
 
 # -- facets_from_2faces ---------------------------------------------------------
@@ -222,10 +306,10 @@ def test_make_instance_matches_reference_on_relabelled_facet_systems(name, data)
     g0 = INSTANCES[name].graph
     family = data.draw(st.sampled_from(FACET_LISTS[name]))
     g, facets = _relabelled(g0, family, data.draw(st.permutations(range(g0.n))))
-    got = _outcome(ks.make_instance, name, g, facets)
-    assert got == _outcome(ref.make_instance, name, g, facets)
-    if isinstance(got, Instance):
-        _assert_twin_agrees(got)
+    got = _made(ks.make_instance, name, g, facets)
+    assert got == _made(ref.make_instance, name, g, facets)
+    if len(got) == 4:  # the four fields of an instance built
+        _assert_faces_match_reference(ks.make_instance(name, g, facets))
 
 
 @st.composite
@@ -260,10 +344,10 @@ def mutated_facet_lists(draw):
 @given(mutated_facet_lists())
 def test_make_instance_matches_reference_on_mutated_facets(case):
     name, g, facets = case
-    got = _outcome(ks.make_instance, name, g, facets)
-    assert got == _outcome(ref.make_instance, name, g, facets)
-    if isinstance(got, Instance):
-        _assert_twin_agrees(got)
+    got = _made(ks.make_instance, name, g, facets)
+    assert got == _made(ref.make_instance, name, g, facets)
+    if len(got) == 4:  # the four fields of an instance built
+        _assert_faces_match_reference(ks.make_instance(name, g, facets))
 
 
 # fig1's graph with 7 connected 2-regular facets, every vertex on 3 of

@@ -15,6 +15,7 @@ import json
 import re
 import sys
 import tracemalloc
+from collections.abc import Iterator
 from enum import IntEnum
 from fractions import Fraction
 
@@ -452,9 +453,25 @@ VERTEX = IntEnum("VERTEX", [(f"v{i}", i) for i in range(8)])
 
 
 def _instance(facet):
-    """cube(3) built directly, its facet (4, 5, 6, 7) written as ``facet``."""
+    """cube(3) built by ``Instance(...)``, its facet (4, 5, 6, 7) written as
+    ``facet``."""
     facets = CUBE3.facets[:-1] + (facet,)
     return ks.Instance(name=f"cube(3) with {facet!r}", graph=G, facets=facets, coords=None)
+
+
+def _replaced(facet):
+    """cube(3) from make_instance, its facet (4, 5, 6, 7) written as
+    ``facet`` by dataclasses.replace, which runs the constructor again."""
+    return dataclasses.replace(CUBE3, facets=CUBE3.facets[:-1] + (facet,))
+
+
+def _made(facet):
+    """cube(3) from make_instance, its facet (4, 5, 6, 7) given as ``facet``."""
+    return ks.make_instance("cube(3)", G, CUBE3.facets[:-1] + (facet,), CUBE3.coords)
+
+
+#: Every way to build an instance from a caller's facets.
+INSTANCE_BUILDS = [_instance, _replaced, _made]
 
 
 def _system(member):
@@ -491,6 +508,18 @@ ID_CALLS = {
     "sinks_in_subset": lambda v: ks.sinks_in_subset(G, ORIENTATION, (4, 5, 6, v)),
 }
 INSTANCE_CALLS = ["faces_from_incidence", "is_aof_oracle"]
+#: What every way to build cube(3) says of vertex 7 of its facet
+#: (4, 5, 6, 7) written as each of BAD_IDS: the member walk of the
+#: constructor names a member that cannot be sorted or repeats a vertex
+#: before it looks at the ids.
+FACET_ID_REFUSALS = {
+    99: "vertex id 99 outside 0..7",
+    -1: "vertex id -1 outside 0..7",
+    "a": "facet (4, 5, 6, 'a') is not a set of vertex ids",
+    6.0: "facet (4, 5, 6, 6.0) repeats a vertex",
+    True: "vertex id True outside 0..7",
+    None: "facet (4, 5, 6, None) is not a set of vertex ids",
+}
 
 
 def _refused(call, bad):
@@ -501,9 +530,12 @@ def _refused(call, bad):
 @pytest.mark.parametrize("bad", BAD_IDS)
 def test_instances_built_directly_need_facet_ids_in_range(bad):
     # 99 used to raise a bare IndexError and 'a' a bare TypeError; -1 read
-    # vertex 7's facets and True vertex 1's
-    for call in INSTANCE_CALLS:
-        _refused(call, bad)
+    # vertex 7's facets and True vertex 1's.  Every way to build the
+    # instance refuses it, with one message
+    refusal = f"^{re.escape(FACET_ID_REFUSALS[bad])}$"
+    for build in INSTANCE_BUILDS:
+        with pytest.raises(InvalidParams, match=refusal):
+            build((4, 5, 6, bad))
 
 
 @pytest.mark.parametrize("bad", BAD_IDS)
@@ -523,30 +555,53 @@ def test_int_enum_vertex_ids_are_accepted(call):
 @pytest.mark.parametrize("call", sorted(MEMBER_CALLS))
 def test_members_built_directly_must_be_collections(call, member):
     # 5 in place of (4, 5, 6, 7) used to raise a bare TypeError; an iterator
-    # was used up by the id check and then read as an empty member
+    # was used up by the id check and then read as an empty member.  An
+    # instance reads its facets once, in its constructor, which reads an
+    # iterator (a fresh one here) as the facet it yields
     what, run = MEMBER_CALLS[call]
+    if what == "facet" and isinstance(member, Iterator):
+        assert run(iter((4, 5, 6, 7))) == run((4, 5, 6, 7))
+        return
     refusal = f"^{what} {re.escape(repr(member))} is not a set of vertex ids$"
     with pytest.raises(InvalidParams, match=refusal):
         run(member)
 
 
-def _replaced(facet):
-    """cube(3) from make_instance, its facet (4, 5, 6, 7) written as
-    ``facet`` by dataclasses.replace, which leaves the proof of
-    make_instance behind."""
-    return dataclasses.replace(CUBE3, facets=CUBE3.facets[:-1] + (facet,))
-
-
 @pytest.mark.parametrize("call", INSTANCE_CALLS)
 def test_instances_replaced_from_checked_ones_are_refused_alike(monkeypatch, call):
-    # the calls above, on cube(3) edited by replace instead of built directly
-    monkeypatch.setitem(globals(), "_instance", _replaced)
-    for bad in BAD_IDS:
-        _refused(call, bad)
-    for member in [5, None, 4.5, iter((4, 5, 6, 7))]:
-        refusal = f"^facet {re.escape(repr(member))} is not a set of vertex ids$"
+    # the calls above, on cube(3) edited by replace or built by make_instance
+    # instead of Instance(...): the same refusals and the same answers
+    run = MEMBER_CALLS[call][1]
+    members = [(4, 5, 6, bad) for bad in BAD_IDS] + [5, None, 4.5, (4, 5, 6, 7)]
+    want = [outcome(run, m) for m in members]
+    assert want[-1][0] == "ok"
+    for build in (_replaced, _made):
+        monkeypatch.setitem(globals(), "_instance", build)
+        assert [outcome(run, m) for m in members] == want
+        assert outcome(run, iter((4, 5, 6, 7))) == want[-1]
+
+
+def test_make_instance_refuses_a_graph_that_is_not_a_polytope_graph():
+    # None used to raise a bare AttributeError
+    for graph in (None, list(G.edges), fileio.graph_doc(G)):
+        refusal = f"^instance graph must be a PolytopeGraph, got {type(graph).__name__}$"
         with pytest.raises(InvalidParams, match=refusal):
-            MEMBER_CALLS[call][1](member)
+            ks.make_instance("cube(3)", graph, CUBE3.facets)
+
+
+@pytest.mark.parametrize(
+    "counts,message",
+    [
+        ((1, "a"), "h-vector entry must be an integer, got 'a'"),
+        ((1, -1), "h-vector entries must be non-negative"),
+        ((1, True), "h-vector entry must be an integer, got True"),
+    ],
+)
+def test_h_vectors_built_directly_need_non_negative_integer_counts(counts, message):
+    # hk_sum(HVector((1, "a")), 1) used to raise a bare TypeError
+    for build in (ks.HVector, lambda c: fileio.parse_h_vector(list(c))):
+        with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+            build(counts)
 
 
 def test_checks_made_before_the_ids_still_come_first():

@@ -21,7 +21,6 @@ from ksystems.errors import (
     BudgetExceeded,
     CandidateCapExceeded,
     KSystemsError,
-    NotSimple,
 )
 
 import reference_search as ref
@@ -188,16 +187,26 @@ def test_k_sink_search_errors_match_reference(cube3):
 
 
 @pytest.mark.parametrize("name", ["cube3", "tet_x_segment"])
-def test_k_sink_search_fetches_the_faces_it_does_not_test(name):
-    # a repeated facet makes the pair (facet, its copy) meet in the whole
-    # facet, so the 1-faces are not edges; the sink test skips 1-faces but
-    # must still fetch them, and refuse them where the reference does
+def test_k_sink_search_fetches_only_the_faces_it_tests(monkeypatch, name):
+    # a vertex and an edge have one sink under any acyclic orientation, so
+    # the 0- and 1-faces are neither tested nor fetched; the k-faces come
+    # first, and each dimension is fetched once
     inst = SINK_INSTANCES[name]
-    bad = ks.Instance(inst.name, inst.graph, (*inst.facets, inst.facets[0]), None)
+    fetched = []
+    faces = search.faces_from_incidence
+
+    def counted(inst, k):
+        fetched.append(k)
+        return faces(inst, k)
+
+    monkeypatch.setattr(search, "faces_from_incidence", counted)
     for k in range(inst.graph.d):
-        got = _outcome(ks.search_k_sink_counterexample, bad, k)
-        assert got == _outcome(ref.search_k_sink_counterexample, bad, k)
-        assert got[0] is NotSimple
+        want = _heads(ref.search_k_sink_counterexample(inst, k))
+        fetched.clear()
+        assert _heads(ks.search_k_sink_counterexample(inst, k)) == want
+        assert min(fetched, default=2) >= 2 and len(set(fetched)) == len(fetched)
+        if k >= 2:
+            assert fetched[0] == k
 
 
 def _families(inst):
