@@ -44,6 +44,7 @@ from .graphs import (
     topological_order,
     vertex_mask,
 )
+from .oracle import _unique_sinks
 from .systems import (
     SetSystem,
     check_system_bound,
@@ -236,14 +237,13 @@ def polygon_is_aof(g: PolytopeGraph, o: Orientation) -> bool:
     """Direct AOF check for d = 2: acyclic with a unique global sink.
 
     Polygons are below the reach of 2-systems; every edge of an acyclic
-    orientation has exactly one sink, so only the global sink matters.
+    orientation has exactly one sink, so only the global sink matters: the
+    AOF test of :func:`~ksystems.oracle.is_aof_oracle` with no faces, one
+    empty out-mask.
     """
     if g.d != 2:
         raise InvalidParams(f"polygon check needs d = 2, got d={g.d}")
-    if topological_order(g, o).cycle is not None:
-        return False
-    whole = (range(g.n), (1 << g.n) - 1)
-    return first_without_unique_sink(out_masks(g, o), [whole]) is None
+    return topological_order(g, o).cycle is None and _unique_sinks(out_masks(g, o), ())
 
 
 def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:

@@ -81,17 +81,24 @@ class Orientation:
 class HVector:
     """In-degree histogram (h_0, ..., h_d) of an orientation.
 
-    Every count must pass :func:`require_int` and be non-negative; the
-    constructor raises InvalidParams otherwise.
+    The counts are kept as a tuple, converted by :func:`as_tuple`, so an
+    h-vector built from a list equals and hashes like one built from a
+    tuple.  They must be non-empty, and every count must pass
+    :func:`require_int` and be non-negative; the constructor raises
+    InvalidParams otherwise.
     """
 
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for c in self.counts:
+        counts = as_tuple(self.counts, "h-vector")
+        if not counts:
+            raise InvalidParams("h-vector must not be empty")
+        for c in counts:
             require_int(c, "h-vector entry")
-        if min(self.counts, default=0) < 0:
+        if min(counts) < 0:
             raise InvalidParams("h-vector entries must be non-negative")
+        object.__setattr__(self, "counts", counts)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, combinations
+from functools import lru_cache, partial
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -469,21 +469,40 @@ def geometric_aof(inst: Instance, weights: Sequence[Fraction | int | str]) -> Or
     return Orientation(heads=heads, graph_fingerprint=inst.graph.fingerprint)
 
 
-def is_aof_oracle(inst: Instance, o: Orientation) -> bool:
-    """Definition check: acyclic with a unique sink in every non-empty face.
+def _face_masks(inst: Instance, k: int) -> list[tuple[tuple[int, ...], int]]:
+    """The k-faces, each with its vertex bitmask."""
+    return [(t, vertex_mask(t)) for t in faces_from_incidence(inst, k).sets]
 
-    Faces of dimension k = 1..d-1 come from the facet incidences; the
-    whole polytope contributes the unique-global-sink requirement.
-    Vertices trivially have one sink each, so k = 0 is skipped.
+
+def _unique_sinks(out: list[int], families: Iterable[Iterable]) -> bool:
+    """True when the acyclic orientation of out-masks ``out`` has one sink on
+    the whole graph and one on each set of each family in ``families``,
+    given as pairs (set, bitmask): the AOF test of
+    :func:`is_aof_oracle`, the k-sink search and
+    :func:`~ksystems.certificates.polygon_is_aof`.
+
+    The whole graph has one sink when exactly one out-mask is empty; the
+    families are tested in order by
+    :func:`~ksystems.graphs.first_without_unique_sink`, each drawn only
+    when the test reaches it.  Acyclicity is the caller's to check.
+    """
+    return out.count(0) == 1 and all(
+        first_without_unique_sink(out, faces) is None for faces in families
+    )
+
+
+def is_aof_oracle(inst: Instance, o: Orientation) -> bool:
+    """Definition check: acyclic with a unique sink on the polytope and on
+    every face of dimension k = 2..d-1.
+
+    The faces come from the facet incidences, one dimension at a time and
+    only when the test reaches it; a vertex, and an edge under any acyclic
+    orientation, has one sink, so F_0 and F_1 are neither fetched nor
+    tested.  An orientation with other than one global sink is refused
+    before any face is fetched.
     """
     g = inst.graph
     if topological_order(g, o).cycle is not None:
         return False
-    # the polytope first, then each dimension's faces as they are reached
-    faces = (
-        (t, vertex_mask(t))
-        for k in range(1, g.d)
-        for t in faces_from_incidence(inst, k).sets
-    )
-    whole = (range(g.n), (1 << g.n) - 1)
-    return first_without_unique_sink(out_masks(g, o), chain([whole], faces)) is None
+    faces = map(partial(_face_masks, inst), range(2, g.d))
+    return _unique_sinks(out_masks(g, o), faces)

@@ -41,7 +41,7 @@ from .graphs import (
     require_int,
     vertex_mask,
 )
-from .oracle import Instance, check_face_k, faces_from_incidence
+from .oracle import Instance, _face_masks, _unique_sinks, check_face_k
 from .systems import (
     SetSystem,
     check_k_range,
@@ -94,7 +94,7 @@ def enumerate_acyclic_orientations(
     before them, with no new integer, so each node two edges from the end
     yields its leaves itself.
     """
-    require_int(budget, "budget")
+    require_int(budget, "budget", 0)
     m = len(g.edges)
     if 2**m > budget:
         raise BudgetExceeded(f"2^{m} orientations exceed budget {budget}")
@@ -222,7 +222,9 @@ def connected_k_regular_sets(
     pivot may join when it meets at most k of the set and none of those.
     """
     check_k_range(g, k)
+    # a cap that is no integer is named as such, without the bound
     require_int(candidate_cap, "candidate_cap")
+    require_int(candidate_cap, "candidate_cap", 0)
     adj = neighbour_masks(g)
     found: list[tuple[int, ...]] = []
 
@@ -420,7 +422,6 @@ def enumerate_k_systems(
     is bound to the graph with its members sorted, without
     :func:`~ksystems.systems.make_set_system`.
     """
-    require_int(candidate_cap, "candidate_cap")
     require_int(count_cap, "count_cap", 1)
     candidates = connected_k_regular_sets(g, k, candidate_cap)
 
@@ -463,11 +464,6 @@ def max_k_system(
     return best
 
 
-def _face_masks(inst: Instance, k: int) -> list[tuple[tuple[int, ...], int]]:
-    """The k-faces, each with its vertex bitmask."""
-    return [(t, vertex_mask(t)) for t in faces_from_incidence(inst, k).sets]
-
-
 def search_k_sink_counterexample(
     inst: Instance, k: int, budget: int = DEFAULT_BUDGET
 ) -> Orientation | None:
@@ -487,11 +483,13 @@ def search_k_sink_counterexample(
     orientations of ``inst.graph``.  A vertex is a sink of a face when its
     out-mask misses the face's bitmask.  The out-masks are kept from one
     orientation to the next and updated at the edges whose heads changed
-    only.  A vertex or an edge has one sink under any acyclic orientation,
-    so 0- and 1-faces are neither fetched nor tested, and the whole
-    polytope has one sink when one out-mask is empty.  The other faces are
-    fetched once per call, the k-faces first and the others when the AOF
-    check first reaches them, so a disconnected face is refused as
+    only.  An orientation with one sink on every k-face then runs the AOF
+    test of :func:`~ksystems.oracle.is_aof_oracle` (the polytope, then the
+    faces of the other dimensions 2..d-1), less its topological sort.  A
+    vertex or an edge has one sink under any acyclic orientation, so 0- and
+    1-faces are neither fetched nor tested.  The other faces are fetched
+    once per call, the k-faces first and the others when the AOF test
+    first reaches them, so a disconnected face is refused as
     :func:`~ksystems.oracle.is_aof_oracle` refuses it.
     """
     g = inst.graph
@@ -510,12 +508,7 @@ def search_k_sink_counterexample(
             out[u] ^= 1 << v
             out[v] ^= 1 << u
         prev = heads
-        if first_without_unique_sink(out, k_faces) is not None:
-            continue
-        # is_aof_oracle, less the checks the stream and the k-faces passed
-        if out.count(0) != 1:
-            return o
-        for j in others:
-            if first_without_unique_sink(out, faces(j)) is not None:
+        if first_without_unique_sink(out, k_faces) is None:
+            if not _unique_sinks(out, map(faces, others)):
                 return o
     return None

@@ -42,6 +42,7 @@ from .graphs import (
     member_ids,
     neighbour_masks,
     plain_vertex_ids,
+    require_int,
     vertex_mask,
 )
 
@@ -268,8 +269,10 @@ def frame_count(g: PolytopeGraph, k: int) -> int:
 def is_k_regular_set(g: PolytopeGraph, t: Iterable[int], k: int) -> bool:
     """True when every vertex of ``t`` has exactly k neighbours in ``t``.
 
-    Raises :class:`InvalidParams` for anything but vertex ids of ``g``.
+    Raises :class:`InvalidParams` for a k that is not a non-negative
+    integer, checked first, and for anything but vertex ids of ``g``.
     """
+    require_int(k, "k", 0)
     t = as_tuple(t, "vertex set")
     check_vertex_ids(g.n, t)
     return induced_flaw(neighbour_masks(g), t, k, connected=False) is None

@@ -261,6 +261,26 @@ def test_max_ksystem_refuses_a_count_cap_below_one(capsys, cube3_files, cap):
     assert f"count_cap must be an integer >= 1, got {cap}" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["enum-orient", "--budget", "-1"], "budget must be an integer >= 0, got -1"),
+        (
+            ["enum-ksystems", "-k", "2", "--candidate-cap", "-3"],
+            "candidate_cap must be an integer >= 0, got -3",
+        ),
+    ],
+)
+def test_searches_refuse_a_negative_budget_or_candidate_cap(
+    capsys, cube3_files, argv, message
+):
+    # both used to exit 3, as if a budget of -1 had been spent
+    argv = [argv[0], cube3_files["graph"], *argv[1:]]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert message in err
+
+
 def test_enum_ksystems_streams_with_one_job(capsys, cube3_files, cube3, monkeypatch):
     systems = list(ks.enumerate_k_systems(cube3.graph, 2))
     written = []

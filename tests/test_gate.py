@@ -595,13 +595,30 @@ def test_make_instance_refuses_a_graph_that_is_not_a_polytope_graph():
         ((1, "a"), "h-vector entry must be an integer, got 'a'"),
         ((1, -1), "h-vector entries must be non-negative"),
         ((1, True), "h-vector entry must be an integer, got True"),
+        ((), "h-vector must not be empty"),
+        (5, "h-vector must be a list, got 5"),
+        (None, "h-vector must be a list, got None"),
     ],
 )
 def test_h_vectors_built_directly_need_non_negative_integer_counts(counts, message):
-    # hk_sum(HVector((1, "a")), 1) used to raise a bare TypeError
-    for build in (ks.HVector, lambda c: fileio.parse_h_vector(list(c))):
+    # hk_sum(HVector((1, "a")), 1) used to raise a bare TypeError; HVector(())
+    # was accepted, and HVector(5) and HVector(None) raised a bare TypeError.
+    # The parser refuses a document that is not a non-empty list with its own
+    # message, so it runs on the other cases only.
+    builds = [ks.HVector]
+    if isinstance(counts, tuple) and counts:
+        builds.append(lambda c: fileio.parse_h_vector(list(c)))
+    for build in builds:
         with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
             build(counts)
+
+
+def test_h_vectors_keep_their_counts_as_a_tuple():
+    # hash(HVector([1, 2])) used to raise a bare TypeError
+    from_list = ks.HVector([1, 2])
+    assert from_list.counts == (1, 2)
+    assert from_list == ks.HVector((1, 2)) and hash(from_list) == hash(ks.HVector((1, 2)))
+    assert ks.hk_sum(ks.HVector(iter([1, 2])), 1) == 2
 
 
 def test_checks_made_before_the_ids_still_come_first():

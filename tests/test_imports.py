@@ -4,7 +4,8 @@ Covers the modules of ``src/ksystems`` (except ``__init__.py``, whose
 imports are the package's exports), ``tests`` and ``tools``.  A module is
 parsed with ``ast``; a name bound by an import and never loaded as a
 name is reported with its line.  ``from __future__`` imports and star
-imports bind nothing to read.
+imports bind nothing to read.  The exports themselves are checked
+against ``ksystems.__all__``.
 """
 
 import ast
@@ -52,3 +53,18 @@ def test_no_import_goes_unread(path):
 def test_an_unread_import_is_reported():
     source = "import os\nimport os.path as osp\nfrom json import dumps, loads\nloads('1')\n"
     assert unused_imports(source) == ["os (line 1)", "osp (line 2)", "dumps (line 3)"]
+
+
+def test_the_package_exports_exactly_the_names_it_imports():
+    # __init__.py keeps both lists by hand
+    import ksystems
+
+    tree = ast.parse((ROOT / "src" / "ksystems" / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    ]
+    assert sorted(ksystems.__all__) == sorted(imported)
+    assert len(set(imported)) == len(imported)

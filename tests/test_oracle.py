@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import os
 import pickle
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -24,6 +25,7 @@ from ksystems.errors import (
 )
 
 import reference_faces
+import reference_search
 from test_search import _counting
 
 
@@ -381,6 +383,45 @@ def test_is_aof_oracle_rejects_non_aof(prism):
         len(ks.sinks_in_subset(g, bad, full)) != 1
         or any(len(ks.sinks_in_subset(g, bad, f)) != 1 for f in faces)
     )
+
+
+@pytest.mark.parametrize("recipe", ["cube4", "tet_x_segment"])
+def test_is_aof_oracle_fetches_only_the_faces_it_tests(monkeypatch, recipe):
+    # a vertex, and an edge under an acyclic orientation, has one sink, so
+    # F_0 and F_1 are never fetched; F_2..F_{d-1} at most once each, and no
+    # face at all when the whole polytope has two sinks
+    inst = ks.cube(4) if recipe == "cube4" else ks.product(ks.simplex(3), ks.cube(1))
+    g = inst.graph
+    fetched = []
+    faces = oracle.faces_from_incidence
+
+    def counted(inst, k):
+        fetched.append(k)
+        return faces(inst, k)
+
+    monkeypatch.setattr(oracle, "faces_from_incidence", counted)
+    assert ks.is_aof_oracle(inst, ks.geometric_aof(inst, [1, 2, 4, 8]))
+    assert fetched == list(range(2, g.d))
+
+    def toward_later(order):
+        pos = {v: i for i, v in enumerate(order)}
+        return ks.make_orientation(g, [int(pos[v] > pos[u]) for u, v in g.edges])
+
+    # an order ending in two non-adjacent vertices makes both sinks of the
+    # whole polytope
+    last = next(v for v in range(1, g.n) if v not in g.adjacency[0])
+    fetched.clear()
+    assert not ks.is_aof_oracle(
+        inst, toward_later([v for v in range(g.n) if v not in (0, last)] + [0, last])
+    )
+    assert fetched == []
+
+    rng = random.Random(g.n)
+    for _ in range(40):
+        o = toward_later(rng.sample(range(g.n), g.n))
+        fetched.clear()
+        assert ks.is_aof_oracle(inst, o) == reference_search.is_aof_oracle(inst, o)
+        assert min(fetched, default=2) >= 2 and len(set(fetched)) == len(fetched)
 
 
 def test_is_aof_oracle_rejects_cyclic():

@@ -166,8 +166,13 @@ def test_count_cap_streams_match_across_jobs(triangle_x_square, count_cap):
     "call,name,value",
     [
         ("enumerate_acyclic_orientations", "budget", None),
+        ("enumerate_acyclic_orientations", "budget", -1),
         ("minimize_hk", "budget", None),
+        ("minimize_hk", "budget", -1),
         ("connected_k_regular_sets", "candidate_cap", None),
+        ("connected_k_regular_sets", "candidate_cap", -3),
+        ("enumerate_k_systems", "candidate_cap", -1),
+        ("max_k_system", "candidate_cap", -3),
         ("enumerate_k_systems", "count_cap", None),
         ("enumerate_k_systems", "count_cap", 0),
         ("enumerate_k_systems", "count_cap", -1),
@@ -288,7 +293,7 @@ def test_counterexample_search_cost(monkeypatch, recipe, k):
 
     inst = ks.cube(3) if recipe == "cube3" else ks.product(ks.simplex(3), ks.cube(1))
     calls = Counter()
-    _counting(monkeypatch, search, "faces_from_incidence", calls)
+    _counting(monkeypatch, oracle, "faces_from_incidence", calls)
     _counting(monkeypatch, search, "enumerate_acyclic_orientations", calls)
     for module in (graphs, oracle, certificates):
         _counting(monkeypatch, module, "topological_order", calls)

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ksystems as ks
-from ksystems import search
+from ksystems import oracle, search
 from ksystems.errors import (
     BudgetExceeded,
     CandidateCapExceeded,
@@ -193,13 +193,13 @@ def test_k_sink_search_fetches_only_the_faces_it_tests(monkeypatch, name):
     # first, and each dimension is fetched once
     inst = SINK_INSTANCES[name]
     fetched = []
-    faces = search.faces_from_incidence
+    faces = oracle.faces_from_incidence
 
     def counted(inst, k):
         fetched.append(k)
         return faces(inst, k)
 
-    monkeypatch.setattr(search, "faces_from_incidence", counted)
+    monkeypatch.setattr(oracle, "faces_from_incidence", counted)
     for k in range(inst.graph.d):
         want = _heads(ref.search_k_sink_counterexample(inst, k))
         fetched.clear()

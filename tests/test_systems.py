@@ -1,3 +1,4 @@
+import re
 from enum import IntEnum
 from itertools import combinations
 
@@ -165,6 +166,21 @@ def test_is_k_regular_set(cube3):
     assert ks.is_k_regular_set(g, {0, 1, 2, 3}, 2)
     assert not ks.is_k_regular_set(g, {0, 1, 2, 4}, 2)  # star around 0
     assert ks.is_k_regular_set(g, set(range(8)), 3)
+
+
+def test_is_k_regular_set_refuses_a_k_that_is_not_a_non_negative_integer(cube3):
+    # "k", -1 and 1.5 used to answer False, and True answered as k = 1; k is
+    # checked before the family, as make_set_system checks it
+    g = cube3.graph
+    for k in ("k", -1, 1.5, True, None):
+        refusal = f"^k must be an integer >= 0, got {re.escape(repr(k))}$"
+        with pytest.raises(InvalidParams, match=refusal):
+            ks.is_k_regular_set(g, {0, 1, 2, 3}, k)
+        with pytest.raises(InvalidParams, match="^k must be"):
+            ks.is_k_regular_set(g, [99], k)
+    assert ks.is_k_regular_set(g, {0, 1, 2, 3}, 2)
+    assert not ks.is_k_regular_set(g, {0, 1, 2, 3}, 1)
+    assert not ks.is_k_regular_set(g, {0, 1}, 0)
 
 
 def test_face_family_is_k_system(cube3, cube4, simplex4, prism, fig1):
