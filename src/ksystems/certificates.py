@@ -133,6 +133,25 @@ def _system_refutation(g: PolytopeGraph, s: SetSystem, what: str) -> Verdict | N
     return Verdict.refuted("k-system", f"{what} ({report.first_defect()})")
 
 
+def _chain(
+    g: PolytopeGraph, s: SetSystem, o: Orientation, what: str, members: str, role: str
+) -> Verdict:
+    """The chain |S| <= f_k <= H^k(O), checked in order: ``s`` is a
+    k-system (refuted as ``what``), ``o`` is acyclic (named by its
+    ``role``), and |S| = H^k(o), S named ``members`` in the count."""
+    refuted = _system_refutation(g, s, what)
+    if refuted is None:
+        refuted = _cycle_refutation(g, o, role)
+    if refuted is not None:
+        return refuted
+    hk = hk_sum(indegree_histogram(g, o), s.k)
+    if len(s.sets) != hk:
+        return Verdict.refuted(
+            "count", f"|{members}| = {len(s.sets)} but H^{s.k}({role}) = {hk}"
+        )
+    return Verdict.ok()
+
+
 def verify_face_certificate(g: PolytopeGraph, cert: FaceCertificate) -> Verdict:
     """Check a claim that cert.claimed_sets = F_k.
 
@@ -148,18 +167,7 @@ def verify_face_certificate(g: PolytopeGraph, cert: FaceCertificate) -> Verdict:
     check_system_bound(g, s)
     if cert.k != s.k:
         raise KMismatch(f"certificate k={cert.k} but set system k={s.k}")
-
-    refuted = _system_refutation(g, s, "claimed sets are not a k-system")
-    if refuted is None:
-        refuted = _cycle_refutation(g, o, "witness")
-    if refuted is not None:
-        return refuted
-    hk = hk_sum(indegree_histogram(g, o), cert.k)
-    if len(s.sets) != hk:
-        return Verdict.refuted(
-            "count", f"|S| = {len(s.sets)} but H^{cert.k}(witness) = {hk}"
-        )
-    return Verdict.ok()
+    return _chain(g, s, o, "claimed sets are not a k-system", "S", "witness")
 
 
 def verify_larger_system(g: PolytopeGraph, s: SetSystem, s_prime: SetSystem) -> Verdict:
@@ -188,10 +196,12 @@ def verify_aof_certificate(g: PolytopeGraph, cert: AofCertificate) -> Verdict:
     """Check a claim that the candidate orientation is an AOF orientation.
 
     Needs d >= 3 so that 2-systems exist (for polygons check directly,
-    see :func:`polygon_is_aof`).  The checks mirror the face certificate
-    with k = 2: witness 2-system valid, candidate acyclic, and |witness|
-    equal to H^2 of the candidate, the minimum value attained exactly by
-    orientations with unique sinks on all 2-faces; those are AOF.
+    see :func:`polygon_is_aof`).  This is the face certificate at k = 2,
+    the same chain in other words: witness 2-system valid, candidate
+    acyclic, and |witness| equal to H^2 of the candidate, the minimum
+    value attained exactly by orientations with unique sinks on all
+    2-faces; those are AOF.  So a pair (S, O) verified by one verifier
+    is verified by the other, and a refuted one fails the same check.
     """
     if g.d < 3:
         raise DimensionTooSmall(f"AOF certificates need d >= 3, got d={g.d}")
@@ -201,18 +211,7 @@ def verify_aof_certificate(g: PolytopeGraph, cert: AofCertificate) -> Verdict:
     check_system_bound(g, s)
     if s.k != 2:
         raise KMismatch(f"witness must be a 2-system, got k={s.k}")
-
-    refuted = _system_refutation(g, s, "witness is not a 2-system")
-    if refuted is None:
-        refuted = _cycle_refutation(g, o, "candidate")
-    if refuted is not None:
-        return refuted
-    h2 = hk_sum(indegree_histogram(g, o), 2)
-    if len(s.sets) != h2:
-        return Verdict.refuted(
-            "count", f"|witness| = {len(s.sets)} but H^2(candidate) = {h2}"
-        )
-    return Verdict.ok()
+    return _chain(g, s, o, "witness is not a 2-system", "witness", "candidate")
 
 
 def verify_smaller_h2(g: PolytopeGraph, o: Orientation, o_prime: Orientation) -> Verdict:

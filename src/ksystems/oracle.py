@@ -26,7 +26,6 @@ from typing import Iterable, Sequence
 from .errors import (
     DegenerateWeights,
     InvalidParams,
-    KOutOfRange,
     NoCoordinates,
     NotSimple,
 )
@@ -37,14 +36,14 @@ from .graphs import (
     first_without_unique_sink,
     induced_flaw,
     induces_connected,
-    is_int,
     neighbour_masks,
     out_masks,
+    require_int,
     topological_order,
     validate_graph,
     vertex_mask,
 )
-from .systems import SetSystem, canonical_members
+from .systems import SetSystem, canonical_members, check_k_range
 
 
 @dataclass(frozen=True)
@@ -210,8 +209,7 @@ def simplex(d: int) -> Instance:
 
     Vertex 0 sits at the origin, vertex i at the i-th unit vector.
     """
-    if not is_int(d) or d < 1:
-        raise InvalidParams(f"simplex dimension must be >= 1, got {d!r}")
+    require_int(d, "simplex dimension", 1)
     _refuse_oversized(f"simplex({d})", d * (d + 1) // 2 > MAX_EDGES)
     n = d + 1
     graph = validate_graph(d, n, combinations(range(n), 2))
@@ -228,8 +226,7 @@ def cube(d: int) -> Instance:
 
     Facets are the 2d coordinate half-spaces x_j = 0 and x_j = 1.
     """
-    if not is_int(d) or d < 1:
-        raise InvalidParams(f"cube dimension must be >= 1, got {d!r}")
+    require_int(d, "cube dimension", 1)
     # d * 2^(d-1) edges; past MAX_EDGES.bit_length() the power alone exceeds it
     _refuse_oversized(
         f"cube({d})", d > MAX_EDGES.bit_length() or d << (d - 1) > MAX_EDGES
@@ -415,7 +412,7 @@ def faces_from_incidence(inst: Instance, k: int) -> SetSystem:
     """
     g = inst.graph
     d = g.d
-    check_face_k(g, k)
+    check_k_range(g, k, least=0)
     if k in (0, 1, d - 1):
         if k == d - 1:
             known = inst.facets
@@ -428,12 +425,6 @@ def faces_from_incidence(inst: Instance, k: int) -> SetSystem:
         if not induces_connected(nbr, vertex_mask(t)):
             raise NotSimple(f"facet intersection {t} is disconnected")
     return SetSystem(k=k, sets=tuple(found), graph_fingerprint=g.fingerprint)
-
-
-def check_face_k(g: PolytopeGraph, k: int) -> None:
-    """k-faces exist for 0 <= k <= d-1 only."""
-    if not is_int(k) or not 0 <= k <= g.d - 1:
-        raise KOutOfRange(f"k must satisfy 0 <= k <= d-1 = {g.d - 1}, got {k!r}")
 
 
 def f_vector(inst: Instance) -> tuple[int, ...]:

@@ -19,6 +19,11 @@ lexicographic order), and the cover is Algorithm X over integer
 bitmasks: one int for the frames still uncovered, one mask of frames per
 candidate and one mask of candidates per frame.  Merged variants of a
 cover are generated lazily, so ``count_cap`` bounds them.
+
+No search here calls itself: each keeps its pending branches on an
+explicit stack and takes them in the order a recursive search would, so
+it runs to any depth, past Python's recursion limit, and the streams
+come in the order the recursive references in the tests pin.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .graphs import (
     require_int,
     vertex_mask,
 )
-from .oracle import Instance, _face_masks, _unique_sinks, check_face_k
+from .oracle import Instance, _face_masks, _unique_sinks
 from .systems import (
     SetSystem,
     check_k_range,
@@ -220,15 +225,16 @@ def connected_k_regular_sets(
     excluded from it.  A degree is the popcount of a neighbour mask cut
     to the set; the saturated vertices are gathered into one mask, so the
     pivot may join when it meets at most k of the set and none of those.
+    The states wait on one stack, the branch that includes the pivot on
+    top, so the search runs to any depth in the order of a recursive one.
     """
     check_k_range(g, k)
-    # a cap that is no integer is named as such, without the bound
-    require_int(candidate_cap, "candidate_cap")
     require_int(candidate_cap, "candidate_cap", 0)
     adj = neighbour_masks(g)
     found: list[tuple[int, ...]] = []
-
-    def grow(cur: int, forb: int) -> None:
+    stack = [(1 << r, (1 << r) - 1) for r in reversed(range(g.n))]
+    while stack:
+        cur, forb = stack.pop()
         blocked = cur | forb
         full = pivot = 0
         rest = cur
@@ -242,23 +248,21 @@ def connected_k_regular_sets(
                 continue
             free = near & ~blocked
             if deg + free.bit_count() < k:
-                return
+                break  # the state dies
             if not pivot:
                 pivot = free & -free
-        if not pivot:
-            if len(found) >= candidate_cap:
-                raise CandidateCapExceeded(
-                    f"more than {candidate_cap} candidate sets"
-                )
-            found.append(tuple(_bit_indices(cur)))
-            return
-        joins = adj[pivot.bit_length() - 1] & cur
-        if joins.bit_count() <= k and not joins & full:
-            grow(cur | pivot, forb)
-        grow(cur, forb | pivot)
-
-    for r in range(g.n):
-        grow(1 << r, (1 << r) - 1)
+        else:
+            if not pivot:
+                if len(found) >= candidate_cap:
+                    raise CandidateCapExceeded(
+                        f"more than {candidate_cap} candidate sets"
+                    )
+                found.append(tuple(_bit_indices(cur)))
+                continue
+            stack.append((cur, forb | pivot))
+            joins = adj[pivot.bit_length() - 1] & cur
+            if joins.bit_count() <= k and not joins & full:
+                stack.append((cur | pivot, forb))
     found.sort()
     return found
 
@@ -334,21 +338,31 @@ def _exact_covers(
     frames no chosen candidate covers, ``live`` the candidates that clash
     with none chosen, which are exactly those whose frames are all
     uncovered.  Always branching on the column :func:`_column` picks makes
-    every cover appear exactly once.
+    every cover appear exactly once.  The search keeps one stack entry per
+    depth, (``uncovered``, ``live``, the column's candidates not yet
+    tried), and ``chosen[j]`` is the candidate in trial at depth j, so it
+    runs to any depth.  The frame universe is never empty (k <= d - 1).
     """
     cand_frames, frame_cands, clashes = _cover_index(g, k, candidates)
     chosen: list[int] = []
-
-    def rec(uncovered: int, live: int) -> Iterator[tuple[int, ...]]:
+    uncovered, live = (1 << len(frame_cands)) - 1, (1 << len(candidates)) - 1
+    stack = [(uncovered, live, _bit_indices(_column(frame_cands, uncovered, live)))]
+    while stack:
+        uncovered, live, untried = stack[-1]
+        del chosen[len(stack) - 1 :]
+        i = next(untried, None)
+        if i is None:
+            stack.pop()
+            continue
+        chosen.append(i)
+        uncovered ^= cand_frames[i]
+        live &= ~clashes[i]
         if not uncovered:
             yield tuple(chosen)
-            return
-        for i in _bit_indices(_column(frame_cands, uncovered, live)):
-            chosen.append(i)
-            yield from rec(uncovered ^ cand_frames[i], live & ~clashes[i])
-            chosen.pop()
-
-    yield from rec((1 << len(frame_cands)) - 1, (1 << len(candidates)) - 1)
+        else:
+            stack.append(
+                (uncovered, live, _bit_indices(_column(frame_cands, uncovered, live)))
+            )
 
 
 def _merged_variants(
@@ -365,6 +379,12 @@ def _merged_variants(
     neighbourhood.  ``compat[i]`` is the mask of the earlier members
     independent of member i, and each block is the mask of its members,
     so a block admits member i when it holds nothing outside ``compat[i]``.
+
+    Member i is tried in each block that admits it, in order, then in a
+    block of its own; ``at[i]`` is the block it is in.  A block holding
+    member i alone is the last one, since the blocks that later members
+    opened are closed again before i moves on.  So the search is one loop
+    over member positions and runs to any depth.
     """
     m = len(base)
     nbr = neighbour_masks(g)
@@ -376,28 +396,40 @@ def _merged_variants(
         sum(1 << j for j in range(i) if not vm & closed[j])
         for i, vm in enumerate(vmasks)
     ]
-    blocks: list[int] = []
 
     def merged(block: int) -> tuple[int, ...]:
         members = map(base.__getitem__, _bit_indices(block))
         return tuple(sorted(chain.from_iterable(members)))
 
-    def assign(i: int) -> Iterator[list[tuple[int, ...]]]:
+    blocks: list[int] = []
+    at = [-1] * m  # -1: member i is in no block yet
+    i = 0
+    while i >= 0:
         if i == m:
             if len(blocks) < m:  # some block holds two members or more
                 yield list(map(merged, blocks))
-            return
+            i -= 1
+            continue
         bit, outside = 1 << i, ~compat[i]
-        for x, held in enumerate(blocks):
-            if not held & outside:
-                blocks[x] = held | bit
-                yield from assign(i + 1)
-                blocks[x] = held
-        blocks.append(bit)
-        yield from assign(i + 1)
-        blocks.pop()
-
-    return assign(0)
+        x = at[i]
+        if x >= 0:  # take member i out of the block it was tried in
+            if blocks[x] == bit:
+                blocks.pop()
+            else:
+                blocks[x] ^= bit
+        for y in range(x + 1, len(blocks)):
+            if not blocks[y] & outside:
+                blocks[y] |= bit
+                break
+        else:
+            if x == len(blocks):  # its own block was the last try
+                at[i] = -1
+                i -= 1
+                continue
+            y = len(blocks)
+            blocks.append(bit)
+        at[i] = y
+        i += 1
 
 
 def enumerate_k_systems(
@@ -493,7 +525,7 @@ def search_k_sink_counterexample(
     :func:`~ksystems.oracle.is_aof_oracle` refuses it.
     """
     g = inst.graph
-    check_face_k(g, k)
+    check_k_range(g, k, least=0)
     faces = cache(partial(_face_masks, inst))
     k_faces = faces(k) if k > 1 else []
     edges = g.edges

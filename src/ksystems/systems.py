@@ -160,10 +160,15 @@ class KSystemReport:
         return "\n".join([head, *self.defect_lines()])
 
 
-def check_k_range(g: PolytopeGraph, k: int) -> None:
-    """k-frames and k-systems exist for 2 <= k <= d-1 only."""
-    if not is_int(k) or not 2 <= k <= g.d - 1:
-        raise KOutOfRange(f"k must satisfy 2 <= k <= d-1 = {g.d - 1}, got {k!r}")
+def check_k_range(g: PolytopeGraph, k: int, least: int = 2) -> None:
+    """Refuse a k outside least..d-1 with KOutOfRange.
+
+    k-frames and k-systems exist for 2 <= k <= d-1 only, the default;
+    k-faces exist for 0 <= k <= d-1, so the faces and the k-sink search
+    pass ``least = 0``.
+    """
+    if not is_int(k) or not least <= k <= g.d - 1:
+        raise KOutOfRange(f"k must satisfy {least} <= k <= d-1 = {g.d - 1}, got {k!r}")
 
 
 def check_system_bound(g: PolytopeGraph, s: SetSystem) -> None:
@@ -242,8 +247,7 @@ def make_set_system(g: PolytopeGraph, k: int, sets: Iterable[Iterable[int]]) -> 
     Duplicate members are a hard error rather than a validation failure:
     a file repeating a set is malformed, not refuted.
     """
-    if not is_int(k) or k < 0:
-        raise InvalidParams(f"k must be a non-negative integer, got {k!r}")
+    require_int(k, "k", 0)
     canon = canonical_members(g, sets, "set", k + 1, DuplicateSet)
     return SetSystem(k=k, sets=tuple(canon), graph_fingerprint=g.fingerprint)
 

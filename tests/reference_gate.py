@@ -105,7 +105,7 @@ def make_orientation(g, heads):
 
 def make_set_system(g, k, sets):
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise InvalidParams(f"k must be a non-negative integer, got {k!r}")
+        raise InvalidParams(f"k must be an integer >= 0, got {k!r}")
     canon = []
     seen = set()
     for raw in sets:

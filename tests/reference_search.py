@@ -117,7 +117,7 @@ def connected_k_regular_sets(
     """All vertex sets inducing a connected k-regular subgraph, sorted,
     grown over Python sets."""
     check_k_range(g, k)
-    require_int(candidate_cap, "candidate_cap")
+    require_int(candidate_cap, "candidate_cap", 0)
     adj = [set(a) for a in g.adjacency]
     found: list[tuple[int, ...]] = []
 

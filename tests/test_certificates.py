@@ -234,6 +234,143 @@ def test_aof_certificate_witness_must_be_two_system(cube3):
         ks.verify_aof_certificate(g, cert)
 
 
+def _around(g, o, face):
+    """``o`` with the edges of the 2-face ``face``, an induced cycle,
+    turned to run around it."""
+    inside = set(face)
+    walk = [face[0]]
+    while len(walk) < len(face):
+        nxt = (x for x in g.adjacency[walk[-1]] if x in inside and x not in walk)
+        walk.append(next(nxt))
+    index = g.edge_index()
+    heads = list(o.heads)
+    for a, b in zip(walk, walk[1:] + walk[:1]):
+        heads[index[min(a, b), max(a, b)]] = int(b > a)
+    return ks.make_orientation(g, heads)
+
+
+# per instance and mutant of (F_2, an AOF): the failed check, then the
+# reasons of the face and of the AOF verifier; None when both verify
+VERDICTS = {
+    "cube": [
+        ("genuine", None, None, None),
+        (
+            "dropped_member",
+            "k-system",
+            "claimed sets are not a k-system (frame (0|1,2) covered 0 times)",
+            "witness is not a 2-system (frame (0|1,2) covered 0 times)",
+        ),
+        (
+            "irregular_member",
+            "k-system",
+            "claimed sets are not a k-system (set #1 not 2-regular)",
+            "witness is not a 2-system (set #1 not 2-regular)",
+        ),
+        (
+            "cyclic",
+            "acyclic",
+            "witness contains directed cycle 0->1->3->2",
+            "candidate contains directed cycle 0->1->3->2",
+        ),
+        (
+            "not_aof",
+            "count",
+            "|S| = 6 but H^2(witness) = 7",
+            "|witness| = 6 but H^2(candidate) = 7",
+        ),
+    ],
+    "fig1": [
+        ("genuine", None, None, None),
+        (
+            "dropped_member",
+            "k-system",
+            "claimed sets are not a k-system (frame (0|6,9) covered 0 times)",
+            "witness is not a 2-system (frame (0|6,9) covered 0 times)",
+        ),
+        (
+            "irregular_member",
+            "k-system",
+            "claimed sets are not a k-system (set #0 not 2-regular)",
+            "witness is not a 2-system (set #0 not 2-regular)",
+        ),
+        (
+            "cyclic",
+            "acyclic",
+            "witness contains directed cycle 0->6->7->1->10->9",
+            "candidate contains directed cycle 0->6->7->1->10->9",
+        ),
+        (
+            "not_aof",
+            "count",
+            "|S| = 8 but H^2(witness) = 11",
+            "|witness| = 8 but H^2(candidate) = 11",
+        ),
+    ],
+    "triangle_x_segment": [
+        ("genuine", None, None, None),
+        (
+            "dropped_member",
+            "k-system",
+            "claimed sets are not a k-system (frame (0|1,2) covered 0 times)",
+            "witness is not a 2-system (frame (0|1,2) covered 0 times)",
+        ),
+        (
+            "irregular_member",
+            "k-system",
+            "claimed sets are not a k-system (set #1 not 2-regular)",
+            "witness is not a 2-system (set #1 not 2-regular)",
+        ),
+        (
+            "cyclic",
+            "acyclic",
+            "witness contains directed cycle 0->1->3->2",
+            "candidate contains directed cycle 0->1->3->2",
+        ),
+        (
+            "not_aof",
+            "count",
+            "|S| = 5 but H^2(witness) = 6",
+            "|witness| = 5 but H^2(candidate) = 6",
+        ),
+    ],
+}
+VERDICT_INSTANCES = {
+    "cube": lambda: ks.cube(3),
+    "fig1": ks.fig1,
+    "triangle_x_segment": lambda: ks.product(ks.simplex(2), ks.cube(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERDICTS))
+def test_face_and_aof_verifiers_give_one_verdict_in_their_words(name):
+    # one verified (S, O) proves both S = F_2 and "O is an AOF", so the
+    # two verifiers agree on every check; only the role words differ.
+    # fig1 carries no coordinates, so the AOF is the first H^2 minimizer
+    inst = VERDICT_INSTANCES[name]()
+    g = inst.graph
+    f2 = ks.faces_from_incidence(inst, 2)
+    aof = ks.minimize_hk(g, 2)[1]
+    first = f2.sets[0]
+    extra = (*first, min(x for x in g.adjacency[first[0]] if x not in first))
+    assert ks.is_aof_oracle(inst, aof) and not ks.is_k_regular_set(g, extra, 2)
+    not_aof = next(
+        o for o in ks.enumerate_acyclic_orientations(g) if not ks.is_aof_oracle(inst, o)
+    )
+    inputs = {
+        "genuine": (f2, aof),
+        "dropped_member": (ks.make_set_system(g, 2, f2.sets[1:]), aof),
+        "irregular_member": (ks.make_set_system(g, 2, [*f2.sets, extra]), aof),
+        "cyclic": (f2, _around(g, aof, first)),
+        "not_aof": (f2, not_aof),
+    }
+    for variant, check, face_reason, aof_reason in VERDICTS[name]:
+        s, o = inputs[variant]
+        face = ks.verify_face_certificate(g, ks.FaceCertificate(2, s, o))
+        candidate = ks.verify_aof_certificate(g, ks.AofCertificate(o, s))
+        assert face == ks.Verdict(check is None, check, face_reason), variant
+        assert candidate == ks.Verdict(check is None, check, aof_reason), variant
+
+
 def test_polygon_is_aof(square):
     assert ks.polygon_is_aof(square, ks.make_orientation(square, [1, 1, 1, 1]))
     two_sinks = ks.make_orientation(square, [1, 1, 0, 1])

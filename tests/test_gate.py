@@ -326,11 +326,19 @@ def test_generate_raises_only_package_errors(family, args):
         (("product", 1, 2), r"product takes \(Instance, Instance\), got \(int, int\)"),
         (("truncate", CUBE3, "0"), r"truncate takes \(Instance, int\), got \(Instance, str\)"),
         ((["cube"], 3), "unknown family"),
+        (("simplex", 0), r"^simplex dimension must be an integer >= 1, got 0$"),
+        (("cube", True), r"^cube dimension must be an integer >= 1, got True$"),
     ],
 )
 def test_generate_checks_family_and_parameters(args, message):
     with pytest.raises(InvalidParams, match=message):
         oracle.generate(*args)
+
+
+def test_a_generator_called_directly_checks_its_dimension():
+    # generate refuses a float by its type, before the generator sees it
+    with pytest.raises(InvalidParams, match=r"^cube dimension must be an integer >= 1, got 1\.5$"):
+        oracle.cube(1.5)
 
 
 @pytest.mark.parametrize("d,n,first", [(1, 2**64, 0), (3, 10**12, 8)])

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from ksystems.errors import (
 )
 from ksystems.graphs import first_without_unique_sink, induced_flaw, neighbour_masks
 
+import reference_gate
 import reference_search as ref
 from reference_induced import induced_leaves
 from conftest import cycle_graph
@@ -49,6 +51,14 @@ def test_validate_graph_rejects_disconnected():
     two_triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
     with pytest.raises(Disconnected):
         ks.validate_graph(2, 6, two_triangles)
+    # two K4s on the even and the odd ids: the least unreachable vertex is 1
+    two_k4s = [e for part in (range(0, 8, 2), range(1, 8, 2)) for e in combinations(part, 2)]
+    messages = []
+    for validate in (ks.validate_graph, reference_gate.validate_graph):
+        with pytest.raises(Disconnected) as refused:
+            validate(3, 8, two_k4s)
+        messages.append(str(refused.value))
+    assert messages == ["vertex 1 unreachable from vertex 0"] * 2
 
 
 @pytest.mark.parametrize("d,n", [(0, 1), (2, 0), (-1, 5)])

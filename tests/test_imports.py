@@ -1,7 +1,8 @@
 """Every name a module imports is read somewhere in that module.
 
 Covers the modules of ``src/ksystems`` (except ``__init__.py``, whose
-imports are the package's exports), ``tests`` and ``tools``.  A module is
+imports are the package's exports), ``tests``, ``tools`` and, at any
+depth, ``perfbench``.  A module is
 parsed with ``ast``; a name bound by an import and never loaded as a
 name is reported with its line.  ``from __future__`` imports and star
 imports bind nothing to read.  The exports themselves are checked
@@ -20,6 +21,7 @@ MODULES = sorted(
         *(ROOT / "src" / "ksystems").glob("*.py"),
         *(ROOT / "tests").glob("*.py"),
         *(ROOT / "tools").glob("*.py"),
+        *(ROOT / "perfbench").glob("**/*.py"),
     ]
     if p.name != "__init__.py"
 )

@@ -112,7 +112,7 @@ def test_faces_from_incidence_low_k(cube3):
     assert f0.sets == tuple((v,) for v in range(8))
     f1 = ks.faces_from_incidence(cube3, 1)
     assert set(f1.sets) == set(cube3.graph.edges)
-    with pytest.raises(KOutOfRange):
+    with pytest.raises(KOutOfRange, match=r"^k must satisfy 0 <= k <= d-1 = 2, got 3$"):
         ks.faces_from_incidence(cube3, 3)
 
 

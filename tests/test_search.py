@@ -1,6 +1,7 @@
+import re
 import time
 from collections import Counter
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 
@@ -110,6 +111,12 @@ def test_connected_k_regular_sets_simplex(simplex4):
 def test_candidate_cap(fig1):
     with pytest.raises(CandidateCapExceeded):
         ks.connected_k_regular_sets(fig1.graph, 2, candidate_cap=3)
+    # on the 1200-gon prism the search first grows a path over more than
+    # 1 000 vertices, past Python's recursion limit, before it meets a set
+    cycle = cycle_graph(1200)
+    prism = ks.product(ks.cube(1), ks.make_instance("polygon(1200)", cycle, cycle.edges))
+    with pytest.raises(CandidateCapExceeded, match="^more than 0 candidate sets$"):
+        ks.connected_k_regular_sets(prism.graph, 2, candidate_cap=0)
 
 
 def test_enumerate_k_systems_cube3(cube3):
@@ -179,12 +186,15 @@ def test_count_cap_streams_match_across_jobs(triangle_x_square, count_cap):
         ("enumerate_k_systems", "candidate_cap", "10"),
         ("max_k_system", "count_cap", True),
         ("max_k_system", "candidate_cap", 2.0),
+        ("connected_k_regular_sets", "candidate_cap", 10.0),
     ],
 )
 def test_search_arguments_must_be_integers(cube3, call, name, value):
     fn = getattr(search, call)
     args = (cube3.graph,) if call == "enumerate_acyclic_orientations" else (cube3.graph, 2)
-    with pytest.raises(InvalidParams, match=f"{name} must be an integer"):
+    least = 1 if name == "count_cap" else 0
+    refusal = f"^{name} must be an integer >= {least}, got {re.escape(repr(value))}$"
+    with pytest.raises(InvalidParams, match=refusal):
         result = fn(*args, **{name: value})
         if call.startswith("enumerate"):
             list(result)
@@ -230,6 +240,15 @@ def test_simplex_systems_are_unique(simplex3, simplex4):
             assert set(systems[0].sets) == set(
                 ks.faces_from_incidence(inst, k).sets
             )
+
+
+def test_a_cover_deeper_than_the_recursion_limit_is_found():
+    # the one 2-system of simplex(19) is its 1 140 triangles: the exact
+    # cover chooses 1 140 members, and the merged variants place 1 140
+    g = ks.simplex(19).graph
+    (only,) = ks.enumerate_k_systems(g, 2)
+    assert only.sets == tuple(combinations(range(20), 3))
+    assert ks.max_k_system(g, 2) == only
 
 
 def test_max_k_system_prefers_faces(cube3, prism):
@@ -309,7 +328,7 @@ def test_counterexample_search_cost(monkeypatch, recipe, k):
 def test_counterexample_search_checks_k_before_the_budget(cube3):
     with pytest.raises(KOutOfRange):
         ks.search_k_sink_counterexample(cube3, 3, budget=1)
-    with pytest.raises(KOutOfRange):
+    with pytest.raises(KOutOfRange, match=r"^k must satisfy 0 <= k <= d-1 = 2, got -1$"):
         ks.search_k_sink_counterexample(cube3, -1, budget=2.5)
     with pytest.raises(BudgetExceeded):
         ks.search_k_sink_counterexample(cube3, 2, budget=1)

@@ -63,8 +63,13 @@ def test_frame_is_its_root_leaves_tuple():
 def test_check_k_range(cube3):
     ks.check_k_range(cube3.graph, 2)
     for bad in (1, 3):
-        with pytest.raises(KOutOfRange):
+        with pytest.raises(KOutOfRange, match=rf"^k must satisfy 2 <= k <= d-1 = 2, got {bad}$"):
             ks.check_k_range(cube3.graph, bad)
+    # faces and the k-sink search take k from 0
+    ks.check_k_range(cube3.graph, 0, least=0)
+    for bad in (-1, 3, 1.0):
+        with pytest.raises(KOutOfRange, match=rf"^k must satisfy 0 <= k <= d-1 = 2, got {bad}$"):
+            ks.check_k_range(cube3.graph, bad, least=0)
 
 
 def test_make_set_system_canonicalizes(cube3):
@@ -170,12 +175,14 @@ def test_is_k_regular_set(cube3):
 
 def test_is_k_regular_set_refuses_a_k_that_is_not_a_non_negative_integer(cube3):
     # "k", -1 and 1.5 used to answer False, and True answered as k = 1; k is
-    # checked before the family, as make_set_system checks it
+    # checked before the family, as make_set_system checks it, in its words
     g = cube3.graph
     for k in ("k", -1, 1.5, True, None):
         refusal = f"^k must be an integer >= 0, got {re.escape(repr(k))}$"
         with pytest.raises(InvalidParams, match=refusal):
             ks.is_k_regular_set(g, {0, 1, 2, 3}, k)
+        with pytest.raises(InvalidParams, match=refusal):
+            ks.make_set_system(g, k, [[0, 1, 2, 3]])
         with pytest.raises(InvalidParams, match="^k must be"):
             ks.is_k_regular_set(g, [99], k)
     assert ks.is_k_regular_set(g, {0, 1, 2, 3}, 2)
