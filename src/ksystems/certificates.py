@@ -39,12 +39,11 @@ from .graphs import (
     indegree_histogram,
     induced_flaw,
     member_ids,
-    neighbour_masks,
     out_masks,
     topological_order,
+    unique_sinks,
     vertex_mask,
 )
-from .oracle import _unique_sinks
 from .systems import (
     SetSystem,
     check_system_bound,
@@ -237,12 +236,12 @@ def polygon_is_aof(g: PolytopeGraph, o: Orientation) -> bool:
 
     Polygons are below the reach of 2-systems; every edge of an acyclic
     orientation has exactly one sink, so only the global sink matters: the
-    AOF test of :func:`~ksystems.oracle.is_aof_oracle` with no faces, one
+    AOF test :func:`~ksystems.graphs.unique_sinks` with no faces, one
     empty out-mask.
     """
     if g.d != 2:
         raise InvalidParams(f"polygon check needs d = 2, got d={g.d}")
-    return topological_order(g, o).cycle is None and _unique_sinks(out_masks(g, o), ())
+    return topological_order(g, o).cycle is None and unique_sinks(out_masks(g, o), ())
 
 
 def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
@@ -291,7 +290,7 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
         {m: dict.fromkeys(w for w in nbrs if w != m) for m in nbrs}
         for nbrs in g.adjacency
     ]
-    nbr = neighbour_masks(g)
+    nbr = g.neighbour_masks
     for i, t in enumerate(f2.sets):
         # a 2-regular member is connected when the walk around the cycle
         # through t[0], first to its lower neighbour in t, takes in all of it

@@ -53,7 +53,12 @@ def read_json(path: str | Path) -> Any:
 
 
 def write_json(path: str | Path, doc: Any) -> None:
-    Path(path).write_text(canonical_json(doc), encoding="utf-8")
+    """Write ``doc`` as canonical JSON, or raise InvalidParams saying why not."""
+    try:
+        Path(path).write_text(canonical_json(doc), encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        # ValueError: the path holds a NUL
+        raise InvalidParams(f"cannot write {path}: {exc}") from exc
 
 
 def _require_keys(doc: Any, keys: set[str], what: str) -> None:

@@ -20,6 +20,7 @@ import math
 from collections import Counter, deque
 from collections.abc import Collection
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -51,6 +52,11 @@ class PolytopeGraph:
 
     Equality compares every field; the hash reads (d, n, fingerprint)
     only, since the fingerprint is a digest of the edges.
+
+    ``neighbour_masks`` is derived from ``adjacency`` on first read and
+    kept: it is no field, so equality, hash, ``repr`` and the
+    constructor ignore it, :func:`dataclasses.replace` builds it anew,
+    and :mod:`pickle` and :mod:`copy` carry it.
     """
 
     d: int
@@ -62,6 +68,13 @@ class PolytopeGraph:
     def edge_index(self) -> dict[tuple[int, int], int]:
         """Map each canonical edge pair to its index."""
         return {e: i for i, e in enumerate(self.edges)}
+
+    @cached_property
+    def neighbour_masks(self) -> tuple[int, ...]:
+        """The neighbours of each vertex as a bitmask (bit w for the edge
+        to w): the adjacency every test of an induced subgraph reads."""
+        bit = [1 << v for v in range(self.n)].__getitem__
+        return tuple([sum(map(bit, nbrs)) for nbrs in self.adjacency])
 
 
 @dataclass(frozen=True)
@@ -255,12 +268,6 @@ def validate_graph(d: int, n: int, edge_list: Iterable[Iterable[int]]) -> Polyto
     )
 
 
-def neighbour_masks(g: PolytopeGraph) -> list[int]:
-    """The neighbours of each vertex as a bitmask (bit w for the edge to w)."""
-    bit = [1 << v for v in range(g.n)].__getitem__
-    return [sum(map(bit, nbrs)) for nbrs in g.adjacency]
-
-
 def induced_flaw(
     nbr: Sequence[int],
     t: Sequence[int],
@@ -273,8 +280,8 @@ def induced_flaw(
     ``"connected"`` when that subgraph is not connected; None when it
     passes both, or the first when ``connected`` is false.
 
-    ``nbr`` is the list of neighbour masks :func:`neighbour_masks` gives;
-    the ids of ``t`` are not checked.  A degree is the popcount of a neighbour
+    ``nbr`` is a graph's :attr:`PolytopeGraph.neighbour_masks`; the ids
+    of ``t`` are not checked.  A degree is the popcount of a neighbour
     mask cut to the bitmask of ``t``, and connectivity is
     :func:`induces_connected`.  The empty set is regular and not
     connected.  This is the one test of an induced subgraph in the package.
@@ -292,7 +299,7 @@ def induces_connected(nbr: Sequence[int], mask: int) -> bool:
     """True when the vertex bitmask ``mask`` induces a connected subgraph;
     false for the empty mask.
 
-    ``nbr`` is the list of neighbour masks :func:`neighbour_masks` gives.
+    ``nbr`` is a graph's :attr:`PolytopeGraph.neighbour_masks`.
     A flood over masks from the lowest vertex of ``mask`` takes each
     vertex at most once and stops when none is left to reach: O(|mask|)
     operations on integers of n bits.  This is the one connectivity test
@@ -320,15 +327,28 @@ def make_orientation(g: PolytopeGraph, heads: Iterable[int]) -> Orientation:
 
 def check_bound(g: PolytopeGraph, o: Orientation) -> None:
     """Raise unless ``o`` is a well-formed orientation of exactly ``g``:
-    one integer 0 or 1 (not a bool, not a float) per canonical edge."""
-    if o.graph_fingerprint != g.fingerprint:
-        raise FingerprintMismatch(
-            f"orientation bound to {o.graph_fingerprint[:12]}..., "
-            f"graph is {g.fingerprint[:12]}..."
-        )
-    are_bits = {*map(type, o.heads)} <= {int} and {*o.heads} <= {0, 1}
-    if len(o.heads) != len(g.edges) or not are_bits:
+    bound to it (:func:`check_fingerprint`), with one integer 0 or 1 (not
+    a bool, not a float) per canonical edge."""
+    check_fingerprint(g, o.graph_fingerprint, "orientation")
+    try:
+        fits = len(o.heads) == len(g.edges)
+        fits = fits and {*map(type, o.heads)} <= {int} and {*o.heads} <= {0, 1}
+    except TypeError:  # heads that are not a collection: None, 7
+        fits = False
+    if not fits:
         raise InvalidParams("heads must give one bit per canonical edge")
+
+
+def check_fingerprint(g: PolytopeGraph, bound: object, what: str) -> None:
+    """Raise FingerprintMismatch unless ``bound``, the fingerprint a
+    ``what`` built for some graph carries, is that of ``g``.  The message
+    shows a string fingerprint by its first 12 characters, anything else
+    by its ``repr``."""
+    if bound != g.fingerprint:
+        shown = f"{bound[:12]}..." if isinstance(bound, str) else repr(bound)
+        raise FingerprintMismatch(
+            f"{what} bound to {shown}, graph is {g.fingerprint[:12]}..."
+        )
 
 
 def directed_edges(g: PolytopeGraph, o: Orientation) -> list[tuple[int, int]]:
@@ -383,6 +403,23 @@ def first_without_unique_sink(
         if not sinks:
             return t
     return None
+
+
+def unique_sinks(out: list[int], families: Iterable[Iterable]) -> bool:
+    """True when the acyclic orientation of out-masks ``out`` has one sink on
+    the whole graph and one on each set of each family in ``families``,
+    given as pairs (set, bitmask): the AOF test of
+    :func:`~ksystems.oracle.is_aof_oracle`, the k-sink search and
+    :func:`~ksystems.certificates.polygon_is_aof`.
+
+    The whole graph has one sink when exactly one out-mask is empty; the
+    families are tested in order by :func:`first_without_unique_sink`,
+    each drawn only when the test reaches it.  Acyclicity is the caller's
+    to check.
+    """
+    return out.count(0) == 1 and all(
+        first_without_unique_sink(out, faces) is None for faces in families
+    )
 
 
 def topological_order(g: PolytopeGraph, o: Orientation) -> TopoResult:

@@ -19,7 +19,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -33,13 +33,12 @@ from .graphs import (
     Orientation,
     PolytopeGraph,
     check_vertex_ids,
-    first_without_unique_sink,
     induced_flaw,
     induces_connected,
-    neighbour_masks,
     out_masks,
     require_int,
     topological_order,
+    unique_sinks,
     validate_graph,
     vertex_mask,
 )
@@ -70,22 +69,20 @@ class Instance:
     O(n * d) filings and checks.  Of the bad pairs, the smallest (u, v) is
     reported, as a loop over all pairs would report it.
 
-    What the checks built, the facets through each vertex and the
-    neighbour masks, is kept in a private field, the proof that
-    :func:`faces_from_incidence` reads.  The field cannot be passed in;
-    :mod:`pickle` and :mod:`copy` keep the proof they were given.
-    Equality compares every field but the proof; the hash reads the name
-    and the graph only, so the faces cache looks an instance up in
-    constant time.
+    The facets through each vertex, ``membership``, are derived from the
+    canonical facets on first read and kept, as the graph keeps its
+    ``neighbour_masks``; the checks read both, and so does
+    :func:`faces_from_incidence`.  Neither is a field: neither can be
+    passed in, equality, hash and ``repr`` ignore them,
+    :func:`dataclasses.replace` builds them anew, and :mod:`pickle` and
+    :mod:`copy` carry them.  The hash reads the name and the graph only,
+    so the faces cache looks an instance up in constant time.
     """
 
     name: str
     graph: PolytopeGraph
     facets: tuple[tuple[int, ...], ...] = field(hash=False)
     coords: tuple[tuple[Fraction, ...], ...] | None = field(default=None, hash=False)
-    _proof: tuple[list[list[int]], list[int]] = field(
-        init=False, compare=False, hash=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str):
@@ -97,18 +94,14 @@ class Instance:
             )
         d, n = graph.d, graph.n
         canon = canonical_members(graph, self.facets, "facet", 0, NotSimple)
+        object.__setattr__(self, "facets", tuple(canon))
 
-        membership: list[list[int]] = [[] for _ in range(n)]
-        for i, t in enumerate(canon):
-            for v in t:
-                membership[v].append(i)
-        for v in range(n):
-            if len(membership[v]) != d:
-                raise NotSimple(
-                    f"vertex {v} lies on {len(membership[v])} facets, expected {d}"
-                )
+        membership = self.membership
+        for v, on in enumerate(membership):
+            if len(on) != d:
+                raise NotSimple(f"vertex {v} lies on {len(on)} facets, expected {d}")
 
-        nbr = neighbour_masks(graph)
+        nbr = graph.neighbour_masks
         for i, t in enumerate(canon):
             flaw = induced_flaw(nbr, t, d - 1)
             if flaw == "regular":
@@ -145,9 +138,16 @@ class Instance:
             if len(dims) != 1 or min(dims) < 1:
                 raise InvalidParams("coordinate rows must share a positive dimension")
 
-        object.__setattr__(self, "facets", tuple(canon))
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "_proof", (membership, nbr))
+
+    @cached_property
+    def membership(self) -> tuple[tuple[int, ...], ...]:
+        """The indices of the facets through each vertex, ascending."""
+        on: list[list[int]] = [[] for _ in range(self.graph.n)]
+        for i, t in enumerate(self.facets):
+            for v in t:
+                on[v].append(i)
+        return tuple(map(tuple, on))
 
 
 #: Canonicalize and cross-check an instance: the constructor of
@@ -156,7 +156,7 @@ make_instance = Instance
 
 
 def _meets(
-    membership: list[list[int]], size: int
+    membership: Sequence[Sequence[int]], size: int
 ) -> dict[tuple[int, ...], list[int]]:
     """Each ``size``-subset of the facets through some vertex, mapped to the
     vertices on all of its facets (their intersection), ascending.  Each
@@ -400,8 +400,9 @@ def faces_from_incidence(inst: Instance, k: int) -> SetSystem:
       neighbour.
     - **F_{d-1}** is the facets, which were checked themselves.
 
-    So F_0, F_1 and F_{d-1} come without any filing, the membership lists
-    and neighbour masks are read off the instance, and the other faces
+    So F_0, F_1 and F_{d-1} come without any filing, the instance's
+    ``membership`` and its graph's ``neighbour_masks`` are read as the
+    constructor kept them, and the other faces
     are checked to be connected only, by
     :func:`~ksystems.graphs.induces_connected`, a few operations on n-bit
     integers per vertex of a face.  A face can be disconnected: the
@@ -419,10 +420,9 @@ def faces_from_incidence(inst: Instance, k: int) -> SetSystem:
         else:
             known = g.edges if k else tuple((v,) for v in range(g.n))
         return SetSystem(k=k, sets=known, graph_fingerprint=g.fingerprint)
-    membership, nbr = inst._proof
-    found = sorted(set(map(tuple, _meets(membership, d - k).values())))
+    found = sorted(set(map(tuple, _meets(inst.membership, d - k).values())))
     for t in found:
-        if not induces_connected(nbr, vertex_mask(t)):
+        if not induces_connected(g.neighbour_masks, vertex_mask(t)):
             raise NotSimple(f"facet intersection {t} is disconnected")
     return SetSystem(k=k, sets=tuple(found), graph_fingerprint=g.fingerprint)
 
@@ -465,23 +465,6 @@ def _face_masks(inst: Instance, k: int) -> list[tuple[tuple[int, ...], int]]:
     return [(t, vertex_mask(t)) for t in faces_from_incidence(inst, k).sets]
 
 
-def _unique_sinks(out: list[int], families: Iterable[Iterable]) -> bool:
-    """True when the acyclic orientation of out-masks ``out`` has one sink on
-    the whole graph and one on each set of each family in ``families``,
-    given as pairs (set, bitmask): the AOF test of
-    :func:`is_aof_oracle`, the k-sink search and
-    :func:`~ksystems.certificates.polygon_is_aof`.
-
-    The whole graph has one sink when exactly one out-mask is empty; the
-    families are tested in order by
-    :func:`~ksystems.graphs.first_without_unique_sink`, each drawn only
-    when the test reaches it.  Acyclicity is the caller's to check.
-    """
-    return out.count(0) == 1 and all(
-        first_without_unique_sink(out, faces) is None for faces in families
-    )
-
-
 def is_aof_oracle(inst: Instance, o: Orientation) -> bool:
     """Definition check: acyclic with a unique sink on the polytope and on
     every face of dimension k = 2..d-1.
@@ -496,4 +479,4 @@ def is_aof_oracle(inst: Instance, o: Orientation) -> bool:
     if topological_order(g, o).cycle is not None:
         return False
     faces = map(partial(_face_masks, inst), range(2, g.d))
-    return _unique_sinks(out_masks(g, o), faces)
+    return unique_sinks(out_masks(g, o), faces)

@@ -41,12 +41,12 @@ from .graphs import (
     PolytopeGraph,
     first_without_unique_sink,
     hk_sum,
-    neighbour_masks,
     out_masks,
     require_int,
+    unique_sinks,
     vertex_mask,
 )
-from .oracle import Instance, _face_masks, _unique_sinks
+from .oracle import Instance, _face_masks
 from .systems import (
     SetSystem,
     check_k_range,
@@ -230,7 +230,7 @@ def connected_k_regular_sets(
     """
     check_k_range(g, k)
     require_int(candidate_cap, "candidate_cap", 0)
-    adj = neighbour_masks(g)
+    adj = g.neighbour_masks
     found: list[tuple[int, ...]] = []
     stack = [(1 << r, (1 << r) - 1) for r in reversed(range(g.n))]
     while stack:
@@ -302,7 +302,7 @@ def _cover_index(
     """
     frame_cands = [0] * frame_count(g, k)
     table = _frame_keys(g, k)
-    nbr = neighbour_masks(g)
+    nbr = g.neighbour_masks
     cand_keys = [
         [table[v][inside & nbr[v]] for v in t]
         for t, inside in zip(candidates, map(vertex_mask, candidates))
@@ -387,7 +387,7 @@ def _merged_variants(
     over member positions and runs to any depth.
     """
     m = len(base)
-    nbr = neighbour_masks(g)
+    nbr = g.neighbour_masks
     vmasks = list(map(vertex_mask, base))
     closed = [
         reduce(or_, map(nbr.__getitem__, t), vm) for t, vm in zip(base, vmasks)
@@ -516,8 +516,9 @@ def search_k_sink_counterexample(
     out-mask misses the face's bitmask.  The out-masks are kept from one
     orientation to the next and updated at the edges whose heads changed
     only.  An orientation with one sink on every k-face then runs the AOF
-    test of :func:`~ksystems.oracle.is_aof_oracle` (the polytope, then the
-    faces of the other dimensions 2..d-1), less its topological sort.  A
+    test :func:`~ksystems.graphs.unique_sinks` (the polytope, then the
+    faces of the other dimensions 2..d-1), as
+    :func:`~ksystems.oracle.is_aof_oracle` does after its topological sort.  A
     vertex or an edge has one sink under any acyclic orientation, so 0- and
     1-faces are neither fetched nor tested.  The other faces are fetched
     once per call, the k-faces first and the others when the AOF test
@@ -541,6 +542,6 @@ def search_k_sink_counterexample(
             out[v] ^= 1 << u
         prev = heads
         if first_without_unique_sink(out, k_faces) is None:
-            if not _unique_sinks(out, map(faces, others)):
+            if not unique_sinks(out, map(faces, others)):
                 return o
     return None

@@ -22,12 +22,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, combinations, compress, repeat
 from math import comb
-from operator import and_, itemgetter
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DuplicateSet,
-    FingerprintMismatch,
     InvalidParams,
     KOutOfRange,
     KSystemsError,
@@ -36,11 +35,11 @@ from .errors import (
 from .graphs import (
     PolytopeGraph,
     as_tuple,
+    check_fingerprint,
     check_vertex_ids,
     induced_flaw,
     is_int,
     member_ids,
-    neighbour_masks,
     plain_vertex_ids,
     require_int,
     vertex_mask,
@@ -172,11 +171,8 @@ def check_k_range(g: PolytopeGraph, k: int, least: int = 2) -> None:
 
 
 def check_system_bound(g: PolytopeGraph, s: SetSystem) -> None:
-    if s.graph_fingerprint != g.fingerprint:
-        raise FingerprintMismatch(
-            f"set system bound to {s.graph_fingerprint[:12]}..., "
-            f"graph is {g.fingerprint[:12]}..."
-        )
+    """Raise FingerprintMismatch unless ``s`` is bound to ``g``."""
+    check_fingerprint(g, s.graph_fingerprint, "set system")
 
 
 def canonical_members(
@@ -279,7 +275,7 @@ def is_k_regular_set(g: PolytopeGraph, t: Iterable[int], k: int) -> bool:
     require_int(k, "k", 0)
     t = as_tuple(t, "vertex set")
     check_vertex_ids(g.n, t)
-    return induced_flaw(neighbour_masks(g), t, k, connected=False) is None
+    return induced_flaw(g.neighbour_masks, t, k, connected=False) is None
 
 
 def frame_coverage(g: PolytopeGraph, s: SetSystem) -> dict[KFrame, int]:
@@ -343,9 +339,9 @@ def _member_frames(
     leaf masks have k bits."""
     ids = member_ids(g.n, sets, "set")
     sizes = [*map(len, sets)]
-    nbr = neighbour_masks(g)
+    nbr = g.neighbour_masks
     inside = chain.from_iterable(map(repeat, map(vertex_mask, sets), sizes))
-    leaves = [*map(and_, inside, map(nbr.__getitem__, ids))]
+    leaves = [m & nbr[v] for m, v in zip(inside, ids)]
     degrees = [*map(int.bit_count, leaves)]
     if degrees.count(k) == len(degrees):
         return ids, leaves, (True,) * len(sizes)

@@ -75,6 +75,21 @@ def test_gen_rejects_bad_params(capsys, argv):
     assert f"error: {GEN_REFUSALS[argv]}" in err
 
 
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_an_output_that_cannot_be_written_is_invalid_input(capsys, cube3_files, target):
+    # a file in a directory that does not exist, and a directory
+    out = cube3_files["dir"] / target
+    orient = cube3_files["dir"] / "orient.json"
+    fileio.write_json(orient, fileio.orientation_doc(ks.geometric_aof(ks.cube(3), [1, 2, 4])))
+    for argv in (
+        ("gen", "cube", "3", "-o", str(out)),
+        ("hvector", cube3_files["graph"], str(orient), "-o", str(out)),
+    ):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"error: cannot write {out}: ")
+
+
 def test_faces_subcommand(capsys, cube3_files):
     code, stdout, _ = run(capsys, "faces", cube3_files["inst"], "-k", "2")
     assert code == 0

@@ -440,9 +440,14 @@ def test_integral_float_heads_are_refused():
         ks.make_orientation(G, [bool(b) for b in ORIENTATION.heads])
 
 
-@pytest.mark.parametrize("bit", [1.0, True])
-def test_orientations_built_directly_need_integer_heads(bit):
-    o = ks.Orientation(heads=(bit,) * len(G.edges), graph_fingerprint=G.fingerprint)
+@pytest.mark.parametrize(
+    "heads",
+    [(1.0,) * len(G.edges), (True,) * len(G.edges), None, 7],
+    ids=["1.0", "True", "None", "7"],
+)
+def test_orientations_built_directly_need_integer_heads(heads):
+    # heads that are no collection at all used to raise a bare TypeError
+    o = ks.Orientation(heads=heads, graph_fingerprint=G.fingerprint)
     faces = ks.faces_from_incidence(CUBE3, 2)
     calls = [
         lambda: ks.indegree_histogram(G, o),
@@ -452,6 +457,26 @@ def test_orientations_built_directly_need_integer_heads(bit):
     for call in calls:
         with pytest.raises(InvalidParams, match="one bit per canonical edge"):
             call()
+
+
+@pytest.mark.parametrize("fingerprint", [None, 5, G.fingerprint[::-1]])
+def test_values_built_directly_are_refused_for_another_fingerprint(fingerprint):
+    o = ks.Orientation(heads=ORIENTATION.heads, graph_fingerprint=fingerprint)
+    s = ks.SetSystem(k=2, sets=FACES2.sets, graph_fingerprint=fingerprint)
+    if isinstance(fingerprint, str):
+        shown = f"{fingerprint[:12]}..."
+    else:
+        shown = repr(fingerprint)
+    graph = f"graph is {G.fingerprint[:12]}..."
+    for call, what in [
+        (lambda: ks.indegree_histogram(G, o), "orientation"),
+        (lambda: ks.verify_aof_certificate(G, ks.AofCertificate(o, FACES2)), "orientation"),
+        (lambda: ks.validate_k_system(G, s), "set system"),
+        (lambda: ks.verify_face_certificate(G, ks.FaceCertificate(2, s, ORIENTATION)), "set system"),
+    ]:
+        with pytest.raises(ks.errors.FingerprintMismatch) as caught:
+            call()
+        assert str(caught.value) == f"{what} bound to {shown}, {graph}"
 
 
 #: One vertex id out of place: outside 0..7, or not an int (a bool is not).

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 from itertools import combinations
 
@@ -17,7 +20,7 @@ from ksystems.errors import (
     NotRegular,
     SelfLoop,
 )
-from ksystems.graphs import first_without_unique_sink, induced_flaw, neighbour_masks
+from ksystems.graphs import first_without_unique_sink, induced_flaw
 
 import reference_gate
 import reference_search as ref
@@ -77,13 +80,35 @@ def test_induced_leaves_and_connectivity(cube3):
     g = cube3.graph
     assert induced_leaves(g, (0, 1, 2, 3)) == [(1, 2), (0, 3), (0, 3), (1, 2)]
     assert induced_leaves(g, (0, 1, 7)) == [(1,), (0,), ()]
-    nbr = neighbour_masks(g)
+    nbr = g.neighbour_masks
     assert nbr[0] == 0b10110
     assert induced_flaw(nbr, (0, 1, 2, 3), 2) is None
     assert induced_flaw(nbr, (0, 1, 7), 1) == "regular"
     assert induced_flaw(nbr, (0, 1, 6, 7), 1) == "connected"
     assert induced_flaw(nbr, (0, 1, 6, 7), 1, connected=False) is None
     assert induced_flaw(nbr, (), 0) == "connected"
+
+
+def test_neighbour_masks_are_kept_and_are_no_field(cube3):
+    g = cube3.graph
+    masks = g.neighbour_masks
+    assert masks is g.neighbour_masks and type(masks) is tuple
+    assert masks == tuple(sum(1 << w for w in nbrs) for nbrs in g.adjacency)
+    assert "neighbour_masks" not in {f.name for f in dataclasses.fields(g)}
+    with pytest.raises(TypeError):
+        ks.PolytopeGraph(g.d, g.n, g.edges, g.adjacency, g.fingerprint, masks)
+    # pickle and copy carry the kept masks
+    for other in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert vars(other)["neighbour_masks"] == masks
+    # replace and the constructors build them anew, on first read
+    for other in (
+        dataclasses.replace(g),
+        ks.PolytopeGraph(g.d, g.n, g.edges, g.adjacency, g.fingerprint),
+        reference_gate.validate_graph(g.d, g.n, g.edges),
+    ):
+        assert "neighbour_masks" not in vars(other)
+        assert other == g and hash(other) == hash(g) and repr(other) == repr(g)
+        assert other.neighbour_masks == masks
 
 
 def test_fingerprint_ignores_edge_order(cube3):

@@ -6,7 +6,8 @@ depth, ``perfbench``.  A module is
 parsed with ``ast``; a name bound by an import and never loaded as a
 name is reported with its line.  ``from __future__`` imports and star
 imports bind nothing to read.  The exports themselves are checked
-against ``ksystems.__all__``.
+against ``ksystems.__all__``, and the package's modules import one
+another in one order, :data:`LAYERS`.
 """
 
 import ast
@@ -70,3 +71,51 @@ def test_the_package_exports_exactly_the_names_it_imports():
     ]
     assert sorted(ksystems.__all__) == sorted(imported)
     assert len(set(imported)) == len(imported)
+
+
+#: The package's modules by layer: a module imports its siblings from
+#: lower layers only.  ``chromatic`` imports none; ``__init__.py``, the
+#: package's exports, imports from every layer.
+LAYERS = {
+    "errors": 0,
+    "chromatic": 0,
+    "graphs": 1,
+    "systems": 2,
+    "oracle": 3,
+    "certificates": 3,
+    "search": 4,
+    "fileio": 5,
+    "cli": 6,
+    "__main__": 7,
+}
+
+
+def sibling_imports(source: str) -> set[str]:
+    """The sibling modules ``source`` imports, as ``from .x import ...``
+    or ``from . import x``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(node.module.partition(".")[0])
+    return found
+
+
+def test_the_package_modules_import_down_the_layers():
+    package = ROOT / "src" / "ksystems"
+    modules = {p.stem: p for p in package.glob("*.py") if p.name != "__init__.py"}
+    assert set(modules) == set(LAYERS)
+    upward = sorted(
+        f"{name} -> {sibling}"
+        for name, path in modules.items()
+        for sibling in sibling_imports(path.read_text())
+        if LAYERS[sibling] >= LAYERS[name]
+    )
+    assert upward == []
+
+
+def test_a_sibling_import_is_found_in_either_form():
+    source = "from . import cli, search\nfrom .graphs import ALL\nfrom json import dumps\n"
+    assert sibling_imports(source) == {"cli", "search", "graphs"}

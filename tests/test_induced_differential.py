@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ksystems as ks
-from ksystems.graphs import induced_flaw, induces_connected, neighbour_masks, vertex_mask
+from ksystems.graphs import induced_flaw, induces_connected, vertex_mask
 
 import reference_induced as ref
 
@@ -28,7 +28,7 @@ INSTANCES = [
 #: as pairs (face, j), the whole polytope included
 TABLES = [
     (
-        neighbour_masks(inst.graph),
+        inst.graph.neighbour_masks,
         [(t, j) for j in range(inst.graph.d) for t in ks.faces_from_incidence(inst, j).sets]
         + [(tuple(range(inst.graph.n)), inst.graph.d)],
     )

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import os
 import pickle
 import random
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import ksystems as ks
-from ksystems import oracle
+from ksystems import fileio, oracle
 from ksystems.oracle import FACES_CACHE_SIZE
 from ksystems.errors import (
     DegenerateWeights,
@@ -305,16 +306,51 @@ def test_generated_instances_skip_the_proved_face_work(monkeypatch, family):
         assert calls["induced_flaw"] == 0
 
 
-def test_the_proof_cannot_be_passed_in(cube3):
+def test_membership_cannot_be_passed_in(cube3):
+    assert [f.name for f in dataclasses.fields(ks.Instance)] == [
+        "name", "graph", "facets", "coords"
+    ]
     with pytest.raises(TypeError):
-        ks.Instance(cube3.name, cube3.graph, cube3.facets, None, cube3._proof)
+        ks.Instance(cube3.name, cube3.graph, cube3.facets, None, cube3.membership)
     with pytest.raises(TypeError):
-        ks.Instance(cube3.name, cube3.graph, cube3.facets, None, _proof=cube3._proof)
-    with pytest.raises(ValueError):
-        dataclasses.replace(cube3, _proof=cube3._proof)
-    # every constructor builds it afresh from what it checked
-    assert dataclasses.replace(cube3, name="renamed")._proof == cube3._proof
-    assert _twin(cube3)._proof == cube3._proof and _twin(cube3)._proof is not cube3._proof
+        ks.Instance(cube3.name, cube3.graph, cube3.facets, None, membership=cube3.membership)
+    with pytest.raises(TypeError):
+        dataclasses.replace(cube3, membership=cube3.membership)
+    # pickle and copy carry it; every constructor builds it afresh from
+    # the facets it checked
+    for other in (pickle.loads(pickle.dumps(cube3)), copy.copy(cube3), copy.deepcopy(cube3)):
+        assert vars(other)["membership"] == cube3.membership
+    for other in (dataclasses.replace(cube3, name="renamed"), _twin(cube3)):
+        assert other.membership == cube3.membership
+        assert other.membership is not cube3.membership
+
+
+@pytest.mark.parametrize("family", sorted(GENERATED))
+def test_membership_lists_the_facets_through_each_vertex(family):
+    inst = GENERATED[family]()
+    assert inst.membership is inst.membership
+    assert inst.membership == tuple(
+        tuple(i for i, t in enumerate(inst.facets) if v in t) for v in range(inst.graph.n)
+    )
+    # equality, hash and repr ignore it, and a read builds it again
+    twin = _twin(inst)
+    del vars(twin)["membership"]
+    assert twin == inst and hash(twin) == hash(inst) and repr(twin) == repr(inst)
+    assert twin.membership == inst.membership
+
+
+def test_a_faces_op_builds_the_neighbour_masks_once(monkeypatch):
+    # the faces workload's op: parse, every k-face, facets from the 2-faces
+    text = json.dumps(fileio.instance_doc(ks.cube(6)))
+    kept = ks.PolytopeGraph.__dict__["neighbour_masks"]
+    builds = []
+    build = kept.func
+    monkeypatch.setattr(kept, "func", lambda g: builds.append(g) or build(g))
+    inst = fileio.parse_instance(json.loads(text))
+    faces = [ks.faces_from_incidence.__wrapped__(inst, k) for k in range(inst.graph.d)]
+    facets = ks.facets_from_2faces(inst.graph, faces[2])
+    assert facets.sets == inst.facets
+    assert builds == [inst.graph]
 
 
 @pytest.mark.parametrize("family", sorted(GENERATED))
