@@ -12,13 +12,14 @@ each of them.  ``minimize_hk`` and the k-sink search follow the stream
 by the edges whose heads changed from one orientation to the next.
 k-system enumeration is exact cover over the frame universe: candidate
 member sets are the connected induced k-regular subgraphs, grown and
-pruned over vertex bitmasks, and a family covers every frame exactly
-once iff it is a k-system.  Here, and only here, a frame is an integer
-key, its position in frame order (roots ascending, leaf sets in
-lexicographic order), and the cover is Algorithm X over integer
-bitmasks: one int for the frames still uncovered, one mask of frames per
-candidate and one mask of candidates per frame.  Merged variants of a
-cover are generated lazily, so ``count_cap`` bounds them.
+pruned over vertex bitmasks, most constrained vertex first, and a
+family covers every frame exactly once iff it is a k-system.  Here, and
+only here, a frame is an integer key, its position in frame order
+(roots ascending, leaf sets in lexicographic order), and the cover is
+Algorithm X over integer bitmasks: one int for the frames still
+uncovered, one mask of frames per candidate and one mask of candidates
+per frame.  Merged variants of a cover are generated lazily, so
+``count_cap`` bounds them.
 
 No search here calls itself: each keeps its pending branches on an
 explicit stack and takes them in the order a recursive search would, so
@@ -213,13 +214,24 @@ def connected_k_regular_sets(
     """All vertex sets inducing a connected k-regular subgraph, sorted.
 
     Grow-and-prune enumeration: each set is grown from its minimum
-    vertex, branching on including or permanently excluding the smallest
-    free neighbour of the first vertex still short of degree k.  A state
-    dies when some deficient vertex cannot reach degree k from the free
-    vertices left.  For k = 2 this enumerates exactly the induced cycles.
+    vertex, branching on including or permanently excluding one free
+    neighbour of a vertex still short of degree k.  A state dies when
+    some deficient vertex cannot reach degree k from the free vertices
+    left.  For k = 2 this enumerates exactly the induced cycles.
     Connected k-regular sets are inclusion-maximal (growing one would
     leave its old vertices saturated, disconnecting the addition), so
     emission stops a branch.
+
+    The branching is most constrained first: the deficient vertex with
+    the least spare (its degree plus its free neighbours, minus k; ties
+    to the lowest vertex) gives its lowest free neighbour as the pivot.
+    At spare 0 every free neighbour must join, so the exclude branch,
+    which would die at once, is not pushed.  The order is free: every
+    sought set holds the grown set, misses the excluded vertices and
+    either holds the pivot or not, so it is found once whichever
+    deficient vertex the pivot comes from.  The list is sorted at the
+    end, and the cap counts every set found, so neither the list nor the
+    cap error depends on the order.
 
     A state is two vertex bitmasks, the set grown so far and the vertices
     excluded from it.  A degree is the popcount of a neighbour mask cut
@@ -236,7 +248,8 @@ def connected_k_regular_sets(
     while stack:
         cur, forb = stack.pop()
         blocked = cur | forb
-        full = pivot = 0
+        full = options = 0
+        least = g.d  # above any spare
         rest = cur
         while rest:
             low = rest & -rest
@@ -247,19 +260,22 @@ def connected_k_regular_sets(
                 full |= low
                 continue
             free = near & ~blocked
-            if deg + free.bit_count() < k:
-                break  # the state dies
-            if not pivot:
-                pivot = free & -free
+            spare = deg + free.bit_count() - k
+            if spare < least:
+                if spare < 0:
+                    break  # the state dies
+                least, options = spare, free
         else:
-            if not pivot:
+            if not options:
                 if len(found) >= candidate_cap:
                     raise CandidateCapExceeded(
                         f"more than {candidate_cap} candidate sets"
                     )
                 found.append(tuple(_bit_indices(cur)))
                 continue
-            stack.append((cur, forb | pivot))
+            pivot = options & -options
+            if least:
+                stack.append((cur, forb | pivot))
             joins = adj[pivot.bit_length() - 1] & cur
             if joins.bit_count() <= k and not joins & full:
                 stack.append((cur | pivot, forb))

@@ -442,17 +442,19 @@ def test_integral_float_heads_are_refused():
 
 @pytest.mark.parametrize(
     "heads",
-    [(1.0,) * len(G.edges), (True,) * len(G.edges), None, 7],
-    ids=["1.0", "True", "None", "7"],
+    [(1.0,) * len(G.edges), (True,) * len(G.edges), None, 7, (5,) * len(G.edges)],
+    ids=["1.0", "True", "None", "7", "5"],
 )
 def test_orientations_built_directly_need_integer_heads(heads):
-    # heads that are no collection at all used to raise a bare TypeError
+    # heads that are no collection at all used to raise a bare TypeError,
+    # and reverse_orientation used to flip any heads, 5 to -4
     o = ks.Orientation(heads=heads, graph_fingerprint=G.fingerprint)
     faces = ks.faces_from_incidence(CUBE3, 2)
     calls = [
         lambda: ks.indegree_histogram(G, o),
         lambda: ks.topological_order(G, o),
         lambda: ks.unique_sink_per_set(G, o, faces),
+        lambda: ks.reverse_orientation(o),
     ]
     for call in calls:
         with pytest.raises(InvalidParams, match="one bit per canonical edge"):

@@ -111,6 +111,33 @@ def test_neighbour_masks_are_kept_and_are_no_field(cube3):
         assert other.neighbour_masks == masks
 
 
+def test_orientation_is_a_frozen_dataclass(square):
+    heads, fp = (0, 1, 1, 0), square.fingerprint
+    o = ks.Orientation(heads, fp)
+    assert o == ks.Orientation(heads=heads, graph_fingerprint=fp)
+    assert o == ks.make_orientation(square, heads)
+    assert o != ks.Orientation((1, 1, 1, 0), fp) and o != ks.Orientation(heads, "x")
+    assert hash(o) == hash((heads, fp))
+    assert repr(o) == f"Orientation(heads={heads!r}, graph_fingerprint={fp!r})"
+    assert [f.name for f in dataclasses.fields(o)] == ["heads", "graph_fingerprint"]
+    assert vars(o) == {"heads": heads, "graph_fingerprint": fp}
+    for name in ("heads", "graph_fingerprint", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(o, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(o, name)
+    with pytest.raises(TypeError):
+        ks.Orientation(heads)
+    with pytest.raises(TypeError):
+        ks.Orientation(heads, fp, None)
+    flipped = dataclasses.replace(o, heads=(1, 0, 0, 1))
+    assert flipped == ks.Orientation((1, 0, 0, 1), fp) and o.heads == heads
+    assert dataclasses.replace(o) == o
+    for other in (pickle.loads(pickle.dumps(o)), copy.copy(o), copy.deepcopy(o)):
+        assert type(other) is ks.Orientation
+        assert other == o and hash(other) == hash(o) and vars(other) == vars(o)
+
+
 def test_fingerprint_ignores_edge_order(cube3):
     g = cube3.graph
     shuffled = list(g.edges)

@@ -1,4 +1,5 @@
-"""The verdicts of ``tools/pairs.py`` on made-up runs of ten pairs."""
+"""The verdicts of ``tools/pairs.py`` on made-up runs of ten pairs, and
+its refusal to compare a run that failed ops."""
 
 import importlib.util
 from pathlib import Path
@@ -38,3 +39,23 @@ WIDE = [60.0] * 3 + [104, 105] * 2 + [150.0] * 3  # quartiles 71, 138.75; median
 )
 def test_verdict(metric, parent, change, more_failed, want):
     assert pairs.verdict(metric, parent, change, more_failed) == want
+
+
+def test_a_run_that_failed_ops_stops_the_comparison(monkeypatch, tmp_path, capsys):
+    names = ["ops_per_s", "op_p50_ms", "op_p90_ms", "peak_rss_mb", "setup_s"]
+    ran = []
+
+    def run_once(checkout, workload, seed, seconds):
+        ran.append((checkout, seed))
+        failed = 3 if len(ran) == 4 else 0
+        metrics = {name: {"value": 1.0} for name in names}
+        return {"correct": not failed, "attempted": 40, "failed": failed, "metrics": metrics}
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    parent = tmp_path / "parent"
+    with pytest.raises(SystemExit) as stop:
+        pairs.main(["--parent", str(parent), "--workload", "search", "--seed", "7"])
+    # the second pair runs the change first, then the parent, with seed 8
+    assert ran[-1] == (parent, 8) and len(ran) == 4
+    assert str(stop.value) == f"{parent}: seed 8: 3 of 40 ops failed"
+    assert "pair 2 seed 8 parent" not in capsys.readouterr().out

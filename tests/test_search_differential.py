@@ -24,6 +24,7 @@ from ksystems.errors import (
 )
 
 import reference_search as ref
+from conftest import cycle_graph
 
 TRIANGLE = ks.simplex(2)
 INSTANCES = {
@@ -276,7 +277,18 @@ def test_polygon_is_aof_matches_reference_on_every_orientation(m):
 
 # -- the candidate listing ------------------------------------------------------
 
-CANDIDATE_INSTANCES = {**INSTANCES, **SINK_INSTANCES}
+C5 = cycle_graph(5)
+PENTAGON = ks.make_instance("polygon(5)", C5, C5.edges)
+TRI_TRI_SEGMENT = ks.product(ks.product(TRIANGLE, TRIANGLE), ks.cube(1))
+CANDIDATE_INSTANCES = {
+    **INSTANCES,
+    **SINK_INSTANCES,
+    # where branching on the most constrained deficient vertex and on the
+    # lowest one visit the most different states
+    "tri_x_tri_x_segment": TRI_TRI_SEGMENT,
+    "square_x_pentagon": ks.product(ks.cube(2), PENTAGON),
+    "triangle_x_square": ks.product(TRIANGLE, ks.cube(2)),
+}
 
 
 @pytest.mark.parametrize(
@@ -301,7 +313,11 @@ def test_candidates_match_reference_after_relabelling(name, data):
     assert ks.connected_k_regular_sets(rg, k) == ref.connected_k_regular_sets(rg, k)
 
 
-@pytest.mark.parametrize("inst,k", [(ks.cube(4), 3), (INSTANCES["fig1"], 2)], ids=["cube4", "fig1"])
+@pytest.mark.parametrize(
+    "inst,k",
+    [(ks.cube(4), 3), (INSTANCES["fig1"], 2), (TRI_TRI_SEGMENT, 3)],
+    ids=["cube4", "fig1", "tri_x_tri_x_segment"],
+)
 def test_candidate_cap_matches_reference_at_every_cap(inst, k):
     g = inst.graph
     total = len(ref.connected_k_regular_sets(g, k))

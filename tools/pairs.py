@@ -20,8 +20,9 @@ for neither side) and a verdict:
   run of the parent;
 * ``no gain`` otherwise.
 
-Failed ops are counted per side.  A run that prints no result stops the
-comparison.
+Failed ops are counted per side.  A run that prints no result, or whose
+result says ``"correct": false``, stops the comparison: the message
+names the checkout, the seed and how many ops failed.
 
 Usage, from anywhere::
 
@@ -109,6 +110,11 @@ def main(argv: list[str]) -> int:
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
             result = run_once(sides[side], args.workload, seed, seconds)
+            if not result["correct"]:
+                raise SystemExit(
+                    f"{sides[side]}: seed {seed}: {result['failed']} of "
+                    f"{result['attempted']} ops failed"
+                )
             runs[side].append(result)
             shown = " ".join(
                 f"{m['name']}={result['metrics'][m['name']]['value']:.4g}" for m in metrics
