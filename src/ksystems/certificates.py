@@ -20,7 +20,6 @@ between neighbourhoods of adjacent vertices that 2-faces induce.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections import deque
 
 from .errors import (
     DimensionTooSmall,
@@ -38,6 +37,7 @@ from .graphs import (
     hk_sum,
     indegree_histogram,
     induced_flaw,
+    induces_connected,
     member_ids,
     out_masks,
     topological_order,
@@ -261,17 +261,37 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
     d - 1 steps, and the first contradicting seed is the one the full run
     over all n * d seeds would meet first.
 
-    Every transport step is tabulated once, before the search: the step
-    through a corner (a vertex and two of its edges, that is a 2-frame)
-    is read off the one 2-face through it, and walking each 2-face's
-    cycle once gives the steps through all of its corners, and shows
-    whether the 2-face is connected.
+    Every transport step reads one table, ``corner``, from the closed
+    mask of a 2-frame (its root and two leaves) to the vertex mask of the
+    member through that frame: the facet that misses m at u misses, at a
+    neighbour w, the other neighbour of w in the member through corner
+    (u | m, w).  The key is unique on a valid 2-system: two frames with
+    one closed mask and different roots span a triangle, a 2-regular
+    induced member through one of them holds the whole triangle and so
+    the other frame too, and each frame lies in one member.  The step is
+    symmetric (the member through corner (u | m, w) is the one through
+    (w | m', u)), so a closure that ends without a contradiction is a
+    whole connected component of the states, and run from any of its
+    states it gives the same facet again: a seed already placed is
+    skipped.
+
+    For d = 3 the output is the members, sorted, and no transport runs.
+    The state (u, missed m) is the corner of u's two other edges, so it
+    names the one member C through that corner.  A step from it reaches
+    each of u's two neighbours w in C, and the state of w is again its
+    corner in C: the member C' through corner (u | m, w) holds u, w and
+    the neighbour m' that w now misses; were w's two edges in C those to
+    u and m', its frame there would lie in both C and C', so C = C' would
+    hold all three neighbours of u.  So each closure goes once round one
+    member (the members are connected), meets no contradiction, and gives
+    that member's vertex set as a facet.  Each vertex lies in C(3,2) = 3
+    members, so the postconditions hold as well.
 
     Preconditions checked: f2 is a valid 2-system whose members induce
-    cycles (connected 2-regular).  Postconditions checked: every output
-    induces a (d-1)-regular subgraph (connected by construction) and
-    every vertex lies in exactly d outputs.  For d = 3 the output equals
-    the input.
+    cycles (connected 2-regular), checked in member order with
+    :func:`~ksystems.graphs.induces_connected`.  Postconditions checked:
+    every output induces a (d-1)-regular subgraph (connected by
+    construction) and every vertex lies in exactly d outputs.
     """
     if g.d < 3:
         raise DimensionTooSmall(f"facet reconstruction needs d >= 3, got d={g.d}")
@@ -281,61 +301,45 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
     report = validate_k_system(g, f2)
     if not report.valid:
         raise NotCycleSystem(f"not a valid 2-system: {report.first_defect()}")
-
-    # step[u][m][w], for the other neighbours w of u in adjacency order:
-    # the neighbour of w missed by the facet that misses m at u, that is
-    # the other neighbour of w in the one 2-face through corner (u | m, w),
-    # which is an induced cycle
-    step = [
-        {m: dict.fromkeys(w for w in nbrs if w != m) for m in nbrs}
-        for nbrs in g.adjacency
-    ]
     nbr = g.neighbour_masks
-    for i, t in enumerate(f2.sets):
-        # a 2-regular member is connected when the walk around the cycle
-        # through t[0], first to its lower neighbour in t, takes in all of it
-        mask = vertex_mask(t)
-        ends = nbr[t[0]] & mask
-        cycle = [t[0], (ends & -ends).bit_length() - 1]
-        while True:
-            ends = nbr[cycle[-1]] & mask
-            if (nxt := (ends ^ 1 << cycle[-2]).bit_length() - 1) == t[0]:
-                break
-            cycle.append(nxt)
-        if len(cycle) < len(t):
+    masks = [*map(vertex_mask, f2.sets)]
+    for i, mask in enumerate(masks):
+        if not induces_connected(nbr, mask):
             raise NotCycleSystem(f"member #{i} induces a disconnected subgraph")
-        for j, u in enumerate(cycle):
-            before, after = cycle[j - 1], cycle[(j + 1) % len(cycle)]
-            step[u][before][after] = cycle[(j + 2) % len(cycle)]
-            step[u][after][before] = cycle[j - 2]
+    if g.d == 3:
+        members = sorted(map(tuple, map(sorted, f2.sets)))
+        return SetSystem(k=2, sets=tuple(members), graph_fingerprint=g.fingerprint)
 
-    # The table is symmetric: step[u][m][w] = m' gives step[w][m'][u] = m,
-    # as both read the one 2-face through those two corners.  So a closure
-    # that ends without a contradiction is a whole connected component of
-    # the states (vertex, missed neighbour), and run from any of its states
-    # it gives the same facet again: a seed already placed is skipped.
+    corner = {nbr[v] & mask | 1 << v: mask for t, mask in zip(f2.sets, masks) for v in t}
+    bit = [1 << v for v in range(g.n)]
     facets: set[tuple[int, ...]] = set()
     vertex_count = [0] * g.n
-    placed: list[set[int]] = [set() for _ in range(g.n)]
+    placed = [0] * g.n  # per vertex, the mask of its missed neighbours placed
     for r in range(g.n):
         for x in g.adjacency[r]:
-            if x in placed[r]:
+            if placed[r] & bit[x]:
                 continue
-            missing = {r: x}
-            queue = deque([r])
-            while queue:
-                u = queue.popleft()
-                for w, m in step[u][missing[u]].items():
-                    if w not in missing:
-                        missing[w] = m
-                        queue.append(w)
-                    elif missing[w] != m:
+            missing = {r: bit[x]}  # each vertex of the facet, its missed bit
+            order = [r]  # breadth-first: the loop reads what it appends
+            for u in order:
+                missed = missing[u]
+                pair = bit[u] | missed
+                for w in g.adjacency[u]:
+                    if bit[w] == missed:
+                        continue
+                    w_misses = nbr[w] & corner[pair | bit[w]] ^ bit[u]
+                    known = missing.get(w)
+                    if known is None:
+                        missing[w] = w_misses
+                        order.append(w)
+                    elif known != w_misses:
                         raise InconsistentTransport(
-                            f"facet seeded at ({r}, missing {x}): vertex {w} "
-                            f"should miss both {missing[w]} and {m}"
+                            f"facet seeded at ({r}, missing {x}): vertex {w} should "
+                            f"miss both {known.bit_length() - 1} and "
+                            f"{w_misses.bit_length() - 1}"
                         )
-            for w, m in missing.items():
-                placed[w].add(m)
+            for w, missed in missing.items():
+                placed[w] |= missed
             facet = tuple(sorted(missing))
             if facet not in facets:
                 facets.add(facet)

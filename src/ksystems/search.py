@@ -334,14 +334,17 @@ def _cover_index(
 def _column(frame_cands: list[int], uncovered: int, live: int) -> int:
     """Live candidates (a mask) of the uncovered frame with fewest of them,
     ties to the lowest frame key: the branching rule that makes every
-    cover appear once."""
+    cover appear once.  The scan stops at the first frame with at most
+    one.  Its one candidate is the full scan's pick unless a later frame
+    has none, and then the branch on it is one dead node more: the covers
+    and their order stay the same."""
     best, fewest = 0, -1
     for f in _bit_indices(uncovered):
         avail = frame_cands[f] & live
         n = avail.bit_count()
         if fewest < 0 or n < fewest:
             best, fewest = avail, n
-            if not n:
+            if n <= 1:
                 break
     return best
 

@@ -5,6 +5,7 @@ type and message) from ``facets_from_2faces``, and the same instance or
 the same refusal from ``make_instance``, which is the constructor of
 ``Instance``, however it is reached."""
 
+import random
 import re
 from dataclasses import replace
 from itertools import combinations, islice
@@ -295,6 +296,71 @@ def test_contradictions_after_a_consistent_facet_match_reference():
         assert _outcome(ks.facets_from_2faces, CUBE4, s) == want
         later += _seed(want[1]) not in (None, first)
     assert later >= 5
+
+
+#: The 3-polytopes, where the package returns the 2-faces as the facets
+#: without running the transport
+THREE_POLYTOPES = {
+    "simplex3": ks.simplex(3),
+    **{name: INSTANCES[name] for name in ["cube3", "prism", "fig1", "cube3_cut2"]},
+}
+
+
+def _and_each_with_one_dropped(g, s):
+    """``s``, then ``s`` less each of its members in turn."""
+    yield s
+    for i in range(len(s.sets)):
+        yield ks.make_set_system(g, 2, s.sets[:i] + s.sets[i + 1 :])
+
+
+@pytest.mark.parametrize("name", THREE_POLYTOPES)
+def test_every_2_system_of_a_3_polytope_matches_reference(name):
+    # every 2-system the search yields, merged ones too, and each of them
+    # less one member: the same facets or the same refusal; a 2-system of
+    # induced cycles, F_2 or not, is its own facet system
+    inst = THREE_POLYTOPES[name]
+    g = inst.graph
+    accepted, refused = [], []
+    for s in ks.enumerate_k_systems(g, 2):
+        for family in _and_each_with_one_dropped(g, s):
+            want = _outcome(ref.facets_from_2faces, g, family)
+            assert _outcome(ks.facets_from_2faces, g, family) == want
+            if isinstance(want, ks.SetSystem):
+                assert want.sets == family.sets
+                accepted.append(want.sets)
+            else:
+                refused.append(want[1])
+    assert inst.facets in accepted
+    assert any(reason.startswith("not a valid 2-system") for reason in refused)
+
+
+#: Polytopes of d >= 4 with triangular 2-faces: the frames (u | v, w),
+#: (v | u, w) and (w | u, v) of a triangle share one closed mask, and two
+#: frames of different triangles share a leaf mask
+TRIANGLE_CORNERS = {
+    "simplex4": ks.simplex(4),
+    "simplex5": ks.simplex(5),
+    "tet_x_triangle": ks.product(ks.simplex(3), TRIANGLE),
+    "triangle_cubed": INSTANCES["triangle_cubed"],
+}
+
+
+@pytest.mark.parametrize("name", TRIANGLE_CORNERS)
+def test_triangle_corners_match_reference_after_relabelling(name):
+    inst = TRIANGLE_CORNERS[name]
+    rng = random.Random(name)
+    perm = list(range(inst.graph.n))
+    for _ in range(4):
+        g, facets = _relabelled(inst.graph, inst.facets, perm)
+        relabelled = ks.make_instance(name, g, facets)
+        f2 = ks.faces_from_incidence(relabelled, 2)
+        got = ks.facets_from_2faces(g, f2)
+        assert got == ref.facets_from_2faces(g, f2)
+        assert got.sets == relabelled.facets
+        for family in islice(_and_each_with_one_dropped(g, f2), 1, 6):
+            want = _outcome(ref.facets_from_2faces, g, family)
+            assert _outcome(ks.facets_from_2faces, g, family) == want
+        rng.shuffle(perm)
 
 
 # -- make_instance --------------------------------------------------------------

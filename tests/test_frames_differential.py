@@ -23,11 +23,12 @@ INSTANCES = {
     "fig1": ks.fig1(),
     "triangle_x_square": ks.product(TRIANGLE, ks.cube(2)),
     "triangle_cubed": ks.product(ks.product(TRIANGLE, TRIANGLE), TRIANGLE),
+    "tet_x_triangle": ks.product(ks.simplex(3), TRIANGLE),
 }
 
 # -- facets_from_2faces ---------------------------------------------------------
 
-FACET_CASES = ["cube4", "prism", "fig1", "triangle_cubed"]
+FACET_CASES = ["cube4", "prism", "fig1", "triangle_cubed", "tet_x_triangle"]
 F2 = {name: ks.faces_from_incidence(INSTANCES[name], 2) for name in FACET_CASES}
 CYCLES = {
     name: ks.connected_k_regular_sets(INSTANCES[name].graph, 2) for name in FACET_CASES
@@ -37,7 +38,7 @@ CYCLES = {
 # the connectivity refusal and the transport contradictions.
 OTHER_2_SYSTEMS = {
     name: list(islice(ks.enumerate_k_systems(INSTANCES[name].graph, 2), 40))
-    for name in ["cube4", "prism", "fig1"]
+    for name in ["cube4", "prism", "fig1", "tet_x_triangle"]
 }
 
 

@@ -1,5 +1,6 @@
-"""The verdicts of ``tools/pairs.py`` on made-up runs of ten pairs, and
-its refusal to compare a run that failed ops."""
+"""The verdicts of ``tools/pairs.py`` on made-up runs of ten pairs, its
+refusal to compare a run that failed ops, and one table per workload
+named."""
 
 import importlib.util
 from pathlib import Path
@@ -41,14 +42,16 @@ def test_verdict(metric, parent, change, more_failed, want):
     assert pairs.verdict(metric, parent, change, more_failed) == want
 
 
+NAMES = ["ops_per_s", "op_p50_ms", "op_p90_ms", "peak_rss_mb", "setup_s"]
+
+
 def test_a_run_that_failed_ops_stops_the_comparison(monkeypatch, tmp_path, capsys):
-    names = ["ops_per_s", "op_p50_ms", "op_p90_ms", "peak_rss_mb", "setup_s"]
     ran = []
 
     def run_once(checkout, workload, seed, seconds):
         ran.append((checkout, seed))
         failed = 3 if len(ran) == 4 else 0
-        metrics = {name: {"value": 1.0} for name in names}
+        metrics = {name: {"value": 1.0} for name in NAMES}
         return {"correct": not failed, "attempted": 40, "failed": failed, "metrics": metrics}
 
     monkeypatch.setattr(pairs, "run_once", run_once)
@@ -59,3 +62,33 @@ def test_a_run_that_failed_ops_stops_the_comparison(monkeypatch, tmp_path, capsy
     assert ran[-1] == (parent, 8) and len(ran) == 4
     assert str(stop.value) == f"{parent}: seed 8: 3 of 40 ops failed"
     assert "pair 2 seed 8 parent" not in capsys.readouterr().out
+
+
+def test_each_workload_gets_its_pairs_and_its_table_in_turn(monkeypatch, tmp_path, capsys):
+    ran = []
+
+    def run_once(checkout, workload, seed, seconds):
+        ran.append((workload, seed, checkout.name))
+        value = 2.0 if checkout.name == "change" else 1.0
+        metrics = {name: {"value": value} for name in NAMES}
+        return {"correct": True, "attempted": 40, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text((PATH.parents[1] / "BENCHMARK.json").read_text())
+    argv = ["--parent", str(parent), "--change", str(change),
+            "--workload", "faces", "search", "--seed", "3"]
+    assert pairs.main(argv) == 0
+    # ten pairs of faces with seeds 3..12, then ten of search with the same
+    assert [w for w, _, _ in ran] == ["faces"] * 20 + ["search"] * 20
+    assert [s for _, s, _ in ran[:20]] == [s for _, s, _ in ran[20:]]
+    assert ran[:4] == [
+        ("faces", 3, "parent"), ("faces", 3, "change"),
+        ("faces", 4, "change"), ("faces", 4, "parent"),
+    ]
+    out = capsys.readouterr().out
+    faces, search = out.index("\nfaces: 10 pairs of"), out.index("\nsearch: 10 pairs of")
+    assert faces < out.index("pair 1 seed 3 parent", faces) < search
+    ops = [line for line in out.splitlines() if line.startswith("ops_per_s")]
+    assert len(ops) == 2 and all(line.endswith("10/10  gain") for line in ops)
