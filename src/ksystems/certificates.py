@@ -46,6 +46,7 @@ from .graphs import (
 )
 from .systems import (
     SetSystem,
+    _proved_on,
     check_system_bound,
     validate_k_system,
 )
@@ -289,26 +290,38 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
 
     Preconditions checked: f2 is a valid 2-system whose members induce
     cycles (connected 2-regular), checked in member order with
-    :func:`~ksystems.graphs.induces_connected`.  Postconditions checked:
-    every output induces a (d-1)-regular subgraph (connected by
-    construction) and every vertex lies in exactly d outputs.
+    :func:`~ksystems.graphs.induces_connected`.  A family that
+    :func:`~ksystems.oracle.faces_from_incidence` returned for ``g``
+    itself carries the record of both (its docstring has the proof;
+    :func:`~ksystems.systems._proved_on`), so neither is checked again,
+    and at d = 3 its members, already sorted, are the output.  A family
+    without the record, also one built for another graph object with the
+    same fingerprint, or rebuilt by :func:`dataclasses.replace` or
+    :mod:`pickle`, is checked in full.  Postconditions checked: every
+    output induces a (d-1)-regular subgraph (connected by construction)
+    and every vertex lies in exactly d outputs.
     """
     if g.d < 3:
         raise DimensionTooSmall(f"facet reconstruction needs d >= 3, got d={g.d}")
     check_system_bound(g, f2)
     if f2.k != 2:
         raise KMismatch(f"expected a 2-system, got k={f2.k}")
-    report = validate_k_system(g, f2)
-    if not report.valid:
-        raise NotCycleSystem(f"not a valid 2-system: {report.first_defect()}")
     nbr = g.neighbour_masks
-    masks = [*map(vertex_mask, f2.sets)]
-    for i, mask in enumerate(masks):
-        if not induces_connected(nbr, mask):
-            raise NotCycleSystem(f"member #{i} induces a disconnected subgraph")
-    if g.d == 3:
-        members = sorted(map(tuple, map(sorted, f2.sets)))
-        return SetSystem(k=2, sets=tuple(members), graph_fingerprint=g.fingerprint)
+    if _proved_on(f2, g):
+        if g.d == 3:
+            return SetSystem(k=2, sets=f2.sets, graph_fingerprint=g.fingerprint)
+        masks = [*map(vertex_mask, f2.sets)]
+    else:
+        report = validate_k_system(g, f2)
+        if not report.valid:
+            raise NotCycleSystem(f"not a valid 2-system: {report.first_defect()}")
+        masks = [*map(vertex_mask, f2.sets)]
+        for i, mask in enumerate(masks):
+            if not induces_connected(nbr, mask):
+                raise NotCycleSystem(f"member #{i} induces a disconnected subgraph")
+        if g.d == 3:
+            members = sorted(map(tuple, map(sorted, f2.sets)))
+            return SetSystem(k=2, sets=tuple(members), graph_fingerprint=g.fingerprint)
 
     corner = {nbr[v] & mask | 1 << v: mask for t, mask in zip(f2.sets, masks) for v in t}
     bit = [1 << v for v in range(g.n)]

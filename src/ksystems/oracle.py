@@ -42,7 +42,7 @@ from .graphs import (
     validate_graph,
     vertex_mask,
 )
-from .systems import SetSystem, canonical_members, check_k_range
+from .systems import SetSystem, _prove, canonical_members, check_k_range
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,14 @@ class Instance:
     Adjacent vertices must share d-1 facets and no other pair may.  That
     is checked without visiting every vertex pair: each vertex is filed
     under each (d-1)-subset of its d facets, so the pairs sharing d-1
-    facets are the pairs filed together exactly once (on a simple
-    polytope, its edges), and each edge is looked up among them.  That is
-    O(n * d) filings and checks.  Of the bad pairs, the smallest (u, v) is
-    reported, as a loop over all pairs would report it.
+    facets are the pairs filed together exactly once.  On a simple
+    polytope each group filed together is one edge and each edge is one
+    group, and one pass accepts exactly that: as many groups as edges,
+    and every edge among them, so no group repeats and none is anything
+    but an edge.  Only otherwise are the pairs of every group counted and
+    each edge looked up among them.  That is O(n * d) filings and checks.
+    Of the bad pairs, the smallest (u, v) is reported, as a loop over all
+    pairs would report it.
 
     The facets through each vertex, ``membership``, are derived from the
     canonical facets on first read and kept, as the graph keeps its
@@ -109,25 +113,10 @@ class Instance:
             if flaw == "connected":
                 raise NotSimple(f"facet #{i} induces a disconnected subgraph")
 
-        # every vertex lies on d facets, so a pair sharing s >= d-1 of them is
-        # filed together C(s, d-1) times: once for s = d-1, d times for s = d
-        filed: Counter[tuple[int, int]] = Counter()
-        for group in _meets(membership, d - 1).values():
-            filed.update(combinations(group, 2))
-        bad = []
-        for u, v in graph.edges:
-            if (times := filed.pop((u, v), 0)) != 1:
-                shared = d if times else len({*membership[u]} & {*membership[v]})
-                bad.append(
-                    ((u, v), f"edge ({u},{v}) shares {shared} facets, expected {d - 1}")
-                )
-        bad.extend(
-            ((u, v), f"non-adjacent pair ({u},{v}) shares {d - 1} facets")
-            for (u, v), times in filed.items()
-            if times == 1
-        )
-        if bad:
-            raise NotSimple(min(bad)[1])
+        groups = _meets(membership, d - 1).values()
+        edges = graph.edges
+        if len(groups) != len(edges) or not {*map(tuple, groups)}.issuperset(edges):
+            _check_pairs(graph, membership, groups)
 
         coords = self.coords
         if coords is not None:
@@ -148,6 +137,36 @@ class Instance:
             for v in t:
                 on[v].append(i)
         return tuple(map(tuple, on))
+
+
+def _check_pairs(
+    graph: PolytopeGraph,
+    membership: Sequence[Sequence[int]],
+    groups: Iterable[Sequence[int]],
+) -> None:
+    """Raise NotSimple for the smallest pair (u, v) that is an edge not
+    sharing d-1 facets, or not an edge and sharing d-1 facets; ``groups``
+    are the vertices filed under each (d-1)-subset of a vertex's facets."""
+    d = graph.d
+    # every vertex lies on d facets, so a pair sharing s >= d-1 of them is
+    # filed together C(s, d-1) times: once for s = d-1, d times for s = d
+    filed: Counter[tuple[int, int]] = Counter()
+    for group in groups:
+        filed.update(combinations(group, 2))
+    bad = []
+    for u, v in graph.edges:
+        if (times := filed.pop((u, v), 0)) != 1:
+            shared = d if times else len({*membership[u]} & {*membership[v]})
+            bad.append(
+                ((u, v), f"edge ({u},{v}) shares {shared} facets, expected {d - 1}")
+            )
+    bad.extend(
+        ((u, v), f"non-adjacent pair ({u},{v}) shares {d - 1} facets")
+        for (u, v), times in filed.items()
+        if times == 1
+    )
+    if bad:
+        raise NotSimple(min(bad)[1])
 
 
 #: Canonicalize and cross-check an instance: the constructor of
@@ -383,12 +402,22 @@ def faces_from_incidence(inst: Instance, k: int) -> SetSystem:
     The checks of the :class:`Instance` constructor have proved most of
     what a face check would show:
 
-    - **k-regularity.**  Each facet through a vertex v induces a
+    - **The misses bijection.**  Each facet through a vertex v induces a
       (d-1)-regular subgraph, so it misses exactly one neighbour of v;
       each neighbour shares d-1 facets with v, so it misses exactly one
-      of v's facets.  A (d-k)-subset of v's facets therefore holds the k
-      neighbours whose missed facet is outside it: every facet
+      of v's facets.  So "misses" pairs the d neighbours of v with its d
+      facets one to one.
+    - **k-regularity.**  A (d-k)-subset T of v's facets therefore holds
+      the k neighbours whose missed facet is outside T: every facet
       intersection is k-regular, and non-empty.
+    - **Each k-frame once.**  A face through v is filed under a
+      (d-k)-subset T of v's facets.  A frame (v, L), L a k-subset of v's
+      neighbours, lies in it iff no vertex of L misses a facet of T,
+      that is iff T is the d-k facets of v that L does not miss: exactly
+      one T.  Two subsets T of v's facets hold different neighbours of
+      v, so listing the faces by vertex set merges no two of them, and
+      each frame lies in exactly one listed face.  With k-regularity,
+      every family returned is a valid k-system of the graph.
     - **F_0 and F_1.**  No two vertices share all d facets.  If u and w
       did, a neighbour x of u would share d-1 facets with u, hence with
       w, so it would be adjacent to w as well; the facet of x that misses
@@ -410,21 +439,31 @@ def faces_from_incidence(inst: Instance, k: int) -> SetSystem:
     not the intersections of more.  On a simple polytope the output lists
     each vertex C(d, k) times; the filing costs O(d) per listing:
     O(n * C(d, k) * d) in all.
+
+    Every family returned is thus a valid k-system of ``inst.graph``
+    whose members induce connected subgraphs (vertices and edges are
+    connected, the facets were checked), and it carries that record
+    (:func:`~ksystems.systems._prove`) for that graph object, so
+    :func:`~ksystems.certificates.facets_from_2faces` does not check
+    F_2 again.
     """
     g = inst.graph
     d = g.d
     check_k_range(g, k, least=0)
     if k in (0, 1, d - 1):
         if k == d - 1:
-            known = inst.facets
+            found = inst.facets
         else:
-            known = g.edges if k else tuple((v,) for v in range(g.n))
-        return SetSystem(k=k, sets=known, graph_fingerprint=g.fingerprint)
-    found = sorted(set(map(tuple, _meets(inst.membership, d - k).values())))
-    for t in found:
-        if not induces_connected(g.neighbour_masks, vertex_mask(t)):
-            raise NotSimple(f"facet intersection {t} is disconnected")
-    return SetSystem(k=k, sets=tuple(found), graph_fingerprint=g.fingerprint)
+            found = g.edges if k else tuple((v,) for v in range(g.n))
+    else:
+        found = tuple(sorted(set(map(tuple, _meets(inst.membership, d - k).values()))))
+        nbr = g.neighbour_masks
+        for t in found:
+            if not induces_connected(nbr, vertex_mask(t)):
+                raise NotSimple(f"facet intersection {t} is disconnected")
+    faces = SetSystem(k=k, sets=found, graph_fingerprint=g.fingerprint)
+    _prove(faces, g)
+    return faces
 
 
 def f_vector(inst: Instance) -> tuple[int, ...]:

@@ -68,11 +68,47 @@ class SetSystem:
     Members are sorted tuples, listed lexicographically, pairwise
     distinct, each with at least k+1 vertices (fewer cannot induce a
     k-regular subgraph).
+
+    A family may carry a record that it is a valid k-system of one graph
+    object whose members induce connected subgraphs: :func:`_prove`
+    writes it, for :func:`~ksystems.oracle.faces_from_incidence` only,
+    and :func:`_proved_on` reads it.  The record is no field: no
+    constructor argument sets it, equality, hash and ``repr`` ignore it,
+    :func:`dataclasses.replace` drops it and :func:`copy.copy` keeps it.
+    :mod:`pickle` and :func:`copy.deepcopy` drop it, since the graph they
+    would bind it to is a copy, so such a family is checked again.
     """
 
     k: int
     sets: tuple[tuple[int, ...], ...]
     graph_fingerprint: str
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop(_PROOF, None)
+        return state
+
+    def __copy__(self) -> SetSystem:
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        return twin
+
+
+#: The key of the record :func:`_prove` writes into a family's ``__dict__``.
+_PROOF = "_proved_on"
+
+
+def _prove(s: SetSystem, g: PolytopeGraph) -> None:
+    """Record that ``s`` is a valid k-system of ``g``, this graph object,
+    whose members induce connected subgraphs.  Only a function that has
+    proved both may call it."""
+    s.__dict__[_PROOF] = g
+
+
+def _proved_on(s: SetSystem, g: PolytopeGraph) -> bool:
+    """True when :func:`_prove` recorded ``s`` for ``g`` itself, not for an
+    equal graph or one with the same fingerprint."""
+    return s.__dict__.get(_PROOF) is g
 
 
 @dataclass

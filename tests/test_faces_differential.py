@@ -3,11 +3,17 @@ did the same work many times over: the same k-faces or the same refusal
 from ``faces_from_incidence``, the same facets or the same refusal (error
 type and message) from ``facets_from_2faces``, and the same instance or
 the same refusal from ``make_instance``, which is the constructor of
-``Instance``, however it is reached."""
+``Instance``, however it is reached.  ``facets_from_2faces`` also gives the
+same facets from an F_2 that ``faces_from_incidence`` recorded as proved,
+without checking it, as from the same family without the record or with
+another graph object, checked in full."""
 
+import json
 import random
 import re
+from collections import Counter
 from dataclasses import replace
+from functools import partial
 from itertools import combinations, islice
 
 import pytest
@@ -15,13 +21,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ksystems as ks
+from ksystems import certificates, fileio
 from ksystems.errors import InconsistentTransport, KSystemsError, NotSimple
 from ksystems.oracle import Instance
 from ksystems.search import connected_k_regular_sets
+from ksystems.systems import _proved_on
 
 import reference_faces as ref
 import reference_gate
+from conftest import cycle_graph
 from test_frames_differential import mutated_2face_families
+from test_search import _counting
 
 TRIANGLE = ks.simplex(2)
 
@@ -251,6 +261,61 @@ def test_the_references_do_not_build_the_package_instance(monkeypatch):
 def test_facets_from_2faces_matches_reference_on_mutated_families(case):
     g, s = case
     assert _outcome(ks.facets_from_2faces, g, s) == _outcome(ref.facets_from_2faces, g, s)
+
+
+# Every generator instance of the corpora, for the record that
+# faces_from_incidence leaves on the families it returns
+def _prism(m):
+    polygon = cycle_graph(m)
+    return ks.product(ks.cube(1), ks.make_instance(f"polygon({m})", polygon, polygon.edges))
+
+
+RECORDED = {
+    **{f"simplex{d}": partial(ks.simplex, d) for d in (3, 4, 5)},
+    **{f"cube{d}": partial(ks.cube, d) for d in (3, 4, 5, 6, 7)},
+    **{f"prism{m}": partial(_prism, m) for m in (3, 5, 8)},
+    "triangle_x_square": lambda: INSTANCES["triangle_x_square"],
+    "triangle_cubed": lambda: INSTANCES["triangle_cubed"],
+    "tet_x_tet": lambda: INSTANCES["tet_x_tet"],
+    "tet_x_triangle": lambda: ks.product(ks.simplex(3), TRIANGLE),
+    "cube3_cut2": lambda: INSTANCES["cube3_cut2"],
+    "cube3_cut5": lambda: INSTANCES["cube3_cut5"],
+    "cube4_cut1": lambda: _cut(ks.cube(4), 1),
+    "fig1": ks.fig1,
+}
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+@pytest.mark.parametrize("name", sorted(RECORDED))
+def test_facets_from_a_recorded_f2_match_the_full_checks(monkeypatch, name, seed):
+    # the instance in its own labelling (seed None) and in three seeded
+    # relabellings, parsed twice from one document: two equal graph objects
+    base = RECORDED[name]()
+    perm = list(range(base.graph.n))
+    if seed is not None:
+        random.Random(seed).shuffle(perm)
+    g, facets = _relabelled(base.graph, base.facets, perm)
+    text = json.dumps(fileio.instance_doc(ks.make_instance(name, g, facets)))
+    inst = fileio.parse_instance(json.loads(text))
+    g, twin = inst.graph, fileio.parse_instance(json.loads(text)).graph
+    f2 = ks.faces_from_incidence.__wrapped__(inst, 2)
+    assert twin == g and twin is not g and _proved_on(f2, g) and not _proved_on(f2, twin)
+
+    calls = Counter()
+    _counting(monkeypatch, certificates, "validate_k_system", calls)
+    _counting(monkeypatch, certificates, "induces_connected", calls)
+    expected = ref.facets_from_2faces(g, f2)
+    assert expected.sets == inst.facets
+    runs = [(g, f2), (g, replace(f2)), (twin, f2)]
+    checks = []
+    for graph, family in runs:
+        calls.clear()
+        assert ks.facets_from_2faces(graph, family) == expected
+        checks.append((calls["validate_k_system"], calls["induces_connected"]))
+    # the record of g spares both checks; an unrecorded copy and a second
+    # graph object with the same fingerprint run them in full
+    full = (1, len(f2.sets))
+    assert checks == [(0, 0), full, full]
 
 
 # 2-systems of cube4 that transport refuses: in most a seed contradicts

@@ -12,6 +12,7 @@ with an ``InvalidInput``; only the wording may differ.
 
 import dataclasses
 import json
+import random
 import re
 import sys
 import tracemalloc
@@ -25,7 +26,13 @@ from hypothesis import strategies as st
 
 import ksystems as ks
 from ksystems import fileio, oracle
-from ksystems.errors import InvalidInput, InvalidParams, KSystemsError, NotRegular
+from ksystems.errors import (
+    InvalidInput,
+    InvalidParams,
+    KSystemsError,
+    NotRegular,
+    NotSimple,
+)
 from ksystems.graphs import is_int
 
 import reference_gate as ref
@@ -664,3 +671,100 @@ def test_checks_made_before_the_ids_still_come_first():
     wrong_k = ks.SetSystem(k=3, sets=_system((4, 5, 6, 99)).sets, graph_fingerprint=G.fingerprint)
     with pytest.raises(ks.errors.KOutOfRange):
         ks.validate_k_system(G, wrong_k)
+
+
+#: Facets that pass every check of the Instance constructor up to the pair
+#: check, on the graph of cube(d), and the first bad pair the reference names
+PAIR_FAULTS = {
+    # four hexagons: non-adjacent pairs share d-1 = 2 of them
+    "non-adjacent": (
+        3,
+        [(0, 1, 2, 5, 6, 7), (0, 1, 3, 4, 6, 7), (0, 2, 3, 4, 5, 7), (1, 2, 3, 4, 5, 6)],
+        "non-adjacent pair (0,3) shares 2 facets",
+    ),
+    # 0 and 1 lie on the same d = 4 facets, so the edge is filed d times
+    "filed d times": (
+        4,
+        [
+            (0, 1, 2, 3, 4, 5, 6, 7),
+            (0, 1, 2, 3, 4, 5, 10, 11, 12, 13, 14, 15),
+            (0, 1, 2, 3, 6, 7, 8, 9, 12, 13, 14, 15),
+            (0, 1, 4, 5, 6, 7, 8, 9, 10, 11, 14, 15),
+            (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13),
+            (8, 9, 10, 11, 12, 13, 14, 15),
+        ],
+        "edge (0,1) shares 4 facets, expected 3",
+    ),
+    # 0 and 1 share only 2 facets, so the edge is never filed
+    "not filed": (
+        4,
+        [
+            (0, 1, 2, 3, 4, 5, 10, 11, 12, 13, 14, 15),
+            (0, 1, 2, 3, 6, 7, 8, 9, 12, 13, 14, 15),
+            (0, 2, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15),
+            (0, 2, 4, 6, 8, 10, 12, 14),
+            (1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14),
+            (1, 3, 5, 7, 9, 11, 13, 15),
+        ],
+        "edge (0,1) shares 2 facets, expected 3",
+    ),
+}
+
+
+def _counted_pair_walks(monkeypatch):
+    """The argument tuples of every call of the constructor's pair walk."""
+    walks = []
+    walk = oracle._check_pairs
+    monkeypatch.setattr(oracle, "_check_pairs", lambda *args: walks.append(args) or walk(*args))
+    return walks
+
+
+@pytest.mark.parametrize("fault", sorted(PAIR_FAULTS))
+def test_a_pair_fault_reaches_the_walk_and_is_named_as_the_reference_names_it(
+    monkeypatch, fault
+):
+    d, facets, message = PAIR_FAULTS[fault]
+    g = ks.cube(d).graph
+    walks = _counted_pair_walks(monkeypatch)
+    with pytest.raises(NotSimple) as expected:
+        ref.make_instance(fault, g, facets)
+    assert str(expected.value) == message
+    for build in (ks.make_instance, ks.Instance):
+        with pytest.raises(NotSimple) as raised:
+            build(fault, g, facets)
+        assert str(raised.value) == message
+    assert len(walks) == 2
+
+
+def _generated():
+    """Generator instances of every dimension from 1 to 7, as built and
+    under one seeded relabelling."""
+    triangle = ks.simplex(2)
+    built = [
+        *map(ks.simplex, range(1, 6)),
+        *map(ks.cube, range(1, 8)),
+        ks.product(ks.cube(1), triangle),
+        ks.product(triangle, ks.cube(2)),
+        ks.product(ks.product(triangle, triangle), triangle),
+        ks.product(ks.simplex(3), triangle),
+        ks.truncate_vertex(ks.cube(4), 3),
+        ks.truncate_vertex(ks.truncate_vertex(ks.simplex(3), 0), 1),
+        FIG1,
+    ]
+    for inst in built:
+        yield inst.name, inst.graph, inst.facets
+        g = inst.graph
+        perm = list(range(g.n))
+        random.Random(g.n).shuffle(perm)
+        edges = [(perm[u], perm[v]) for u, v in g.edges]
+        yield inst.name, ks.validate_graph(g.d, g.n, edges), [
+            [perm[v] for v in t] for t in inst.facets
+        ]
+
+
+def test_a_simple_polytope_passes_the_pair_check_without_the_walk(monkeypatch):
+    walks = _counted_pair_walks(monkeypatch)
+    for name, g, facets in _generated():
+        inst = ks.make_instance(name, g, facets)
+        assert inst.facets == ref.make_instance(name, g, facets).facets
+    assert walks == []

@@ -353,6 +353,31 @@ def test_a_faces_op_builds_the_neighbour_masks_once(monkeypatch):
     assert builds == [inst.graph]
 
 
+@pytest.mark.parametrize("name", ["cube6", "prism"])
+def test_a_faces_op_checks_each_family_once(monkeypatch, name):
+    # the faces workload's op again: F_2 comes from faces_from_incidence,
+    # which proved it, so facets_from_2faces neither validates it nor tests
+    # its members' connectivity; faces_from_incidence tests each face of
+    # 2 <= k <= d-2 once (the constructor tests the facets, by induced_flaw)
+    from ksystems import certificates
+
+    made = ks.cube(6) if name == "cube6" else ks.product(ks.cube(1), ks.simplex(2))
+    text = json.dumps(fileio.instance_doc(made))
+    calls = Counter()
+    _counting(monkeypatch, certificates, "validate_k_system", calls)
+    for module in (oracle, certificates):
+        calls[module] = Counter()
+        _counting(monkeypatch, module, "induces_connected", calls[module])
+    inst = fileio.parse_instance(json.loads(text))
+    faces = [ks.faces_from_incidence.__wrapped__(inst, k) for k in range(inst.graph.d)]
+    facets = ks.facets_from_2faces(inst.graph, faces[2])
+    assert facets.sets == inst.facets
+    assert calls["validate_k_system"] == 0
+    assert calls[certificates]["induces_connected"] == 0
+    tested = sum(len(faces[k].sets) for k in range(2, inst.graph.d - 1))
+    assert calls[oracle]["induces_connected"] == tested
+
+
 @pytest.mark.parametrize("family", sorted(GENERATED))
 def test_a_checked_instance_and_its_twin_are_one_key(family):
     inst = GENERATED[family]()

@@ -1,10 +1,15 @@
+import copy
+import dataclasses
+import pickle
 import re
+from collections import Counter
 from enum import IntEnum
 from itertools import combinations
 
 import pytest
 
 import ksystems as ks
+from ksystems import certificates
 from ksystems.errors import (
     DuplicateSet,
     FingerprintMismatch,
@@ -14,6 +19,9 @@ from ksystems.errors import (
     NotRegular,
     NotSimple,
 )
+from ksystems.systems import _proved_on
+
+from test_search import _counting
 
 
 @pytest.mark.parametrize(
@@ -286,3 +294,66 @@ def test_all_two_element_subsets_of_adjacency_are_frames(cube4):
     for v in range(g.n):
         for pair in combinations(g.adjacency[v], 2):
             assert (v, pair) in seen
+
+
+def _recorded(inst):
+    """F_2 of ``inst`` as faces_from_incidence returns it, with its record."""
+    f2 = ks.faces_from_incidence.__wrapped__(inst, 2)
+    assert _proved_on(f2, inst.graph)
+    return f2
+
+
+def test_the_record_is_no_field_and_cannot_be_passed_in(cube4):
+    g = cube4.graph
+    f2 = _recorded(cube4)
+    assert [f.name for f in dataclasses.fields(ks.SetSystem)] == [
+        "k",
+        "sets",
+        "graph_fingerprint",
+    ]
+    fields = (f2.k, f2.sets, f2.graph_fingerprint)
+    with pytest.raises(TypeError):
+        ks.SetSystem(*fields, g)
+    with pytest.raises(TypeError):
+        ks.SetSystem(*fields, _proved_on=g)
+    with pytest.raises(TypeError):
+        dataclasses.replace(f2, _proved_on=g)
+    built = [
+        ks.SetSystem(*fields),
+        ks.make_set_system(g, 2, f2.sets),
+        dataclasses.replace(f2),
+        dataclasses.replace(f2, sets=f2.sets),
+    ]
+    assert not any(_proved_on(s, g) for s in built)
+
+
+def test_equality_hash_and_repr_ignore_the_record_and_copy_keeps_it(cube4):
+    g = cube4.graph
+    f2 = _recorded(cube4)
+    bare = dataclasses.replace(f2)
+    assert bare == f2 and hash(bare) == hash(f2) and repr(bare) == repr(f2)
+    assert {bare: 1}[f2] == 1
+    kept = copy.copy(f2)
+    assert kept == f2 and kept is not f2 and _proved_on(kept, g)
+    assert not _proved_on(copy.copy(bare), g)
+
+
+def test_a_pickled_family_is_checked_again(monkeypatch, cube4):
+    # pickle and deepcopy drop the record, also when the graph travels
+    # along: the family that comes back is validated in full
+    g = cube4.graph
+    f2 = _recorded(cube4)
+    calls = Counter()
+    _counting(monkeypatch, certificates, "validate_k_system", calls)
+    assert ks.facets_from_2faces(g, f2).sets == cube4.facets
+    assert calls["validate_k_system"] == 0
+    twins = [
+        (g, pickle.loads(pickle.dumps(f2))),
+        pickle.loads(pickle.dumps((g, f2))),
+        (g, copy.deepcopy(f2)),
+        copy.deepcopy((g, f2)),
+    ]
+    for graph, family in twins:
+        assert family == f2 and not _proved_on(family, graph)
+        assert ks.facets_from_2faces(graph, family).sets == cube4.facets
+    assert calls["validate_k_system"] == len(twins)
