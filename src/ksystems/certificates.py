@@ -38,14 +38,13 @@ from .graphs import (
     indegree_histogram,
     induced_flaw,
     induces_connected,
-    member_ids,
     out_masks,
     topological_order,
     unique_sinks,
-    vertex_mask,
 )
 from .systems import (
     SetSystem,
+    _member_masks,
     _proved_on,
     check_system_bound,
     validate_k_system,
@@ -107,10 +106,8 @@ def unique_sink_per_set(
     check_system_bound(g, s)
     if topological_order(g, o).cycle is not None:
         raise NotAcyclic("orientation has a directed cycle")
-    member_ids(g.n, s.sets, "set")
-    bad = first_without_unique_sink(
-        out_masks(g, o), ((t, vertex_mask(t)) for t in s.sets)
-    )
+    masks = _member_masks(g, s)
+    bad = first_without_unique_sink(out_masks(g, o), zip(s.sets, masks))
     return bad is None, bad
 
 
@@ -297,7 +294,9 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
     and at d = 3 its members, already sorted, are the output.  A family
     without the record, also one built for another graph object with the
     same fingerprint, or rebuilt by :func:`dataclasses.replace` or
-    :mod:`pickle`, is checked in full.  Postconditions checked: every
+    :mod:`pickle`, is checked in full.  The member masks are those the
+    family kept (:func:`~ksystems.systems._member_masks`), when it kept
+    any.  Postconditions checked: every
     output induces a (d-1)-regular subgraph (connected by construction)
     and every vertex lies in exactly d outputs.
     """
@@ -310,12 +309,12 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
     if _proved_on(f2, g):
         if g.d == 3:
             return SetSystem(k=2, sets=f2.sets, graph_fingerprint=g.fingerprint)
-        masks = [*map(vertex_mask, f2.sets)]
+        masks = _member_masks(g, f2)
     else:
         report = validate_k_system(g, f2)
         if not report.valid:
             raise NotCycleSystem(f"not a valid 2-system: {report.first_defect()}")
-        masks = [*map(vertex_mask, f2.sets)]
+        masks = _member_masks(g, f2)
         for i, mask in enumerate(masks):
             if not induces_connected(nbr, mask):
                 raise NotCycleSystem(f"member #{i} induces a disconnected subgraph")

@@ -22,6 +22,7 @@ from collections.abc import Collection
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from operator import eq, lt
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -142,11 +143,15 @@ def graph_fingerprint(d: int, n: int, edges: Iterable[tuple[int, int]]) -> str:
     return _canonical_digest(d, n, sorted(sorted(e) for e in edges))
 
 
+#: The encoder of every fingerprint: sorted keys, no whitespace, and no
+#: check for cycles, which a list of integer pairs cannot hold.
+_DIGEST_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def _canonical_digest(d: int, n: int, canon: Sequence[Sequence[int]]) -> str:
     """:func:`graph_fingerprint` of an edge list already canonical: each
     pair ascending, the pairs sorted."""
-    doc = {"d": d, "edges": canon, "n": n}
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    blob = _DIGEST_JSON.encode({"d": d, "edges": canon, "n": n})
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
@@ -222,35 +227,33 @@ def as_tuple(values: Iterable, what: str) -> tuple:
 
 def validate_graph(d: int, n: int, edge_list: Iterable[Iterable[int]]) -> PolytopeGraph:
     """Build a PolytopeGraph, rejecting anything that is not a simple
-    d-regular connected graph on vertices 0..n-1."""
+    d-regular connected graph on vertices 0..n-1.
+
+    An edge list whose pairs are all lists or tuples of two ids that
+    pass :func:`plain_vertex_ids` is checked in bulk
+    (:func:`_bulk_edges`).  It is its own canonical form when every pair
+    is ascending and the pairs are strictly increasing, as in every
+    document the package writes; in any other order it is sorted first.
+    Any other list, and one with a loop or a repeated edge, is walked
+    pair by pair, which names the first fault in list order.  Degrees
+    are counted in one pass over the ids, and the neighbours of each
+    vertex come out ascending from the sorted edges.
+    """
     require_int(d, "d", 1)
     require_int(n, "n", 2)
-
-    canonical: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for pair in as_tuple(edge_list, "edges"):
-        try:
-            u, v = pair
-        except (TypeError, ValueError):
-            raise InvalidParams(f"edge {pair!r} is not a pair of vertex ids") from None
-        for x in (u, v):
-            if not is_int(x) or not 0 <= x < n:
-                raise InvalidParams(f"vertex id {x!r} outside 0..{n - 1}")
-        if u == v:
-            raise SelfLoop(f"loop at vertex {u}")
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise DuplicateEdge(f"edge {e} listed twice")
-        seen.add(e)
-        canonical.append(e)
-    canonical.sort()
+    pairs = as_tuple(edge_list, "edges")
+    canonical = _bulk_edges(n, pairs)
+    if canonical is None:
+        canonical = _walked_edges(n, pairs)
 
     # Degrees come before any per-vertex storage: a huge n with few edges
     # fails at a vertex no larger than 2|E|, without allocating n lists.
-    degree = Counter(x for e in canonical for x in e)
-    for v in range(n):
-        if degree[v] != d:
-            raise NotRegular(f"vertex {v} has degree {degree[v]}, expected {d}")
+    degree = Counter(chain.from_iterable(canonical))
+    if len(degree) != n or {*degree.values()} != {d}:
+        v = next(v for v in range(n) if degree[v] != d)
+        raise NotRegular(f"vertex {v} has degree {degree[v]}, expected {d}")
+    # (u, w) with u < w sorted: each vertex meets its smaller neighbours
+    # as the second of a pair, ascending, before its larger ones as the first
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v in canonical:
         nbrs[u].append(v)
@@ -273,9 +276,57 @@ def validate_graph(d: int, n: int, edge_list: Iterable[Iterable[int]]) -> Polyto
         d=d,
         n=n,
         edges=tuple(canonical),
-        adjacency=tuple(tuple(sorted(a)) for a in nbrs),
+        adjacency=tuple(map(tuple, nbrs)),
         fingerprint=_canonical_digest(d, n, canonical),
     )
+
+
+def _bulk_edges(n: int, pairs: Sequence) -> list[tuple[int, int]] | None:
+    """The canonical edge list of ``pairs``, checked in bulk, or None when
+    the bulk checks do not all hold: every pair a list or tuple of two ids
+    passing :func:`plain_vertex_ids`, no loop, no edge twice.  Pairs that
+    are all ascending and strictly increasing are compared, never sorted."""
+    if not {*map(type, pairs)} <= {list, tuple} or not {*map(len, pairs)} <= {2}:
+        return None
+    ids = [*chain.from_iterable(pairs)]
+    if not plain_vertex_ids(n, ids):
+        return None
+    us, vs = ids[0::2], ids[1::2]
+    if all(map(lt, us, vs)):
+        edges = [*zip(us, vs)]
+        if all(map(lt, edges, edges[1:])):
+            return edges
+        edges.sort()
+    elif any(map(eq, us, vs)):
+        return None
+    else:
+        edges = sorted(zip(map(min, us, vs), map(max, us, vs)))
+    return edges if all(map(lt, edges, edges[1:])) else None
+
+
+def _walked_edges(n: int, pairs: Sequence) -> list[tuple[int, int]]:
+    """The canonical edge list of ``pairs``, walked one pair at a time:
+    InvalidParams for a pair that is not two vertex ids of 0..n-1,
+    SelfLoop and DuplicateEdge for the first loop or repeat."""
+    canonical: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for pair in pairs:
+        try:
+            u, v = pair
+        except (TypeError, ValueError):
+            raise InvalidParams(f"edge {pair!r} is not a pair of vertex ids") from None
+        for x in (u, v):
+            if not is_int(x) or not 0 <= x < n:
+                raise InvalidParams(f"vertex id {x!r} outside 0..{n - 1}")
+        if u == v:
+            raise SelfLoop(f"loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise DuplicateEdge(f"edge {e} listed twice")
+        seen.add(e)
+        canonical.append(e)
+    canonical.sort()
+    return canonical
 
 
 def induced_flaw(

@@ -42,7 +42,14 @@ from .graphs import (
     validate_graph,
     vertex_mask,
 )
-from .systems import SetSystem, _prove, canonical_members, check_k_range
+from .systems import (
+    SetSystem,
+    _keep_masks,
+    _member_masks,
+    _prove,
+    canonical_members,
+    check_k_range,
+)
 
 
 @dataclass(frozen=True)
@@ -97,7 +104,7 @@ class Instance:
                 f"instance graph must be a PolytopeGraph, got {type(graph).__name__}"
             )
         d, n = graph.d, graph.n
-        canon = canonical_members(graph, self.facets, "facet", 0, NotSimple)
+        canon, _ = canonical_members(graph, self.facets, "facet", 0, NotSimple)
         object.__setattr__(self, "facets", tuple(canon))
 
         membership = self.membership
@@ -445,11 +452,13 @@ def faces_from_incidence(inst: Instance, k: int) -> SetSystem:
     connected, the facets were checked), and it carries that record
     (:func:`~ksystems.systems._prove`) for that graph object, so
     :func:`~ksystems.certificates.facets_from_2faces` does not check
-    F_2 again.
+    F_2 again.  The faces of 2 <= k <= d-2 also keep the vertex masks
+    built for the connectivity test (:func:`~ksystems.systems._keep_masks`).
     """
     g = inst.graph
     d = g.d
     check_k_range(g, k, least=0)
+    masks = None
     if k in (0, 1, d - 1):
         if k == d - 1:
             found = inst.facets
@@ -458,11 +467,14 @@ def faces_from_incidence(inst: Instance, k: int) -> SetSystem:
     else:
         found = tuple(sorted(set(map(tuple, _meets(inst.membership, d - k).values()))))
         nbr = g.neighbour_masks
-        for t in found:
-            if not induces_connected(nbr, vertex_mask(t)):
+        masks = [*map(vertex_mask, found)]
+        for t, mask in zip(found, masks):
+            if not induces_connected(nbr, mask):
                 raise NotSimple(f"facet intersection {t} is disconnected")
     faces = SetSystem(k=k, sets=found, graph_fingerprint=g.fingerprint)
     _prove(faces, g)
+    if masks is not None:
+        _keep_masks(faces, masks)
     return faces
 
 
@@ -501,7 +513,8 @@ def geometric_aof(inst: Instance, weights: Sequence[Fraction | int | str]) -> Or
 
 def _face_masks(inst: Instance, k: int) -> list[tuple[tuple[int, ...], int]]:
     """The k-faces, each with its vertex bitmask."""
-    return [(t, vertex_mask(t)) for t in faces_from_incidence(inst, k).sets]
+    faces = faces_from_incidence(inst, k)
+    return [*zip(faces.sets, _member_masks(inst.graph, faces))]
 
 
 def is_aof_oracle(inst: Instance, o: Orientation) -> bool:

@@ -69,14 +69,20 @@ class SetSystem:
     distinct, each with at least k+1 vertices (fewer cannot induce a
     k-regular subgraph).
 
-    A family may carry a record that it is a valid k-system of one graph
-    object whose members induce connected subgraphs: :func:`_prove`
-    writes it, for :func:`~ksystems.oracle.faces_from_incidence` only,
-    and :func:`_proved_on` reads it.  The record is no field: no
-    constructor argument sets it, equality, hash and ``repr`` ignore it,
+    A family may carry two records.  One says that it is a valid
+    k-system of one graph object whose members induce connected
+    subgraphs: :func:`_prove` writes it, for
+    :func:`~ksystems.oracle.faces_from_incidence` only, and
+    :func:`_proved_on` reads it.  The other is the vertex mask of each
+    member, kept by :func:`_keep_masks` where the member ids were
+    checked (:func:`make_set_system`) or the masks built anyway
+    (:func:`~ksystems.oracle.faces_from_incidence`), and read by
+    :func:`_member_masks`.  Neither record is a field: no constructor
+    argument sets it, equality, hash and ``repr`` ignore it,
     :func:`dataclasses.replace` drops it and :func:`copy.copy` keeps it.
-    :mod:`pickle` and :func:`copy.deepcopy` drop it, since the graph they
-    would bind it to is a copy, so such a family is checked again.
+    :mod:`pickle` and :func:`copy.deepcopy` drop both, since the graph
+    they would bind the first to is a copy, so such a family is checked
+    again.  A family built directly carries neither.
     """
 
     k: int
@@ -86,6 +92,7 @@ class SetSystem:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state.pop(_PROOF, None)
+        state.pop(_MASKS, None)
         return state
 
     def __copy__(self) -> SetSystem:
@@ -109,6 +116,31 @@ def _proved_on(s: SetSystem, g: PolytopeGraph) -> bool:
     """True when :func:`_prove` recorded ``s`` for ``g`` itself, not for an
     equal graph or one with the same fingerprint."""
     return s.__dict__.get(_PROOF) is g
+
+
+#: The key of the member masks :func:`_keep_masks` writes into a family's
+#: ``__dict__``.
+_MASKS = "_member_masks"
+
+
+def _keep_masks(s: SetSystem, masks: list[int]) -> None:
+    """Keep on ``s`` the vertex mask of each of its members, in member
+    order.  Only a function that has checked the member ids against the
+    n of the fingerprint ``s`` is bound to may call it."""
+    s.__dict__[_MASKS] = masks
+
+
+def _member_masks(g: PolytopeGraph, s: SetSystem) -> list[int]:
+    """The vertex mask of each member of ``s``, a family the caller has
+    found bound to ``g``: the masks :func:`_keep_masks` kept, whose ids
+    were checked against the n that the fingerprint fixes, or else,
+    after :func:`~ksystems.graphs.member_ids` has checked the ids, the
+    masks built anew."""
+    masks = s.__dict__.get(_MASKS)
+    if masks is None:
+        member_ids(g.n, s.sets, "set")
+        masks = [*map(vertex_mask, s.sets)]
+    return masks
 
 
 @dataclass
@@ -217,37 +249,42 @@ def canonical_members(
     what: str,
     least: int,
     repeated: type[KSystemsError],
-) -> list[tuple[int, ...]]:
+) -> tuple[list[tuple[int, ...]], list[int]]:
     """The members of a caller's ``family`` as sorted tuples of vertex ids
-    of ``g``, listed in order: the one check on a family from outside,
-    run by :func:`make_set_system` and the :class:`~ksystems.oracle.Instance`
-    constructor.
+    of ``g``, listed in order, and the vertex mask of each: the one check
+    on a family from outside, run by :func:`make_set_system` and the
+    :class:`~ksystems.oracle.Instance` constructor.
 
     One pass over the whole family accepts it when every member is a list
-    or tuple of at least ``least`` distinct ids of type ``int`` in range,
-    and no two members are equal.  The pass reads lists and tuples only,
-    so it reads no member that the walk cannot read again.  Only when it
-    fails are the members walked one at a time, which names the first
-    fault: :class:`InvalidParams` when the family or a member is not
-    iterable, a member cannot be sorted or hashed, repeats a vertex, holds
-    anything but a vertex id (:func:`~ksystems.graphs.check_vertex_ids`)
-    or has fewer than ``least`` vertices, and ``repeated`` when it equals
-    an earlier member; ``what`` names a member in the messages.  The walk
-    also accepts what the pass does not take: members of other collection
+    or tuple of at least ``least`` ids of type ``int`` in range, no
+    member repeats a vertex and no two members are equal.  The masks are
+    built only once the ids are known to be in range, and a member
+    repeats no vertex when its mask has as many bits as it has ids: the
+    pass compares the sum of the popcounts with the number of ids.  It
+    reads lists and tuples only, so it reads no member that the walk
+    cannot read again.  Only when it fails are the members walked one at
+    a time, which names the first fault: :class:`InvalidParams` when the
+    family or a member is not iterable, a member cannot be sorted or
+    hashed, repeats a vertex, holds anything but a vertex id
+    (:func:`~ksystems.graphs.check_vertex_ids`) or has fewer than
+    ``least`` vertices, and ``repeated`` when it equals an earlier
+    member; ``what`` names a member in the messages.  The walk also
+    accepts what the pass does not take: members of other collection
     types, ids of an ``int`` subclass such as ``IntEnum``.
     """
     members = as_tuple(family, f"{what}s")
     if {*map(type, members)} <= {list, tuple}:
         try:
-            canon = [*map(tuple, map(sorted, members))]
+            canon = sorted(map(tuple, map(sorted, members)))
             ids = [*chain.from_iterable(canon)]
             if (
                 plain_vertex_ids(g.n, ids)
-                and sum(map(len, map(set, canon))) == len(ids)
-                and len(set(canon)) == len(canon)
                 and min(map(len, canon), default=least) >= least
+                and len(set(canon)) == len(canon)
             ):
-                return sorted(canon)
+                masks = [*map(vertex_mask, canon)]
+                if sum(map(int.bit_count, masks)) == len(ids):
+                    return canon, masks
         except TypeError:  # ids that cannot be sorted or hashed
             pass
     canon, seen = [], set()
@@ -269,7 +306,8 @@ def canonical_members(
             raise repeated(f"{what} {t} listed twice")
         seen.add(t)
         canon.append(t)
-    return sorted(canon)
+    canon.sort()
+    return canon, [*map(vertex_mask, canon)]
 
 
 def make_set_system(g: PolytopeGraph, k: int, sets: Iterable[Iterable[int]]) -> SetSystem:
@@ -280,8 +318,10 @@ def make_set_system(g: PolytopeGraph, k: int, sets: Iterable[Iterable[int]]) -> 
     a file repeating a set is malformed, not refuted.
     """
     require_int(k, "k", 0)
-    canon = canonical_members(g, sets, "set", k + 1, DuplicateSet)
-    return SetSystem(k=k, sets=tuple(canon), graph_fingerprint=g.fingerprint)
+    canon, masks = canonical_members(g, sets, "set", k + 1, DuplicateSet)
+    s = SetSystem(k=k, sets=tuple(canon), graph_fingerprint=g.fingerprint)
+    _keep_masks(s, masks)
+    return s
 
 
 def enumerate_k_frames(g: PolytopeGraph, k: int) -> Iterator[KFrame]:
@@ -342,14 +382,16 @@ def validate_k_system(g: PolytopeGraph, s: SetSystem) -> KSystemReport:
     iff that sum equals the number of frames and no pair repeats.
     Coverage is accounted over the k-regular members only; a family with
     an irregular member is already invalid, and the per-vertex frame
-    emission is meaningless for such sets.  The member ids are checked
-    before any frame is formed, since a :class:`SetSystem` built directly
-    has not been through :func:`make_set_system`.  Nothing here builds
-    the frame universe: the cost follows the family.
+    emission is meaningless for such sets.  The member masks are those
+    the family kept where its ids were checked; a :class:`SetSystem`
+    built directly keeps none and has not been through
+    :func:`make_set_system`, so its ids are checked before any frame is
+    formed (:func:`_member_masks`).  Nothing here builds the frame
+    universe: the cost follows the family.
     """
     check_system_bound(g, s)
     frames = frame_count(g, s.k)
-    ids, leaves, regular = _member_frames(g, s.k, s.sets)
+    ids, leaves, regular = _member_frames(g, s)
     valid = (
         all(regular)
         and len(ids) == frames
@@ -367,16 +409,19 @@ def validate_k_system(g: PolytopeGraph, s: SetSystem) -> KSystemReport:
 
 
 def _member_frames(
-    g: PolytopeGraph, k: int, sets: Sequence[Sequence[int]]
+    g: PolytopeGraph, s: SetSystem
 ) -> tuple[list[int], list[int], tuple[bool, ...]]:
-    """The one pass over a family: the vertices of its members (their ids
-    checked), flat in member order, the leaf mask of each inside its
-    member, and whether each member is k-regular, that is whether all its
-    leaf masks have k bits."""
-    ids = member_ids(g.n, sets, "set")
+    """The one pass over a family: the vertices of its members, flat in
+    member order, the leaf mask of each inside its member, and whether
+    each member is k-regular, that is whether all its leaf masks have k
+    bits.  The member masks come from :func:`_member_masks`, so the ids
+    of a family that kept none are checked first."""
+    k, sets = s.k, s.sets
+    masks = _member_masks(g, s)
+    ids = [*chain.from_iterable(sets)]
     sizes = [*map(len, sets)]
     nbr = g.neighbour_masks
-    inside = chain.from_iterable(map(repeat, map(vertex_mask, sets), sizes))
+    inside = chain.from_iterable(map(repeat, masks, sizes))
     leaves = [m & nbr[v] for m, v in zip(inside, ids)]
     degrees = [*map(int.bit_count, leaves)]
     if degrees.count(k) == len(degrees):

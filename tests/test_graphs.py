@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ksystems as ks
+from ksystems import graphs
 from ksystems.errors import (
     Disconnected,
     DuplicateEdge,
@@ -48,6 +49,11 @@ def test_validate_graph_rejects_duplicate_edge():
 def test_validate_graph_rejects_wrong_degree():
     with pytest.raises(NotRegular):
         ks.validate_graph(2, 4, [(0, 1), (1, 2), (2, 3)])
+    # every listed vertex has degree d, and vertex 3 is on no edge
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    for validate in (ks.validate_graph, reference_gate.validate_graph):
+        with pytest.raises(NotRegular, match="^vertex 3 has degree 0, expected 2$"):
+            validate(2, 5, triangle)
 
 
 def test_validate_graph_rejects_disconnected():
@@ -144,6 +150,55 @@ def test_fingerprint_ignores_edge_order(cube3):
     random.Random(7).shuffle(shuffled)
     shuffled = [(v, u) for u, v in shuffled]
     assert ks.graph_fingerprint(g.d, g.n, shuffled) == g.fingerprint
+
+
+#: Fingerprints of ksystems 0.1.0's documents: a change to the digest
+#: would unbind every document written before it.
+FINGERPRINTS = {
+    "cube(3)": (
+        ks.cube,
+        (3,),
+        "8e4ce7b9c344b0c14b673b7acbb1d50dffe286ff29bee6d75a1bb7f849f24ddc",
+    ),
+    "fig1": (
+        ks.fig1,
+        (),
+        "470cf29128afc1571130ac79b81ff46f465b302d9fab8166e7bd097ee88482f9",
+    ),
+    "simplex(3) x simplex(2)": (
+        lambda: ks.product(ks.simplex(3), ks.simplex(2)),
+        (),
+        "571288cfd76e902f79d4f69f370079154411cf3909525801c881782595938ac7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINGERPRINTS))
+def test_fingerprints_are_pinned_on_every_route(monkeypatch, name):
+    # the canonical list is compared, a shuffled one with reversed pairs
+    # sorted in bulk, and pairs of another type walked one at a time: one
+    # graph, one fingerprint
+    make, args, digest = FINGERPRINTS[name]
+    g = make(*args).graph
+    assert g.fingerprint == digest
+    assert ks.graph_fingerprint(g.d, g.n, g.edges) == digest
+    shuffled = [(v, u) for u, v in random.Random(11).sample(g.edges, len(g.edges))]
+    walks = []
+    real_walk = graphs._walked_edges
+    monkeypatch.setattr(
+        graphs, "_walked_edges", lambda n, pairs: walks.append(n) or real_walk(n, pairs)
+    )
+    routes = {
+        "canonical": [list(e) for e in g.edges],
+        "shuffled": shuffled,
+        "walked": [iter(e) for e in shuffled],
+    }
+    assert g == reference_gate.validate_graph(g.d, g.n, shuffled)
+    for route, pairs in routes.items():
+        rebuilt = ks.validate_graph(g.d, g.n, pairs)
+        assert rebuilt == g, route
+        assert rebuilt.fingerprint == digest and rebuilt.adjacency == g.adjacency
+    assert walks == [g.n]
 
 
 def test_fingerprint_separates_graphs(cube3, simplex3):

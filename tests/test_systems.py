@@ -19,7 +19,8 @@ from ksystems.errors import (
     NotRegular,
     NotSimple,
 )
-from ksystems.systems import _proved_on
+from ksystems.graphs import vertex_mask
+from ksystems.systems import _MASKS, _proved_on
 
 from test_search import _counting
 
@@ -303,6 +304,25 @@ def _recorded(inst):
     return f2
 
 
+def _masks(s):
+    """The member masks a family keeps, or None."""
+    return vars(s).get(_MASKS)
+
+
+def test_checked_families_keep_their_member_masks(cube4):
+    g = cube4.graph
+    kept = [
+        _recorded(cube4),
+        ks.faces_from_incidence.__wrapped__(ks.cube(5), 3),
+        ks.make_set_system(g, 2, _recorded(cube4).sets),
+        ks.make_set_system(g, 2, [list(reversed(t)) for t in reversed(cube4.facets)]),
+        ks.make_set_system(g, 2, [{*t} for t in cube4.facets]),  # the walk
+        ks.make_set_system(g, 3, []),
+    ]
+    for s in kept:
+        assert _masks(s) == [*map(vertex_mask, s.sets)]
+
+
 def test_the_record_is_no_field_and_cannot_be_passed_in(cube4):
     g = cube4.graph
     f2 = _recorded(cube4)
@@ -318,6 +338,11 @@ def test_the_record_is_no_field_and_cannot_be_passed_in(cube4):
         ks.SetSystem(*fields, _proved_on=g)
     with pytest.raises(TypeError):
         dataclasses.replace(f2, _proved_on=g)
+    masks = [*map(vertex_mask, f2.sets)]
+    with pytest.raises(TypeError):
+        ks.SetSystem(*fields, _member_masks=masks)
+    with pytest.raises(TypeError):
+        dataclasses.replace(f2, _member_masks=masks)
     built = [
         ks.SetSystem(*fields),
         ks.make_set_system(g, 2, f2.sets),
@@ -325,6 +350,7 @@ def test_the_record_is_no_field_and_cannot_be_passed_in(cube4):
         dataclasses.replace(f2, sets=f2.sets),
     ]
     assert not any(_proved_on(s, g) for s in built)
+    assert [_masks(s) is None for s in built] == [True, False, True, True]
 
 
 def test_equality_hash_and_repr_ignore_the_record_and_copy_keeps_it(cube4):
@@ -336,6 +362,9 @@ def test_equality_hash_and_repr_ignore_the_record_and_copy_keeps_it(cube4):
     kept = copy.copy(f2)
     assert kept == f2 and kept is not f2 and _proved_on(kept, g)
     assert not _proved_on(copy.copy(bare), g)
+    assert _masks(kept) == _masks(f2) is not None and _masks(copy.copy(bare)) is None
+    made = ks.make_set_system(g, 2, f2.sets)
+    assert made == f2 and repr(made) == repr(f2) and _masks(copy.copy(made)) is not None
 
 
 def test_a_pickled_family_is_checked_again(monkeypatch, cube4):
@@ -355,5 +384,28 @@ def test_a_pickled_family_is_checked_again(monkeypatch, cube4):
     ]
     for graph, family in twins:
         assert family == f2 and not _proved_on(family, graph)
+        assert _masks(family) is None
         assert ks.facets_from_2faces(graph, family).sets == cube4.facets
     assert calls["validate_k_system"] == len(twins)
+    made = ks.make_set_system(g, 2, f2.sets)
+    for family in pickle.loads(pickle.dumps(made)), copy.deepcopy(made):
+        assert family == made and _masks(family) is None
+
+
+@pytest.mark.parametrize("bad", [-1, 16, 10**12, True, 1.0])
+def test_families_built_directly_are_checked_before_any_mask(cube4, bad):
+    # a mask of -1 would raise ValueError, of 10**12 MemoryError: the ids
+    # of a family with no masks kept are checked first
+    g = cube4.graph
+    f2 = _recorded(cube4)
+    sets = (*f2.sets[:-1], (*f2.sets[-1][:-1], bad))
+    s = ks.SetSystem(k=2, sets=sets, graph_fingerprint=g.fingerprint)
+    o = ks.geometric_aof(cube4, [1, 2, 4, 8])
+    calls = [
+        lambda: ks.validate_k_system(g, s),
+        lambda: ks.unique_sink_per_set(g, o, s),
+        lambda: ks.facets_from_2faces(g, s),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParams, match=f"^vertex id {re.escape(repr(bad))} outside 0..15$"):
+            call()

@@ -114,6 +114,50 @@ def test_face_families_match_reference(name, k):
     assert got.coverage == want.coverage == ks.frame_coverage(inst.graph, s)
 
 
+def _report(g, s):
+    r = ks.validate_k_system(g, s)
+    return r.valid, r.set_is_regular, r.defect_lines(), list(r.coverage.items())
+
+
+def _direct(s):
+    """``s`` built directly: the same members, no masks kept."""
+    return ks.SetSystem(k=s.k, sets=s.sets, graph_fingerprint=s.graph_fingerprint)
+
+
+@pytest.mark.parametrize("variant", ["genuine", "dropped", "added", "irregular"])
+@pytest.mark.parametrize("name,k", CASES)
+def test_kept_masks_give_the_report_of_a_family_built_directly(name, k, variant):
+    # the mutation kinds of the certify workload, on families that kept
+    # their member masks (make_set_system, faces_from_incidence)
+    inst = INSTANCES[name]
+    g = inst.graph
+    faces = ks.faces_from_incidence(inst, k)
+    family = list(faces.sets)
+    if variant == "dropped":
+        family.pop(len(family) // 2)
+    if variant == "added":  # the union of two members
+        family.append(tuple(sorted({*family[0], *family[-1]})))
+    if variant == "irregular":  # a member and one outside neighbour
+        t = family.pop()
+        family.append((*t, min(x for v in t for x in g.adjacency[v] if x not in t)))
+    kept = [ks.make_set_system(g, k, family)]
+    if variant == "genuine" and 2 <= k <= g.d - 2:
+        kept.append(faces)
+    for s in kept:
+        assert vars(s).get("_member_masks") is not None
+        assert _report(g, s) == _report(g, _direct(s))
+        assert (variant == "genuine") == _report(g, s)[0]
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(mutated_families())
+def test_kept_masks_give_the_report_of_a_family_built_directly_when_mutated(case):
+    g, s = case
+    assert _report(g, s) == _report(g, _direct(s))
+
+
 def test_equal_total_family_with_repeated_frames_is_invalid(cube3):
     # every member 2-regular and 4 + 6 + 6 + 4 + 4 = 24 = 8 * binom(3, 2),
     # the number of frames, yet frames repeat (and others go uncovered)
