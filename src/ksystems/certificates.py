@@ -41,6 +41,7 @@ from .graphs import (
     out_masks,
     topological_order,
     unique_sinks,
+    vertex_mask,
 )
 from .systems import (
     SetSystem,
@@ -273,7 +274,7 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
     states it gives the same facet again: a seed already placed is
     skipped.
 
-    For d = 3 the output is the members, sorted, and no transport runs.
+    For d = 3 the transport gives the members back, sorted.
     The state (u, missed m) is the corner of u's two other edges, so it
     names the one member C through that corner.  A step from it reaches
     each of u's two neighbours w in C, and the state of w is again its
@@ -283,7 +284,9 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
     hold all three neighbours of u.  So each closure goes once round one
     member (the members are connected), meets no contradiction, and gives
     that member's vertex set as a facet.  Each vertex lies in C(3,2) = 3
-    members, so the postconditions hold as well.
+    members, so the postconditions hold as well.  Only a family that
+    carries the record below skips the transport: its members are the
+    output.
 
     Preconditions checked: f2 is a valid 2-system whose members induce
     cycles (connected 2-regular), checked in member order with
@@ -293,12 +296,13 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
     :func:`~ksystems.systems._proved_on`), so neither is checked again,
     and at d = 3 its members, already sorted, are the output.  A family
     without the record, also one built for another graph object with the
-    same fingerprint, or rebuilt by :func:`dataclasses.replace` or
-    :mod:`pickle`, is checked in full.  The member masks are those the
-    family kept (:func:`~ksystems.systems._member_masks`), when it kept
-    any.  Postconditions checked: every
-    output induces a (d-1)-regular subgraph (connected by construction)
-    and every vertex lies in exactly d outputs.
+    same fingerprint, rebuilt by :func:`dataclasses.replace`, or pickled
+    without its graph, is checked in full and transported, at d = 3 too.
+    The member masks are those the family kept
+    (:func:`~ksystems.systems._member_masks`), when it kept any.
+    Postconditions checked: every output induces a (d-1)-regular subgraph
+    (connected by construction) and every vertex lies in exactly d
+    outputs.
     """
     if g.d < 3:
         raise DimensionTooSmall(f"facet reconstruction needs d >= 3, got d={g.d}")
@@ -318,9 +322,6 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
         for i, mask in enumerate(masks):
             if not induces_connected(nbr, mask):
                 raise NotCycleSystem(f"member #{i} induces a disconnected subgraph")
-        if g.d == 3:
-            members = sorted(map(tuple, map(sorted, f2.sets)))
-            return SetSystem(k=2, sets=tuple(members), graph_fingerprint=g.fingerprint)
 
     corner = {nbr[v] & mask | 1 << v: mask for t, mask in zip(f2.sets, masks) for v in t}
     bit = [1 << v for v in range(g.n)]
@@ -360,7 +361,7 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
 
     found = sorted(facets)
     for t in found:
-        if induced_flaw(nbr, t, g.d - 1, connected=False):
+        if induced_flaw(nbr, t, vertex_mask(t), g.d - 1, connected=False):
             raise InconsistentTransport(
                 f"reconstructed facet {t} is not (d-1)-regular"
             )

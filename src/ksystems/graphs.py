@@ -17,7 +17,7 @@ import hashlib
 import heapq
 import json
 import math
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Collection
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -237,7 +237,10 @@ def validate_graph(d: int, n: int, edge_list: Iterable[Iterable[int]]) -> Polyto
     Any other list, and one with a loop or a repeated edge, is walked
     pair by pair, which names the first fault in list order.  Degrees
     are counted in one pass over the ids, and the neighbours of each
-    vertex come out ascending from the sorted edges.
+    vertex come out ascending from the sorted edges.  Connectivity is
+    the flood of :func:`induces_connected` over the graph's
+    ``neighbour_masks``, which are built here and kept; a disconnected
+    graph is refused naming the least vertex not reached from vertex 0.
     """
     require_int(d, "d", 1)
     require_int(n, "n", 2)
@@ -259,26 +262,19 @@ def validate_graph(d: int, n: int, edge_list: Iterable[Iterable[int]]) -> Polyto
         nbrs[u].append(v)
         nbrs[v].append(u)
 
-    # d-regularity makes |E| = n*d/2 automatic; connectivity is not.
-    reached = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in nbrs[u]:
-            if w not in reached:
-                reached.add(w)
-                queue.append(w)
-    if len(reached) != n:
-        missing = min(set(range(n)) - reached)
-        raise Disconnected(f"vertex {missing} unreachable from vertex 0")
-
-    return PolytopeGraph(
+    g = PolytopeGraph(
         d=d,
         n=n,
         edges=tuple(canonical),
         adjacency=tuple(map(tuple, nbrs)),
         fingerprint=_canonical_digest(d, n, canonical),
     )
+    # d-regularity makes |E| = n*d/2 automatic; connectivity is not.
+    left = _unreached(g.neighbour_masks, (1 << n) - 1)
+    if left:
+        missing = (left & -left).bit_length() - 1
+        raise Disconnected(f"vertex {missing} unreachable from vertex 0")
+    return g
 
 
 def _bulk_edges(n: int, pairs: Sequence) -> list[tuple[int, int]] | None:
@@ -315,9 +311,7 @@ def _walked_edges(n: int, pairs: Sequence) -> list[tuple[int, int]]:
             u, v = pair
         except (TypeError, ValueError):
             raise InvalidParams(f"edge {pair!r} is not a pair of vertex ids") from None
-        for x in (u, v):
-            if not is_int(x) or not 0 <= x < n:
-                raise InvalidParams(f"vertex id {x!r} outside 0..{n - 1}")
+        check_vertex_ids(n, (u, v))
         if u == v:
             raise SelfLoop(f"loop at vertex {u}")
         e = (u, v) if u < v else (v, u)
@@ -332,6 +326,7 @@ def _walked_edges(n: int, pairs: Sequence) -> list[tuple[int, int]]:
 def induced_flaw(
     nbr: Sequence[int],
     t: Sequence[int],
+    mask: int,
     k: int,
     *,
     connected: bool = True,
@@ -341,13 +336,13 @@ def induced_flaw(
     ``"connected"`` when that subgraph is not connected; None when it
     passes both, or the first when ``connected`` is false.
 
-    ``nbr`` is a graph's :attr:`PolytopeGraph.neighbour_masks`; the ids
-    of ``t`` are not checked.  A degree is the popcount of a neighbour
-    mask cut to the bitmask of ``t``, and connectivity is
+    ``nbr`` is a graph's :attr:`PolytopeGraph.neighbour_masks` and
+    ``mask`` is :func:`vertex_mask` of ``t``, which the caller holds; the
+    ids of ``t`` are not checked.  A degree is the popcount of a
+    neighbour mask cut to ``mask``, and connectivity is
     :func:`induces_connected`.  The empty set is regular and not
     connected.  This is the one test of an induced subgraph in the package.
     """
-    mask = vertex_mask(t)
     for v in t:
         if (nbr[v] & mask).bit_count() != k:
             return "regular"
@@ -360,12 +355,22 @@ def induces_connected(nbr: Sequence[int], mask: int) -> bool:
     """True when the vertex bitmask ``mask`` induces a connected subgraph;
     false for the empty mask.
 
-    ``nbr`` is a graph's :attr:`PolytopeGraph.neighbour_masks`.
-    A flood over masks from the lowest vertex of ``mask`` takes each
-    vertex at most once and stops when none is left to reach: O(|mask|)
-    operations on integers of n bits.  This is the one connectivity test
-    of a vertex subset in the package (:func:`validate_graph` searches the
-    whole graph before any mask exists).
+    ``nbr`` is a graph's :attr:`PolytopeGraph.neighbour_masks`, and the
+    test is the flood of :func:`_unreached`.  This is the one
+    connectivity test in the package: :func:`validate_graph` runs the
+    same flood over the whole graph.
+    """
+    return bool(mask) and not _unreached(nbr, mask)
+
+
+def _unreached(nbr: Sequence[int], mask: int) -> int:
+    """The vertices of the bitmask ``mask`` that a flood inside ``mask``
+    from its lowest vertex does not reach, as a bitmask; 0 for the empty
+    mask.
+
+    ``nbr`` is a graph's :attr:`PolytopeGraph.neighbour_masks`.  The
+    flood takes each vertex at most once and stops when none is left to
+    reach: O(|mask|) operations on integers of n bits.
     """
     frontier = mask & -mask
     left = mask ^ frontier
@@ -375,7 +380,7 @@ def induces_connected(nbr: Sequence[int], mask: int) -> bool:
         new = nbr[low.bit_length() - 1] & left
         left ^= new
         frontier |= new
-    return bool(mask) and not left
+    return left
 
 
 def make_orientation(g: PolytopeGraph, heads: Iterable[int]) -> Orientation:

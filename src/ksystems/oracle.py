@@ -62,8 +62,9 @@ class Instance:
     that is not a string and a graph that is not a :class:`PolytopeGraph`,
     checks the facets as a family (:func:`~ksystems.systems.canonical_members`),
     and then the simplicity bookkeeping: every vertex on exactly d facets,
-    facets inducing connected (d-1)-regular subgraphs, and adjacency
-    equivalent to sharing exactly d-1 facets.  Facets are kept as
+    facets inducing connected (d-1)-regular subgraphs (tested on the
+    vertex masks the family check built), adjacency equivalent to sharing
+    exactly d-1 facets, and at d = 3 Euler's relation.  Facets are kept as
     canonical sorted tuples in lexicographic order; coordinates, when
     present, as exact rationals, one vector per vertex, all of the same
     dimension.
@@ -79,6 +80,12 @@ class Instance:
     each edge looked up among them.  That is O(n * d) filings and checks.
     Of the bad pairs, the smallest (u, v) is reported, as a loop over all
     pairs would report it.
+
+    At d = 3, f_0 - f_1 + f_2 = 2 with f_1 = 3n/2 asks for n/2 + 2
+    facets, which the checks above do not imply: on the Petersen graph
+    the hemi-dodecahedron's six pentagons pass them all.  The count is
+    checked after the pairs, so every refusal above keeps its message.
+    At d >= 4 the relation needs every f_k and is not checked.
 
     The facets through each vertex, ``membership``, are derived from the
     canonical facets on first read and kept, as the graph keeps its
@@ -104,7 +111,7 @@ class Instance:
                 f"instance graph must be a PolytopeGraph, got {type(graph).__name__}"
             )
         d, n = graph.d, graph.n
-        canon, _ = canonical_members(graph, self.facets, "facet", 0, NotSimple)
+        canon, masks = canonical_members(graph, self.facets, "facet", 0, NotSimple)
         object.__setattr__(self, "facets", tuple(canon))
 
         membership = self.membership
@@ -113,8 +120,8 @@ class Instance:
                 raise NotSimple(f"vertex {v} lies on {len(on)} facets, expected {d}")
 
         nbr = graph.neighbour_masks
-        for i, t in enumerate(canon):
-            flaw = induced_flaw(nbr, t, d - 1)
+        for i, (t, mask) in enumerate(zip(canon, masks)):
+            flaw = induced_flaw(nbr, t, mask, d - 1)
             if flaw == "regular":
                 raise NotSimple(f"facet #{i} does not induce a (d-1)-regular subgraph")
             if flaw == "connected":
@@ -124,6 +131,11 @@ class Instance:
         edges = graph.edges
         if len(groups) != len(edges) or not {*map(tuple, groups)}.issuperset(edges):
             _check_pairs(graph, membership, groups)
+        if d == 3 and len(canon) != n // 2 + 2:
+            raise NotSimple(
+                f"{len(canon)} facets on {n} vertices break Euler's relation: "
+                f"a simple 3-polytope has n/2 + 2 = {n // 2 + 2}"
+            )
 
         coords = self.coords
         if coords is not None:

@@ -78,27 +78,18 @@ class SetSystem:
     checked (:func:`make_set_system`) or the masks built anyway
     (:func:`~ksystems.oracle.faces_from_incidence`), and read by
     :func:`_member_masks`.  Neither record is a field: no constructor
-    argument sets it, equality, hash and ``repr`` ignore it,
-    :func:`dataclasses.replace` drops it and :func:`copy.copy` keeps it.
-    :mod:`pickle` and :func:`copy.deepcopy` drop both, since the graph
-    they would bind the first to is a copy, so such a family is checked
-    again.  A family built directly carries neither.
+    argument sets it, equality, hash and ``repr`` ignore it, and
+    :func:`dataclasses.replace` drops it; :mod:`pickle` and :mod:`copy`
+    carry both, as they carry a graph's ``neighbour_masks``.  The first
+    names one graph object, so a family pickled or deep-copied alone
+    names a copy of its graph and is checked again, while one that
+    travels with its graph is trusted for that copy only.  A family
+    built directly carries neither.
     """
 
     k: int
     sets: tuple[tuple[int, ...], ...]
     graph_fingerprint: str
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop(_PROOF, None)
-        state.pop(_MASKS, None)
-        return state
-
-    def __copy__(self) -> SetSystem:
-        twin = object.__new__(type(self))
-        twin.__dict__.update(self.__dict__)
-        return twin
 
 
 #: The key of the record :func:`_prove` writes into a family's ``__dict__``.
@@ -351,7 +342,7 @@ def is_k_regular_set(g: PolytopeGraph, t: Iterable[int], k: int) -> bool:
     require_int(k, "k", 0)
     t = as_tuple(t, "vertex set")
     check_vertex_ids(g.n, t)
-    return induced_flaw(g.neighbour_masks, t, k, connected=False) is None
+    return induced_flaw(g.neighbour_masks, t, vertex_mask(t), k, connected=False) is None
 
 
 def frame_coverage(g: PolytopeGraph, s: SetSystem) -> dict[KFrame, int]:

@@ -318,6 +318,27 @@ def test_facets_from_a_recorded_f2_match_the_full_checks(monkeypatch, name, seed
     assert checks == [(0, 0), full, full]
 
 
+@pytest.mark.parametrize(
+    "name", ["simplex3", "cube3", "prism3", "prism5", "prism8", "cube3_cut2", "cube3_cut5", "fig1"]
+)
+def test_an_unrecorded_f2_of_a_3_polytope_is_transported_to_its_members(monkeypatch, name):
+    # at d = 3 only a recorded F_2 is its own output; the same family
+    # rebuilt by replace or make_set_system is checked and transported,
+    # which gives its members back (one postcondition test per facet)
+    inst = RECORDED[name]()
+    g = inst.graph
+    f2 = ks.faces_from_incidence.__wrapped__(inst, 2)
+    assert g.d == 3 and f2.sets == inst.facets
+    calls = Counter()
+    _counting(monkeypatch, certificates, "induced_flaw", calls)
+    runs = {"recorded": f2, "replaced": replace(f2), "made": ks.make_set_system(g, 2, f2.sets)}
+    for how, family in runs.items():
+        calls.clear()
+        facets = ks.facets_from_2faces(g, family)
+        assert facets == ks.SetSystem(k=2, sets=f2.sets, graph_fingerprint=g.fingerprint)
+        assert calls["induced_flaw"] == (0 if how == "recorded" else len(f2.sets)), how
+
+
 # 2-systems of cube4 that transport refuses: in most a seed contradicts
 # itself, in some only after the closure from the first seed gave a
 # consistent facet; in a few every closure is consistent and a facet found

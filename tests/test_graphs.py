@@ -21,7 +21,7 @@ from ksystems.errors import (
     NotRegular,
     SelfLoop,
 )
-from ksystems.graphs import first_without_unique_sink, induced_flaw
+from ksystems.graphs import first_without_unique_sink, induced_flaw, vertex_mask
 
 import reference_gate
 import reference_search as ref
@@ -70,6 +70,38 @@ def test_validate_graph_rejects_disconnected():
     assert messages == ["vertex 1 unreachable from vertex 0"] * 2
 
 
+#: Generator graphs by degree, the parts of the disjoint unions below.
+UNION_PARTS = {
+    3: [ks.simplex(3), ks.cube(3), ks.product(ks.cube(1), ks.simplex(2)), ks.fig1()],
+    4: [ks.simplex(4), ks.cube(4), ks.product(ks.simplex(2), ks.simplex(2))],
+}
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_disjoint_unions_are_refused_as_the_reference_refuses_them(seed):
+    # two or three generator graphs side by side, relabelled at random:
+    # the same Disconnected message as the reference's breadth-first
+    # search, on the canonical, the sorted and the walked route
+    rng = random.Random(seed)
+    d = rng.choice(sorted(UNION_PARTS))
+    parts = [inst.graph for inst in rng.choices(UNION_PARTS[d], k=rng.choice([2, 3]))]
+    n = sum(g.n for g in parts)
+    perm = rng.sample(range(n), n)
+    edges, base = [], 0
+    for g in parts:
+        edges += [(perm[u + base], perm[v + base]) for u, v in g.edges]
+        base += g.n
+    rng.shuffle(edges)
+    with pytest.raises(Disconnected) as refused:
+        reference_gate.validate_graph(d, n, edges)
+    want = str(refused.value)
+    routes = [sorted(map(sorted, edges)), edges, [iter(e) for e in edges]]
+    for pairs in routes:
+        with pytest.raises(Disconnected) as refused:
+            ks.validate_graph(d, n, pairs)
+        assert str(refused.value) == want
+
+
 @pytest.mark.parametrize("d,n", [(0, 1), (2, 0), (-1, 5)])
 def test_validate_graph_rejects_bad_parameters(d, n):
     with pytest.raises(InvalidParams):
@@ -88,11 +120,15 @@ def test_induced_leaves_and_connectivity(cube3):
     assert induced_leaves(g, (0, 1, 7)) == [(1,), (0,), ()]
     nbr = g.neighbour_masks
     assert nbr[0] == 0b10110
-    assert induced_flaw(nbr, (0, 1, 2, 3), 2) is None
-    assert induced_flaw(nbr, (0, 1, 7), 1) == "regular"
-    assert induced_flaw(nbr, (0, 1, 6, 7), 1) == "connected"
-    assert induced_flaw(nbr, (0, 1, 6, 7), 1, connected=False) is None
-    assert induced_flaw(nbr, (), 0) == "connected"
+
+    def flaw(t, k, **kw):
+        return induced_flaw(nbr, t, vertex_mask(t), k, **kw)
+
+    assert flaw((0, 1, 2, 3), 2) is None
+    assert flaw((0, 1, 7), 1) == "regular"
+    assert flaw((0, 1, 6, 7), 1) == "connected"
+    assert flaw((0, 1, 6, 7), 1, connected=False) is None
+    assert flaw((), 0) == "connected"
 
 
 def test_neighbour_masks_are_kept_and_are_no_field(cube3):

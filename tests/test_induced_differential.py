@@ -75,7 +75,8 @@ def test_induced_flaw_matches_the_set_based_tests(case):
     nbr = TABLES[i][0]
     regular = ref.is_k_regular_set(g, t, k)
     want = "regular" if not regular else None if ref.induces_connected(g, t) else "connected"
-    assert induced_flaw(nbr, t, k) == want
-    assert induced_flaw(nbr, t, k, connected=False) == (None if regular else "regular")
+    mask = vertex_mask(t)
+    assert induced_flaw(nbr, t, mask, k) == want
+    assert induced_flaw(nbr, t, mask, k, connected=False) == (None if regular else "regular")
     assert ks.is_k_regular_set(g, t, k) == regular
-    assert induces_connected(nbr, vertex_mask(t)) == ref.induces_connected(g, t)
+    assert induces_connected(nbr, mask) == ref.induces_connected(g, t)

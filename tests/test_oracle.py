@@ -8,7 +8,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import combinations, islice, permutations
 from math import comb
 from pathlib import Path
 
@@ -16,6 +16,7 @@ import pytest
 
 import ksystems as ks
 from ksystems import fileio, oracle
+from ksystems.graphs import induced_flaw, vertex_mask
 from ksystems.oracle import FACES_CACHE_SIZE
 from ksystems.errors import (
     DegenerateWeights,
@@ -26,6 +27,7 @@ from ksystems.errors import (
 )
 
 import reference_faces
+import reference_gate
 import reference_search
 from test_search import _counting
 
@@ -304,6 +306,36 @@ def test_generated_instances_skip_the_proved_face_work(monkeypatch, family):
         assert faces(inst, k) == want
         assert calls["_meets"] == (k not in (0, 1, d - 1))
         assert calls["induced_flaw"] == 0
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    return ks.validate_graph(3, 10, outer + inner + spokes)
+
+
+def test_a_3_polytope_has_euler_s_count_of_facets():
+    # the Petersen graph is no 3-polytope graph (it is not planar); of the
+    # C(12, 6) families of six of its induced pentagons, two (the
+    # hemi-dodecahedron's, f_0 - f_1 + f_2 = 1) pass every other check of
+    # the constructor, and the reference accepts them
+    g = _petersen()
+    nbr = g.neighbour_masks
+    pentagons = [
+        t for t in combinations(range(10), 5)
+        if induced_flaw(nbr, t, vertex_mask(t), 2) is None
+    ]
+    assert len(pentagons) == 12
+    euler = "6 facets on 10 vertices break Euler's relation: a simple 3-polytope has n/2 + 2 = 7"
+    broke_euler = 0
+    for family in combinations(pentagons, 6):
+        with pytest.raises(NotSimple) as refused:
+            ks.make_instance("petersen", g, family)
+        if str(refused.value) == euler:
+            broke_euler += 1
+            assert reference_gate.make_instance("petersen", g, family).facets == family
+    assert broke_euler == 2
 
 
 def test_membership_cannot_be_passed_in(cube3):

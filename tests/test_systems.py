@@ -368,28 +368,33 @@ def test_equality_hash_and_repr_ignore_the_record_and_copy_keeps_it(cube4):
 
 
 def test_a_pickled_family_is_checked_again(monkeypatch, cube4):
-    # pickle and deepcopy drop the record, also when the graph travels
-    # along: the family that comes back is validated in full
+    # pickle and copy carry both records; the proof names one graph
+    # object, so a family copied alone names a copy of its graph and is
+    # validated again, and one copied with its graph is trusted for that
+    # copy only
     g = cube4.graph
     f2 = _recorded(cube4)
     calls = Counter()
     _counting(monkeypatch, certificates, "validate_k_system", calls)
     assert ks.facets_from_2faces(g, f2).sets == cube4.facets
     assert calls["validate_k_system"] == 0
-    twins = [
-        (g, pickle.loads(pickle.dumps(f2))),
-        pickle.loads(pickle.dumps((g, f2))),
-        (g, copy.deepcopy(f2)),
-        copy.deepcopy((g, f2)),
-    ]
-    for graph, family in twins:
-        assert family == f2 and not _proved_on(family, graph)
-        assert _masks(family) is None
+    for family in pickle.loads(pickle.dumps(f2)), copy.deepcopy(f2):
+        assert family == f2 and not _proved_on(family, g)
+        assert _masks(family) == _masks(f2) is not None
+        calls.clear()
+        assert ks.facets_from_2faces(g, family).sets == cube4.facets
+        assert calls["validate_k_system"] == 1
+    for graph, family in pickle.loads(pickle.dumps((g, f2))), copy.deepcopy((g, f2)):
+        assert graph == g and graph is not g and family == f2
+        assert _proved_on(family, graph) and not _proved_on(family, g)
+        calls.clear()
         assert ks.facets_from_2faces(graph, family).sets == cube4.facets
-    assert calls["validate_k_system"] == len(twins)
+        assert calls["validate_k_system"] == 0
+        assert ks.facets_from_2faces(g, family).sets == cube4.facets
+        assert calls["validate_k_system"] == 1
     made = ks.make_set_system(g, 2, f2.sets)
     for family in pickle.loads(pickle.dumps(made)), copy.deepcopy(made):
-        assert family == made and _masks(family) is None
+        assert family == made and _masks(family) == _masks(made) is not None
 
 
 @pytest.mark.parametrize("bad", [-1, 16, 10**12, True, 1.0])
