@@ -45,8 +45,9 @@ from .graphs import (
 )
 from .systems import (
     SetSystem,
+    _keep_masks,
     _member_masks,
-    _proved_on,
+    _proved,
     check_system_bound,
     validate_k_system,
 )
@@ -291,15 +292,20 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
     Preconditions checked: f2 is a valid 2-system whose members induce
     cycles (connected 2-regular), checked in member order with
     :func:`~ksystems.graphs.induces_connected`.  A family that
-    :func:`~ksystems.oracle.faces_from_incidence` returned for ``g``
-    itself carries the record of both (its docstring has the proof;
-    :func:`~ksystems.systems._proved_on`), so neither is checked again,
-    and at d = 3 its members, already sorted, are the output.  A family
-    without the record, also one built for another graph object with the
-    same fingerprint, rebuilt by :func:`dataclasses.replace`, or pickled
-    without its graph, is checked in full and transported, at d = 3 too.
-    The member masks are those the family kept
-    (:func:`~ksystems.systems._member_masks`), when it kept any.
+    :func:`~ksystems.oracle.faces_from_incidence` returned carries the
+    record of both (its docstring has the proof;
+    :func:`~ksystems.systems._proved`), which trusts the fingerprint
+    that :func:`~ksystems.systems.check_system_bound` has just matched:
+    neither is checked again on any graph bound to it, also an equal
+    graph parsed again, or after :mod:`pickle` or :mod:`copy`, and at
+    d = 3 its members, already sorted, are the output.  A family without
+    the record, built directly, by
+    :func:`~ksystems.systems.make_set_system` or rebuilt by
+    :func:`dataclasses.replace`, is checked in full and transported, at
+    d = 3 too.  Its member masks are those it kept, or else built once
+    after its ids are checked (:func:`~ksystems.systems._member_masks`),
+    and the k-system check runs on a family of its own that keeps them,
+    so nothing is kept on the caller's family.
     Postconditions checked: every output induces a (d-1)-regular subgraph
     (connected by construction) and every vertex lies in exactly d
     outputs.
@@ -309,16 +315,17 @@ def facets_from_2faces(g: PolytopeGraph, f2: SetSystem) -> SetSystem:
     check_system_bound(g, f2)
     if f2.k != 2:
         raise KMismatch(f"expected a 2-system, got k={f2.k}")
+    proved = _proved(f2)
+    if proved and g.d == 3:
+        return SetSystem(k=2, sets=f2.sets, graph_fingerprint=g.fingerprint)
     nbr = g.neighbour_masks
-    if _proved_on(f2, g):
-        if g.d == 3:
-            return SetSystem(k=2, sets=f2.sets, graph_fingerprint=g.fingerprint)
-        masks = _member_masks(g, f2)
-    else:
-        report = validate_k_system(g, f2)
+    masks = _member_masks(g, f2)
+    if not proved:
+        checked = SetSystem(k=2, sets=f2.sets, graph_fingerprint=g.fingerprint)
+        _keep_masks(checked, masks)
+        report = validate_k_system(g, checked)
         if not report.valid:
             raise NotCycleSystem(f"not a valid 2-system: {report.first_defect()}")
-        masks = _member_masks(g, f2)
         for i, mask in enumerate(masks):
             if not induces_connected(nbr, mask):
                 raise NotCycleSystem(f"member #{i} induces a disconnected subgraph")

@@ -2,9 +2,11 @@
 
 A :class:`PolytopeGraph` is the abstract vertex-edge graph of a claimed
 simple d-polytope: d-regular, connected, simple, with a canonical edge
-indexing that orientations refer to.  An :class:`Orientation` assigns a
-head to every edge and binds to its graph by fingerprint, so orientation
-documents can be checked against the graph they were produced for.
+indexing that orientations refer to.  Its constructor checks every
+graph, however it is built, so a fingerprint names one graph.  An
+:class:`Orientation` assigns a head to every edge and binds to its graph
+by fingerprint, so orientation documents can be checked against the
+graph they were produced for.
 
 Acyclicity is deliberately a checked property, not a type invariant:
 refuting a bad certificate requires representing arbitrary orientations.
@@ -51,20 +53,73 @@ class PolytopeGraph:
     the edge index used by orientations.  Validity never implies
     polytopality, only the graph-checkable conditions.
 
+    The constructor is the one gate, however the graph is built:
+    ``PolytopeGraph(d, n, edges)``, :func:`validate_graph` (the same
+    constructor), :func:`dataclasses.replace`, the document parser or the
+    generators.  It refuses anything that is not a simple d-regular
+    connected graph on vertices 0..n-1 and keeps the edges canonical.
+    ``adjacency`` and ``fingerprint`` are derived there: they are fields
+    that no constructor argument and no :func:`dataclasses.replace` can
+    set.  So every graph has passed the checks, and its fingerprint, a
+    digest of (d, n, edges), names one graph: the bindings of
+    orientations and families trust it.
+
+    An edge list whose pairs are all lists or tuples of two ids that
+    pass :func:`plain_vertex_ids` is checked in bulk
+    (:func:`_bulk_edges`).  It is its own canonical form when every pair
+    is ascending and the pairs are strictly increasing, as in every
+    document the package writes; in any other order it is sorted first.
+    Any other list, and one with a loop or a repeated edge, is walked
+    pair by pair, which names the first fault in list order.  Degrees
+    are counted in one pass over the ids, and the neighbours of each
+    vertex come out ascending from the sorted edges.  Connectivity is
+    the flood of :func:`induces_connected` over ``neighbour_masks``; a
+    disconnected graph is refused naming the least vertex not reached
+    from vertex 0.
+
     Equality compares every field; the hash reads (d, n, fingerprint)
     only, since the fingerprint is a digest of the edges.
 
-    ``neighbour_masks`` is derived from ``adjacency`` on first read and
-    kept: it is no field, so equality, hash, ``repr`` and the
-    constructor ignore it, :func:`dataclasses.replace` builds it anew,
-    and :mod:`pickle` and :mod:`copy` carry it.
+    ``neighbour_masks`` is derived from ``adjacency`` by the connectivity
+    check and kept: it is no field, so equality, hash, ``repr`` and the
+    constructor ignore it, and :mod:`pickle` and :mod:`copy` carry it.
     """
 
     d: int
     n: int
     edges: tuple[tuple[int, int], ...] = field(hash=False)
-    adjacency: tuple[tuple[int, ...], ...] = field(hash=False)
-    fingerprint: str
+    adjacency: tuple[tuple[int, ...], ...] = field(init=False, hash=False)
+    fingerprint: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        d = require_int(self.d, "d", 1)
+        n = require_int(self.n, "n", 2)
+        pairs = as_tuple(self.edges, "edges")
+        canonical = _bulk_edges(n, pairs)
+        if canonical is None:
+            canonical = _walked_edges(n, pairs)
+
+        # Degrees come before any per-vertex storage: a huge n with few
+        # edges fails at a vertex no larger than 2|E|, without allocating
+        # n lists.
+        degree = Counter(chain.from_iterable(canonical))
+        if len(degree) != n or {*degree.values()} != {d}:
+            v = next(v for v in range(n) if degree[v] != d)
+            raise NotRegular(f"vertex {v} has degree {degree[v]}, expected {d}")
+        # (u, w) with u < w sorted: each vertex meets its smaller neighbours
+        # as the second of a pair, ascending, before its larger ones as the first
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        for u, v in canonical:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        object.__setattr__(self, "edges", tuple(canonical))
+        object.__setattr__(self, "adjacency", tuple(map(tuple, nbrs)))
+        object.__setattr__(self, "fingerprint", _canonical_digest(d, n, canonical))
+        # d-regularity makes |E| = n*d/2 automatic; connectivity is not.
+        left = _unreached(self.neighbour_masks, (1 << n) - 1)
+        if left:
+            missing = (left & -left).bit_length() - 1
+            raise Disconnected(f"vertex {missing} unreachable from vertex 0")
 
     def edge_index(self) -> dict[tuple[int, int], int]:
         """Map each canonical edge pair to its index."""
@@ -76,6 +131,12 @@ class PolytopeGraph:
         to w): the adjacency every test of an induced subgraph reads."""
         bit = [1 << v for v in range(self.n)].__getitem__
         return tuple([sum(map(bit, nbrs)) for nbrs in self.adjacency])
+
+
+#: Build a graph, rejecting anything that is not a simple d-regular
+#: connected graph: the constructor of :class:`PolytopeGraph`, under the
+#: name the package has always exported.
+validate_graph = PolytopeGraph
 
 
 @dataclass(frozen=True)
@@ -225,58 +286,6 @@ def as_tuple(values: Iterable, what: str) -> tuple:
         raise InvalidParams(f"{what} must be a list, got {values!r}") from None
 
 
-def validate_graph(d: int, n: int, edge_list: Iterable[Iterable[int]]) -> PolytopeGraph:
-    """Build a PolytopeGraph, rejecting anything that is not a simple
-    d-regular connected graph on vertices 0..n-1.
-
-    An edge list whose pairs are all lists or tuples of two ids that
-    pass :func:`plain_vertex_ids` is checked in bulk
-    (:func:`_bulk_edges`).  It is its own canonical form when every pair
-    is ascending and the pairs are strictly increasing, as in every
-    document the package writes; in any other order it is sorted first.
-    Any other list, and one with a loop or a repeated edge, is walked
-    pair by pair, which names the first fault in list order.  Degrees
-    are counted in one pass over the ids, and the neighbours of each
-    vertex come out ascending from the sorted edges.  Connectivity is
-    the flood of :func:`induces_connected` over the graph's
-    ``neighbour_masks``, which are built here and kept; a disconnected
-    graph is refused naming the least vertex not reached from vertex 0.
-    """
-    require_int(d, "d", 1)
-    require_int(n, "n", 2)
-    pairs = as_tuple(edge_list, "edges")
-    canonical = _bulk_edges(n, pairs)
-    if canonical is None:
-        canonical = _walked_edges(n, pairs)
-
-    # Degrees come before any per-vertex storage: a huge n with few edges
-    # fails at a vertex no larger than 2|E|, without allocating n lists.
-    degree = Counter(chain.from_iterable(canonical))
-    if len(degree) != n or {*degree.values()} != {d}:
-        v = next(v for v in range(n) if degree[v] != d)
-        raise NotRegular(f"vertex {v} has degree {degree[v]}, expected {d}")
-    # (u, w) with u < w sorted: each vertex meets its smaller neighbours
-    # as the second of a pair, ascending, before its larger ones as the first
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in canonical:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-
-    g = PolytopeGraph(
-        d=d,
-        n=n,
-        edges=tuple(canonical),
-        adjacency=tuple(map(tuple, nbrs)),
-        fingerprint=_canonical_digest(d, n, canonical),
-    )
-    # d-regularity makes |E| = n*d/2 automatic; connectivity is not.
-    left = _unreached(g.neighbour_masks, (1 << n) - 1)
-    if left:
-        missing = (left & -left).bit_length() - 1
-        raise Disconnected(f"vertex {missing} unreachable from vertex 0")
-    return g
-
-
 def _bulk_edges(n: int, pairs: Sequence) -> list[tuple[int, int]] | None:
     """The canonical edge list of ``pairs``, checked in bulk, or None when
     the bulk checks do not all hold: every pair a list or tuple of two ids
@@ -357,8 +366,8 @@ def induces_connected(nbr: Sequence[int], mask: int) -> bool:
 
     ``nbr`` is a graph's :attr:`PolytopeGraph.neighbour_masks`, and the
     test is the flood of :func:`_unreached`.  This is the one
-    connectivity test in the package: :func:`validate_graph` runs the
-    same flood over the whole graph.
+    connectivity test in the package: the :class:`PolytopeGraph`
+    constructor runs the same flood over the whole graph.
     """
     return bool(mask) and not _unreached(nbr, mask)
 

@@ -462,9 +462,10 @@ def faces_from_incidence(inst: Instance, k: int) -> SetSystem:
     Every family returned is thus a valid k-system of ``inst.graph``
     whose members induce connected subgraphs (vertices and edges are
     connected, the facets were checked), and it carries that record
-    (:func:`~ksystems.systems._prove`) for that graph object, so
+    (:func:`~ksystems.systems._prove`).  The record trusts the
+    fingerprint: every graph that carries it equals ``inst.graph``, so
     :func:`~ksystems.certificates.facets_from_2faces` does not check
-    F_2 again.  The faces of 2 <= k <= d-2 also keep the vertex masks
+    F_2 again on any of them.  The faces of 2 <= k <= d-2 also keep the vertex masks
     built for the connectivity test (:func:`~ksystems.systems._keep_masks`).
     """
     g = inst.graph
@@ -484,7 +485,7 @@ def faces_from_incidence(inst: Instance, k: int) -> SetSystem:
             if not induces_connected(nbr, mask):
                 raise NotSimple(f"facet intersection {t} is disconnected")
     faces = SetSystem(k=k, sets=found, graph_fingerprint=g.fingerprint)
-    _prove(faces, g)
+    _prove(faces)
     if masks is not None:
         _keep_masks(faces, masks)
     return faces

@@ -69,22 +69,23 @@ class SetSystem:
     distinct, each with at least k+1 vertices (fewer cannot induce a
     k-regular subgraph).
 
-    A family may carry two records.  One says that it is a valid
-    k-system of one graph object whose members induce connected
-    subgraphs: :func:`_prove` writes it, for
+    A family may carry two records.  One is a flag saying that it is a
+    valid k-system of the graph its fingerprint names, whose members
+    induce connected subgraphs: :func:`_prove` sets it, for
     :func:`~ksystems.oracle.faces_from_incidence` only, and
-    :func:`_proved_on` reads it.  The other is the vertex mask of each
-    member, kept by :func:`_keep_masks` where the member ids were
-    checked (:func:`make_set_system`) or the masks built anyway
-    (:func:`~ksystems.oracle.faces_from_incidence`), and read by
+    :func:`_proved` reads it.  The flag trusts the fingerprint, as every
+    other binding does: the :class:`~ksystems.graphs.PolytopeGraph`
+    constructor checks every graph, so one fingerprint names one graph,
+    and an equal graph parsed again is trusted too.  The other is the
+    vertex mask of each member, kept by :func:`_keep_masks` where the
+    member ids were checked (:func:`make_set_system`) or the masks built
+    anyway (:func:`~ksystems.oracle.faces_from_incidence`), and read by
     :func:`_member_masks`.  Neither record is a field: no constructor
     argument sets it, equality, hash and ``repr`` ignore it, and
     :func:`dataclasses.replace` drops it; :mod:`pickle` and :mod:`copy`
-    carry both, as they carry a graph's ``neighbour_masks``.  The first
-    names one graph object, so a family pickled or deep-copied alone
-    names a copy of its graph and is checked again, while one that
-    travels with its graph is trusted for that copy only.  A family
-    built directly carries neither.
+    carry both, as they carry a graph's ``neighbour_masks``.  No family
+    holds a graph, so one pickled alone carries its sets, its masks and
+    a bool.  A family built directly carries neither record.
     """
 
     k: int
@@ -92,21 +93,21 @@ class SetSystem:
     graph_fingerprint: str
 
 
-#: The key of the record :func:`_prove` writes into a family's ``__dict__``.
-_PROOF = "_proved_on"
+#: The key of the flag :func:`_prove` sets in a family's ``__dict__``.
+_PROOF = "_proved"
 
 
-def _prove(s: SetSystem, g: PolytopeGraph) -> None:
-    """Record that ``s`` is a valid k-system of ``g``, this graph object,
-    whose members induce connected subgraphs.  Only a function that has
-    proved both may call it."""
-    s.__dict__[_PROOF] = g
+def _prove(s: SetSystem) -> None:
+    """Record that ``s`` is a valid k-system of the graph its fingerprint
+    names, whose members induce connected subgraphs.  Only a function
+    that has proved both may call it."""
+    s.__dict__[_PROOF] = True
 
 
-def _proved_on(s: SetSystem, g: PolytopeGraph) -> bool:
-    """True when :func:`_prove` recorded ``s`` for ``g`` itself, not for an
-    equal graph or one with the same fingerprint."""
-    return s.__dict__.get(_PROOF) is g
+def _proved(s: SetSystem) -> bool:
+    """True when :func:`_prove` recorded ``s``: valid on every graph that
+    passes :func:`check_system_bound` for it."""
+    return _PROOF in s.__dict__
 
 
 #: The key of the member masks :func:`_keep_masks` writes into a family's

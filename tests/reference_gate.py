@@ -8,7 +8,10 @@ refuse with a package error must be refused with the same error, and
 what made them crash must now be refused with ``InvalidParams``.  Only
 the result types (but for the instance, a plain record here), the error
 types and the graph fingerprint come from the package; the
-induced-subgraph tests come from ``reference_induced``.
+induced-subgraph tests come from ``reference_induced``.  A graph is built
+by the package's constructor, which checks it again, once the reference
+has accepted it, and the reference's own adjacency and fingerprint are
+asserted to be the graph's.
 """
 
 from __future__ import annotations
@@ -87,13 +90,10 @@ def validate_graph(d, n, edge_list):
     if len(reached) != n:
         missing = min(set(range(n)) - reached)
         raise Disconnected(f"vertex {missing} unreachable from vertex 0")
-    return PolytopeGraph(
-        d=d,
-        n=n,
-        edges=tuple(canonical),
-        adjacency=tuple(tuple(sorted(a)) for a in nbrs),
-        fingerprint=graph_fingerprint(d, n, canonical),
-    )
+    g = PolytopeGraph(d, n, canonical)
+    assert g.adjacency == tuple(tuple(sorted(a)) for a in nbrs)
+    assert g.fingerprint == graph_fingerprint(d, n, canonical)
+    return g
 
 
 def make_orientation(g, heads):

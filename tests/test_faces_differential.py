@@ -5,8 +5,8 @@ type and message) from ``facets_from_2faces``, and the same instance or
 the same refusal from ``make_instance``, which is the constructor of
 ``Instance``, however it is reached.  ``facets_from_2faces`` also gives the
 same facets from an F_2 that ``faces_from_incidence`` recorded as proved,
-without checking it, as from the same family without the record or with
-another graph object, checked in full."""
+without checking it, on its graph or an equal one parsed again, as from
+the same family without the record, checked in full."""
 
 import json
 import random
@@ -21,11 +21,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ksystems as ks
-from ksystems import certificates, fileio
-from ksystems.errors import InconsistentTransport, KSystemsError, NotSimple
+from ksystems import certificates, fileio, systems
+from ksystems.errors import (
+    InconsistentTransport,
+    InvalidParams,
+    KSystemsError,
+    NotCycleSystem,
+    NotSimple,
+)
 from ksystems.oracle import Instance
 from ksystems.search import connected_k_regular_sets
-from ksystems.systems import _proved_on
+from ksystems.systems import _proved
 
 import reference_faces as ref
 import reference_gate
@@ -299,7 +305,7 @@ def test_facets_from_a_recorded_f2_match_the_full_checks(monkeypatch, name, seed
     inst = fileio.parse_instance(json.loads(text))
     g, twin = inst.graph, fileio.parse_instance(json.loads(text)).graph
     f2 = ks.faces_from_incidence.__wrapped__(inst, 2)
-    assert twin == g and twin is not g and _proved_on(f2, g) and not _proved_on(f2, twin)
+    assert twin == g and twin is not g and _proved(f2)
 
     calls = Counter()
     _counting(monkeypatch, certificates, "validate_k_system", calls)
@@ -312,10 +318,9 @@ def test_facets_from_a_recorded_f2_match_the_full_checks(monkeypatch, name, seed
         calls.clear()
         assert ks.facets_from_2faces(graph, family) == expected
         checks.append((calls["validate_k_system"], calls["induces_connected"]))
-    # the record of g spares both checks; an unrecorded copy and a second
-    # graph object with the same fingerprint run them in full
-    full = (1, len(f2.sets))
-    assert checks == [(0, 0), full, full]
+    # the record spares both checks on every graph with its fingerprint,
+    # a second graph object too; an unrecorded copy runs them in full
+    assert checks == [(0, 0), (1, len(f2.sets)), (0, 0)]
 
 
 @pytest.mark.parametrize(
@@ -337,6 +342,40 @@ def test_an_unrecorded_f2_of_a_3_polytope_is_transported_to_its_members(monkeypa
         facets = ks.facets_from_2faces(g, family)
         assert facets == ks.SetSystem(k=2, sets=f2.sets, graph_fingerprint=g.fingerprint)
         assert calls["induced_flaw"] == (0 if how == "recorded" else len(f2.sets)), how
+
+
+@pytest.mark.parametrize("name", ["cube3", "cube5", "fig1", "tet_x_triangle", "cube3_cut5"])
+def test_a_family_built_directly_has_its_ids_checked_and_masks_built_once(monkeypatch, name):
+    # F_2 and F_2 less each member in turn, as SetSystems of list members
+    # built directly: one id check and one mask per member a call, the
+    # same facets or refusal as the reference, and nothing kept on the
+    # caller's family, so a member changed later is checked again
+    inst = RECORDED[name]()
+    g = inst.graph
+    sets = ks.faces_from_incidence.__wrapped__(inst, 2).sets
+    families = [sets, *(sets[:i] + sets[i + 1 :] for i in range(len(sets)))]
+    calls = Counter()
+    _counting(monkeypatch, systems, "member_ids", calls)
+    masked = []  # the arguments of vertex_mask: list members, tuple leaves
+    real_mask = systems.vertex_mask
+    monkeypatch.setattr(systems, "vertex_mask", lambda t: masked.append(t) or real_mask(t))
+    refusals = set()
+    for members in families:
+        bare = ks.SetSystem(k=2, sets=[*map(list, members)], graph_fingerprint=g.fingerprint)
+        calls.clear()
+        masked.clear()
+        got = _outcome(ks.facets_from_2faces, g, bare)
+        assert calls["member_ids"] == 1
+        assert [t for t in masked if type(t) is list] == bare.sets
+        assert got == _outcome(ref.facets_from_2faces, g, bare)
+        assert vars(bare).keys() == {"k", "sets", "graph_fingerprint"}
+        if isinstance(got, tuple):
+            refusals.add(got[0])
+    assert ks.facets_from_2faces(g, ks.SetSystem(2, sets, g.fingerprint)).sets == inst.facets
+    assert refusals == {NotCycleSystem}
+    bare.sets[-1][-1] = 99
+    with pytest.raises(InvalidParams, match=f"^vertex id 99 outside 0..{g.n - 1}$"):
+        ks.facets_from_2faces(g, bare)
 
 
 # 2-systems of cube4 that transport refuses: in most a seed contradicts

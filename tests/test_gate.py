@@ -149,6 +149,21 @@ CONSTRUCTORS = {
         [3, 8, [[v, u] for u, v in random.Random(3).sample(G.edges, len(G.edges))]],
         lambda m, a: m.validate_graph(*a),
     ),
+    # the constructor called by its own name, and dataclasses.replace on
+    # cube(3)'s graph: the same gate, compared with the reference's
+    # validate_graph
+    "PolytopeGraph": (
+        [3, 8, _lists(G.edges)],
+        lambda m, a: (m.validate_graph if m is ref else m.PolytopeGraph)(*a),
+    ),
+    "replace_graph": (
+        [3, 8, _lists(G.edges)],
+        lambda m, a: (
+            m.validate_graph(*a)
+            if m is ref
+            else dataclasses.replace(G, d=a[0], n=a[1], edges=a[2])
+        ),
+    ),
     "make_orientation": (
         [list(ORIENTATION.heads)],
         lambda m, a: m.make_orientation(G, *a),
@@ -164,6 +179,14 @@ CONSTRUCTORS = {
     "geometric_aof": ([[1, 2, 4]], lambda m, a: m.geometric_aof(CUBE3, *a)),
 }
 
+#: The constructors that build a graph, each way.
+GRAPH_CONSTRUCTORS = {
+    "validate_graph",
+    "validate_graph_shuffled",
+    "PolytopeGraph",
+    "replace_graph",
+}
+
 
 @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
 @settings(
@@ -176,7 +199,7 @@ def test_constructors_match_reference(name, data):
     if len(args) != len(base):
         return  # a deleted or added argument is a programming error, not data
     got = outcome(call, ks, args)
-    if name.startswith("validate_graph") and is_int(args[1]) and args[1] > 4096:
+    if name in GRAPH_CONSTRUCTORS and is_int(args[1]) and args[1] > 4096:
         # The reference allocates one list per vertex before it looks at
         # the edges; see test_huge_vertex_count_fails_without_allocating.
         assert got[0] not in ("ok", "leak") and issubclass(got[0], KSystemsError)
@@ -359,6 +382,33 @@ def test_huge_vertex_count_fails_without_allocating(d, n, first):
     edges = list(G.edges) if d == 3 else []
     with pytest.raises(NotRegular, match=f"vertex {first} has degree 0, expected {d}"):
         ks.validate_graph(d, n, edges)
+
+
+def test_no_graph_is_built_around_the_gate(monkeypatch):
+    # replace(G, adjacency=...) made validate_k_system, the Instance
+    # constructor, facets_from_2faces and connected_k_regular_sets raise
+    # IndexError; the derived fields cannot be given at all, and such a
+    # call is refused before the constructor's checks run
+    short = G.adjacency[:-1]
+    checked = []
+    gate = ks.PolytopeGraph.__post_init__
+    monkeypatch.setattr(ks.PolytopeGraph, "__post_init__", lambda g: checked.append(g) or gate(g))
+    with pytest.raises(ValueError, match="^field adjacency is declared with init=False"):
+        dataclasses.replace(G, adjacency=short)
+    with pytest.raises(ValueError, match="^field fingerprint is declared with init=False"):
+        dataclasses.replace(G, fingerprint=FIG1.graph.fingerprint)
+    with pytest.raises(TypeError):
+        ks.PolytopeGraph(G.d, G.n, G.edges, short, G.fingerprint)
+    with pytest.raises(TypeError):
+        ks.PolytopeGraph(d=G.d, n=G.n, edges=G.edges, adjacency=short)
+    assert checked == []
+    # the fields it may be given are checked as validate_graph checks them
+    want = outcome(ref.validate_graph, G.d, G.n, G.edges[:-1])
+    assert want == (NotRegular, "vertex 6 has degree 2, expected 3")
+    assert outcome(lambda: dataclasses.replace(G, edges=G.edges[:-1])) == want
+    assert outcome(ks.validate_graph, G.d, G.n, G.edges[:-1]) == want
+    assert dataclasses.replace(G, edges=G.edges[::-1]) == G
+    assert len(checked) == 3
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 
 import ksystems as ks
-from ksystems import certificates
+from ksystems import certificates, systems
 from ksystems.errors import (
     DuplicateSet,
     FingerprintMismatch,
@@ -20,7 +20,7 @@ from ksystems.errors import (
     NotSimple,
 )
 from ksystems.graphs import vertex_mask
-from ksystems.systems import _MASKS, _proved_on
+from ksystems.systems import _MASKS, _proved
 
 from test_search import _counting
 
@@ -300,7 +300,7 @@ def test_all_two_element_subsets_of_adjacency_are_frames(cube4):
 def _recorded(inst):
     """F_2 of ``inst`` as faces_from_incidence returns it, with its record."""
     f2 = ks.faces_from_incidence.__wrapped__(inst, 2)
-    assert _proved_on(f2, inst.graph)
+    assert _proved(f2)
     return f2
 
 
@@ -335,9 +335,9 @@ def test_the_record_is_no_field_and_cannot_be_passed_in(cube4):
     with pytest.raises(TypeError):
         ks.SetSystem(*fields, g)
     with pytest.raises(TypeError):
-        ks.SetSystem(*fields, _proved_on=g)
+        ks.SetSystem(*fields, _proved=True)
     with pytest.raises(TypeError):
-        dataclasses.replace(f2, _proved_on=g)
+        dataclasses.replace(f2, _proved=True)
     masks = [*map(vertex_mask, f2.sets)]
     with pytest.raises(TypeError):
         ks.SetSystem(*fields, _member_masks=masks)
@@ -349,7 +349,7 @@ def test_the_record_is_no_field_and_cannot_be_passed_in(cube4):
         dataclasses.replace(f2),
         dataclasses.replace(f2, sets=f2.sets),
     ]
-    assert not any(_proved_on(s, g) for s in built)
+    assert not any(map(_proved, built))
     assert [_masks(s) is None for s in built] == [True, False, True, True]
 
 
@@ -360,41 +360,53 @@ def test_equality_hash_and_repr_ignore_the_record_and_copy_keeps_it(cube4):
     assert bare == f2 and hash(bare) == hash(f2) and repr(bare) == repr(f2)
     assert {bare: 1}[f2] == 1
     kept = copy.copy(f2)
-    assert kept == f2 and kept is not f2 and _proved_on(kept, g)
-    assert not _proved_on(copy.copy(bare), g)
+    assert kept == f2 and kept is not f2 and _proved(kept)
+    assert not _proved(copy.copy(bare))
     assert _masks(kept) == _masks(f2) is not None and _masks(copy.copy(bare)) is None
     made = ks.make_set_system(g, 2, f2.sets)
     assert made == f2 and repr(made) == repr(f2) and _masks(copy.copy(made)) is not None
 
 
-def test_a_pickled_family_is_checked_again(monkeypatch, cube4):
-    # pickle and copy carry both records; the proof names one graph
-    # object, so a family copied alone names a copy of its graph and is
-    # validated again, and one copied with its graph is trusted for that
-    # copy only
+def test_a_pickled_family_stays_recorded(monkeypatch, cube4):
+    # pickle and copy carry both records; the flag trusts the fingerprint,
+    # so a family copied alone, or with a copy of its graph, is trusted on
+    # every graph bound to it and validated on none
     g = cube4.graph
     f2 = _recorded(cube4)
     calls = Counter()
     _counting(monkeypatch, certificates, "validate_k_system", calls)
-    assert ks.facets_from_2faces(g, f2).sets == cube4.facets
-    assert calls["validate_k_system"] == 0
-    for family in pickle.loads(pickle.dumps(f2)), copy.deepcopy(f2):
-        assert family == f2 and not _proved_on(family, g)
-        assert _masks(family) == _masks(f2) is not None
-        calls.clear()
-        assert ks.facets_from_2faces(g, family).sets == cube4.facets
-        assert calls["validate_k_system"] == 1
+    copies = [pickle.loads(pickle.dumps(f2)), copy.deepcopy(f2)]
     for graph, family in pickle.loads(pickle.dumps((g, f2))), copy.deepcopy((g, f2)):
-        assert graph == g and graph is not g and family == f2
-        assert _proved_on(family, graph) and not _proved_on(family, g)
-        calls.clear()
+        assert graph == g and graph is not g
+        copies.append(family)
         assert ks.facets_from_2faces(graph, family).sets == cube4.facets
-        assert calls["validate_k_system"] == 0
+    for family in [f2, *copies]:
+        assert family == f2 and _proved(family)
+        assert _masks(family) == _masks(f2) is not None
         assert ks.facets_from_2faces(g, family).sets == cube4.facets
-        assert calls["validate_k_system"] == 1
+    assert calls["validate_k_system"] == 0
     made = ks.make_set_system(g, 2, f2.sets)
     for family in pickle.loads(pickle.dumps(made)), copy.deepcopy(made):
         assert family == made and _masks(family) == _masks(made) is not None
+        assert not _proved(family)
+
+
+def test_a_recorded_f2_pickled_alone_carries_no_graph(monkeypatch):
+    # the flag is a bool: cube7's F_2 pickles to its sets, its masks and
+    # the flag, and is trusted on the graph when it comes back
+    inst = ks.cube(7)
+    g = inst.graph
+    f2 = ks.faces_from_incidence.__wrapped__(inst, 2)
+    blob = pickle.dumps(f2)
+    assert b"PolytopeGraph" not in blob and len(blob) <= 16179
+    family = pickle.loads(blob)
+    assert family == f2 and _proved(family)
+    calls = Counter()
+    for name in ("validate_k_system", "induces_connected", "_member_masks"):
+        _counting(monkeypatch, certificates, name, calls)
+    _counting(monkeypatch, systems, "member_ids", calls)
+    assert ks.facets_from_2faces(g, family).sets == inst.facets
+    assert calls == {"_member_masks": 1}
 
 
 @pytest.mark.parametrize("bad", [-1, 16, 10**12, True, 1.0])
