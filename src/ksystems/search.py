@@ -4,12 +4,16 @@ Everything here is brute force with budgets, meant for desk-scale
 instances.  Orientation enumeration walks edge directions in BFS order
 and prunes any partial assignment that already closes a directed cycle,
 so leaves of the search are exactly the acyclic orientations.  The cycle
-test reads a reachability closure kept per depth as one integer of n * n
-bits, a row of n bits per vertex, so trying an edge costs one bit test
-and taking it a few operations on that integer: a shift and mask pick
-the rows that gain, and one multiplication writes the gained row into
-each of them.  ``minimize_hk`` and the k-sink search follow the stream
-by the edges whose heads changed from one orientation to the next.
+test reads a reachability closure kept as one integer of n * n bits, a
+row of n bits per vertex, so trying an edge costs one bit test and
+taking it a few operations on that integer: a shift and mask pick the
+rows that gain, and one multiplication writes the gained row into each
+of them.  The sweep visits each node once: an edge whose direction the
+closure forces is set with no new integer, and only a node where both
+directions are open is kept, to come back to for its second.
+``minimize_hk`` and the k-sink search follow the stream by the edges
+whose heads changed from one orientation to the next, each read from a
+per-edge table of what a turn of that edge changes.
 k-system enumeration is exact cover over the frame universe: candidate
 member sets are the connected induced k-regular subgraphs, grown and
 pruned over vertex bitmasks, most constrained vertex first, and a
@@ -19,7 +23,9 @@ only here, a frame is an integer key, its position in frame order
 Algorithm X over integer bitmasks: one int for the frames still
 uncovered, one mask of frames per candidate and one mask of candidates
 per frame.  Merged variants of a cover are generated lazily, so
-``count_cap`` bounds them.
+``count_cap`` bounds them, and only the members that can merge are
+partitioned.  The candidates' vertex masks are built once, serve the
+cover and the merges, and stay on every system yielded.
 
 No search here calls itself: each keeps its pending branches on an
 explicit stack and takes them in the order a recursive search would, so
@@ -33,7 +39,7 @@ from functools import cache, partial, reduce
 from itertools import chain, combinations, compress, count, islice
 from math import comb
 from operator import ne, or_
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded, CandidateCapExceeded
 from .graphs import (
@@ -50,6 +56,7 @@ from .graphs import (
 from .oracle import Instance, _face_masks
 from .systems import (
     SetSystem,
+    _keep_masks,
     check_k_range,
     frame_count,
     validate_k_system,
@@ -86,19 +93,27 @@ def enumerate_acyclic_orientations(
     the budget, since pruning gives no worst-case guarantee.  The budget
     is checked when this is called, before the first orientation.
 
-    The sweep is one loop over edge positions.  For each depth it keeps
-    the reachability closure of the arcs chosen so far as one integer of
-    n * n bits, n to a row: bit ``x*n + y`` is set when x reaches y by a
-    path of length >= 1.  The arc t -> h closes a cycle exactly when h
-    reaches t, bit ``h*n + t``.  Adding it, every vertex that is t or
-    reaches t gains h and all h reaches: bit 0 of those rows is picked
-    out by shifting the closure right by t and masking with ``col`` (bit
-    0 of every row), and multiplying that by the gained row puts the row
-    into each of them.  A row is n bits wide, so the product cannot carry
-    from one row into the next.  Backtracking drops back to the previous
-    depth's integer.  The last two edges are decided from the closure
-    before them, with no new integer, so each node two edges from the end
-    yields its leaves itself.
+    The sweep is one loop over edge positions.  It keeps the reachability
+    closure of the arcs chosen so far as one integer of n * n bits, n to
+    a row: bit ``x*n + y`` is set when x reaches y by a path of length
+    >= 1.  The arc t -> h closes a cycle exactly when h reaches t, bit
+    ``h*n + t``.  Adding it, every vertex that is t or reaches t gains h
+    and all h reaches: bit 0 of those rows is picked out by shifting the
+    closure right by t and masking with ``col`` (bit 0 of every row), and
+    multiplying that by the gained row puts the row into each of them.  A
+    row is n bits wide, so the product cannot carry from one row into the
+    next.
+
+    Each node is visited once.  The sweep descends taking bit 0 wherever
+    it is open.  Where one direction would close a cycle, the other is
+    forced, and its arc adds nothing: its tail already reaches its head,
+    so the head bit is set and the closure kept as it is.  Only a node
+    where both directions are open is pushed, as (position, closure);
+    popping it takes its bit-1 branch, so the leaves come in the order
+    of a search that tries bit 0 before bit 1 at every node.  The last
+    two edges are decided from the closure before them, with no new
+    integer, so each node two edges from the end yields its leaves
+    itself.
     """
     require_int(budget, "budget", 0)
     m = len(g.edges)
@@ -127,42 +142,46 @@ def enumerate_acyclic_orientations(
             return
         heads = [0] * m
         last = m - 2
-        # reach[p] is replaced, never changed, when the loop descends to p
-        reach = [0] * (last + 1)
-        tried = [0] * (last + 1)
-        pos = 0
-        while pos >= 0:
-            r = reach[pos]
-            if pos == last:
-                # with t1 -> h1 added, h2 reaches t2 iff it did before, or
-                # it reaches t1 (or is t1) and h1 reaches t2 (or is t2)
-                second = choices[pos + 1]
-                for e1, b1, t1, h1, back1, row1, _, _ in choices[pos]:
-                    if r >> back1 & 1:
+        # (position, closure) of each node above where both directions were
+        # open and only bit 0 has been taken
+        stack: list[tuple[int, int]] = []
+        pos = r = 0
+        while True:
+            while pos < last:
+                zero, one = choices[pos]
+                e, _, t, _, back, row, tail_row, head_bit = zero
+                # a forced arc's tail already reaches its head: r stays
+                if r >> back & 1:  # bit 0 would close a cycle
+                    heads[e] = 1
+                elif r >> one[4] & 1:  # bit 1 would
+                    heads[e] = 0
+                else:  # take bit 0 and come back for bit 1
+                    heads[e] = 0
+                    stack.append((pos, r))
+                    r |= ((r >> t & col) | tail_row) * (head_bit | (r >> row & full))
+                pos += 1
+            # with t1 -> h1 added, h2 reaches t2 iff it did before, or it
+            # reaches t1 (or is t1) and h1 reaches t2 (or is t2)
+            second = choices[pos + 1]
+            for e1, b1, t1, h1, back1, row1, _, _ in choices[pos]:
+                if r >> back1 & 1:
+                    continue
+                heads[e1] = b1
+                for e2, b2, t2, h2, back2, row2, _, _ in second:
+                    if r >> back2 & 1 or (
+                        (h2 == t1 or r >> row2 + t1 & 1)
+                        and (h1 == t2 or r >> row1 + t2 & 1)
+                    ):
                         continue
-                    heads[e1] = b1
-                    for e2, b2, t2, h2, back2, row2, _, _ in second:
-                        if r >> back2 & 1 or (
-                            (h2 == t1 or r >> row2 + t1 & 1)
-                            and (h1 == t2 or r >> row1 + t2 & 1)
-                        ):
-                            continue
-                        heads[e2] = b2
-                        yield Orientation(tuple(heads), fp)
-                pos -= 1
-                continue
-            i = tried[pos]
-            if i == 2:
-                tried[pos] = 0
-                pos -= 1
-                continue
-            tried[pos] = i + 1
-            e, b, t, _, back, row, tail_row, head_bit = choices[pos][i]
-            if r >> back & 1:
-                continue
-            heads[e] = b
+                    heads[e2] = b2
+                    yield Orientation(tuple(heads), fp)
+            if not stack:
+                return
+            pos, r = stack.pop()
+            e, _, t, _, _, row, tail_row, head_bit = choices[pos][1]
+            heads[e] = 1
+            r |= ((r >> t & col) | tail_row) * (head_bit | (r >> row & full))
             pos += 1
-            reach[pos] = r | ((r >> t & col) | tail_row) * (head_bit | (r >> row & full))
 
     return stream()
 
@@ -186,6 +205,9 @@ def minimize_hk(
     rise = [b - a for a, b in zip(weight, weight[1:])]
     edges = g.edges
     m = len(edges)
+    # moves[e][b]: the vertex that loses edge e and the one that wins it
+    # when its head turns to bit b
+    moves = [((v, u), (u, v)) for u, v in edges]
     indeg = [0] * g.n
     for u, _ in edges:
         indeg[u] += 1
@@ -196,8 +218,7 @@ def minimize_hk(
     for o in enumerate_acyclic_orientations(g, budget):
         heads = o.heads
         for e in compress(range(m), map(ne, prev, heads)):
-            ends = edges[e]
-            lost, won = ends[prev[e]], ends[heads[e]]
+            lost, won = moves[e][heads[e]]
             indeg[lost] -= 1
             total += rise[indeg[won]] - rise[indeg[lost]]
             indeg[won] += 1
@@ -305,11 +326,12 @@ def _frame_keys(g: PolytopeGraph, k: int) -> list[dict[int, int]]:
 
 
 def _cover_index(
-    g: PolytopeGraph, k: int, candidates: list[tuple[int, ...]]
+    g: PolytopeGraph, k: int, candidates: list[tuple[int, ...]], masks: list[int]
 ) -> tuple[list[int], list[int], list[int]]:
     """The exact-cover matrix as bitmasks.  A k-regular candidate holds
     one frame per vertex, the vertex and its neighbours inside the
-    candidate, looked up in :func:`_frame_keys` by their bitmask.
+    candidate (``masks`` holds each candidate's vertex mask), looked up in
+    :func:`_frame_keys` by their bitmask.
 
     Returns each candidate's frames (a mask over frame keys), each
     frame's candidates (a mask over candidate indices), and the
@@ -320,8 +342,7 @@ def _cover_index(
     table = _frame_keys(g, k)
     nbr = g.neighbour_masks
     cand_keys = [
-        [table[v][inside & nbr[v]] for v in t]
-        for t, inside in zip(candidates, map(vertex_mask, candidates))
+        [table[v][inside & nbr[v]] for v in t] for t, inside in zip(candidates, masks)
     ]
     for i, keys in enumerate(cand_keys):
         for f in keys:
@@ -350,7 +371,7 @@ def _column(frame_cands: list[int], uncovered: int, live: int) -> int:
 
 
 def _exact_covers(
-    g: PolytopeGraph, k: int, candidates: list[tuple[int, ...]]
+    g: PolytopeGraph, k: int, candidates: list[tuple[int, ...]], masks: list[int]
 ) -> Iterator[tuple[int, ...]]:
     """Exact covers of the frame universe by candidate sets: Algorithm X
     over the bitmasks of :func:`_cover_index`.  ``uncovered`` holds the
@@ -362,7 +383,7 @@ def _exact_covers(
     tried), and ``chosen[j]`` is the candidate in trial at depth j, so it
     runs to any depth.  The frame universe is never empty (k <= d - 1).
     """
-    cand_frames, frame_cands, clashes = _cover_index(g, k, candidates)
+    cand_frames, frame_cands, clashes = _cover_index(g, k, candidates, masks)
     chosen: list[int] = []
     uncovered, live = (1 << len(frame_cands)) - 1, (1 << len(candidates)) - 1
     stack = [(uncovered, live, _bit_indices(_column(frame_cands, uncovered, live)))]
@@ -385,52 +406,78 @@ def _exact_covers(
 
 
 def _merged_variants(
-    g: PolytopeGraph, base: list[tuple[int, ...]]
-) -> Iterator[list[tuple[int, ...]]]:
+    g: PolytopeGraph, base: list[tuple[int, ...]], masks: list[int]
+) -> Iterator[tuple[list[tuple[int, ...]], list[int]]]:
     """Coarsenings of a cover obtained by merging pairwise independent
     members into single (disconnected) sets.  Frame coverage is untouched
     by such merges, so every coarsening is again a k-system.  They are
     yielded one at a time, so a caller that stops early does no more.
+    ``masks`` holds the vertex mask of each member; each coarsening comes
+    as its members, blocks ordered by their least member index, and the
+    vertex mask of each.
 
     Two members are independent when they share no vertex and no edge
     joins them, so that their union is an induced disjoint union, still
     k-regular: one member's vertex mask misses the other's closed
     neighbourhood.  ``compat[i]`` is the mask of the earlier members
-    independent of member i, and each block is the mask of its members,
-    so a block admits member i when it holds nothing outside ``compat[i]``.
+    independent of member i.  Only a member independent of some other
+    member can merge; every other member stays a block of its own, and a
+    cover with no independent pair yields nothing.  The members that can
+    merge are partitioned: each block is the mask of its members, so a
+    block admits member i when it holds nothing outside ``compat[i]``.
+    A merged member's vertex mask is the OR of its parts' masks, and its
+    vertex ids are the bits of that mask, since its parts are disjoint.
 
     Member i is tried in each block that admits it, in order, then in a
-    block of its own; ``at[i]`` is the block it is in.  A block holding
-    member i alone is the last one, since the blocks that later members
-    opened are closed again before i moves on.  So the search is one loop
-    over member positions and runs to any depth.
+    block of its own; ``at[q]`` is the block the q-th member that can
+    merge is in.  A block holding that member alone is the last one,
+    since the blocks that later members opened are closed again before it
+    moves on.  So the search is one loop over positions and runs to any
+    depth.  No member that stays alone joins or opens a block, so the
+    blocks come in the order a partition of every member would give them.
     """
-    m = len(base)
     nbr = g.neighbour_masks
-    vmasks = list(map(vertex_mask, base))
-    closed = [
-        reduce(or_, map(nbr.__getitem__, t), vm) for t, vm in zip(base, vmasks)
-    ]
+    closed = [reduce(or_, map(nbr.__getitem__, t), vm) for t, vm in zip(base, masks)]
     compat = [
         sum(1 << j for j in range(i) if not vm & closed[j])
-        for i, vm in enumerate(vmasks)
+        for i, vm in enumerate(masks)
     ]
+    # the members independent of some other member: an earlier one, or a
+    # later one whose compat holds them
+    joined = reduce(or_, compat, 0) | sum(1 << i for i, c in enumerate(compat) if c)
+    if not joined:
+        return
+    movers = [*_bit_indices(joined)]
+    alone = [1 << i for i in range(len(base)) if not joined >> i & 1]
 
-    def merged(block: int) -> tuple[int, ...]:
-        members = map(base.__getitem__, _bit_indices(block))
-        return tuple(sorted(chain.from_iterable(members)))
+    # the member and vertex mask each block makes, kept once made; a block
+    # of one member gives that member as it is in base
+    parts = {1 << i: (t, vm) for i, (t, vm) in enumerate(zip(base, masks))}
 
+    def part(block: int) -> tuple[tuple[int, ...], int]:
+        vm = reduce(or_, map(masks.__getitem__, _bit_indices(block)))
+        parts[block] = made = (tuple(_bit_indices(vm)), vm)
+        return made
+
+    def variant(blocks: list[int]) -> tuple[list[tuple[int, ...]], list[int]]:
+        if alone:
+            blocks = sorted(chain(blocks, alone), key=lambda b: b & -b)
+        sets, vms = zip(*[parts.get(b) or part(b) for b in blocks])
+        return [*sets], [*vms]
+
+    p = len(movers)
     blocks: list[int] = []
-    at = [-1] * m  # -1: member i is in no block yet
-    i = 0
-    while i >= 0:
-        if i == m:
-            if len(blocks) < m:  # some block holds two members or more
-                yield list(map(merged, blocks))
-            i -= 1
+    at = [-1] * p  # -1: that member is in no block yet
+    q = 0
+    while q >= 0:
+        if q == p:
+            if len(blocks) < p:  # some block holds two members or more
+                yield variant(blocks)
+            q -= 1
             continue
+        i = movers[q]
         bit, outside = 1 << i, ~compat[i]
-        x = at[i]
+        x = at[q]
         if x >= 0:  # take member i out of the block it was tried in
             if blocks[x] == bit:
                 blocks.pop()
@@ -442,13 +489,13 @@ def _merged_variants(
                 break
         else:
             if x == len(blocks):  # its own block was the last try
-                at[i] = -1
-                i -= 1
+                at[q] = -1
+                q -= 1
                 continue
             y = len(blocks)
             blocks.append(bit)
-        at[i] = y
-        i += 1
+        at[q] = y
+        q += 1
 
 
 def enumerate_k_systems(
@@ -471,20 +518,32 @@ def enumerate_k_systems(
     refused before any candidate is listed.  Members are candidates or
     unions of them, distinct sorted tuples of vertex ids, so each system
     is bound to the graph with its members sorted, without
-    :func:`~ksystems.systems.make_set_system`.
+    :func:`~ksystems.systems.make_set_system`.  The candidates' vertex
+    masks are built once and serve the cover and the merges; each system
+    keeps its members' masks (:func:`~ksystems.systems._keep_masks`),
+    a merged member's the OR of its parts'.  Every id is a bit index of
+    a mask over the graph's vertices, so it is in range by construction,
+    and the validation of each system checks no id and builds no mask.
     """
     require_int(count_cap, "count_cap", 1)
     candidates = connected_k_regular_sets(g, k, candidate_cap)
+    masks = [*map(vertex_mask, candidates)]
 
-    def families() -> Iterator[list[tuple[int, ...]]]:
-        for cover in _exact_covers(g, k, candidates):
-            base = [candidates[i] for i in cover]
-            yield base
+    def families() -> Iterator[tuple[Sequence[tuple[int, ...]], Sequence[int]]]:
+        for cover in _exact_covers(g, k, candidates, masks):
+            # the candidates are sorted, so the cover in index order is too
+            ordered = sorted(cover)
+            yield [candidates[i] for i in ordered], [masks[i] for i in ordered]
             if include_merged:
-                yield from _merged_variants(g, base)
+                base = [candidates[i] for i in cover]
+                kept = [masks[i] for i in cover]
+                for sets, vms in _merged_variants(g, base, kept):
+                    sets, vms = zip(*sorted(zip(sets, vms)))
+                    yield sets, vms
 
-    for sets in islice(families(), count_cap):
-        s = SetSystem(k=k, sets=tuple(sorted(sets)), graph_fingerprint=g.fingerprint)
+    for sets, vms in islice(families(), count_cap):
+        s = SetSystem(k=k, sets=tuple(sets), graph_fingerprint=g.fingerprint)
+        _keep_masks(s, [*vms])
         if not validate_k_system(g, s).valid:
             raise AssertionError(f"search produced an invalid {k}-system: {s.sets}")
         yield s
@@ -548,17 +607,17 @@ def search_k_sink_counterexample(
     check_k_range(g, k, least=0)
     faces = cache(partial(_face_masks, inst))
     k_faces = faces(k) if k > 1 else []
-    edges = g.edges
-    m = len(edges)
+    m = len(g.edges)
+    # a turned edge u-v flips bit v of u's out-mask and bit u of v's
+    flips = [(u, 1 << v, v, 1 << u) for u, v in g.edges]
     prev: tuple[int, ...] = (0,) * m
     out = out_masks(g, Orientation(prev, g.fingerprint))
     others = [j for j in range(2, g.d) if j != k]
     for o in enumerate_acyclic_orientations(g, budget):
         heads = o.heads
-        for e in compress(range(m), map(ne, prev, heads)):
-            u, v = edges[e]
-            out[u] ^= 1 << v
-            out[v] ^= 1 << u
+        for u, v_bit, v, u_bit in compress(flips, map(ne, prev, heads)):
+            out[u] ^= v_bit
+            out[v] ^= u_bit
         prev = heads
         if first_without_unique_sink(out, k_faces) is None:
             if not unique_sinks(out, map(faces, others)):

@@ -79,13 +79,15 @@ class SetSystem:
     and an equal graph parsed again is trusted too.  The other is the
     vertex mask of each member, kept by :func:`_keep_masks` where the
     member ids were checked (:func:`make_set_system`) or the masks built
-    anyway (:func:`~ksystems.oracle.faces_from_incidence`), and read by
-    :func:`_member_masks`.  Neither record is a field: no constructor
-    argument sets it, equality, hash and ``repr`` ignore it, and
-    :func:`dataclasses.replace` drops it; :mod:`pickle` and :mod:`copy`
-    carry both, as they carry a graph's ``neighbour_masks``.  No family
-    holds a graph, so one pickled alone carries its sets, its masks and
-    a bool.  A family built directly carries neither record.
+    anyway (:func:`~ksystems.oracle.faces_from_incidence`, and
+    :func:`~ksystems.search.enumerate_k_systems`, whose ids are the bits
+    of those masks), and read by :func:`_member_masks`.  Neither record
+    is a field: no constructor argument sets it, equality, hash and
+    ``repr`` ignore it, and :func:`dataclasses.replace` drops it;
+    :mod:`pickle` and :mod:`copy` carry both, as they carry a graph's
+    ``neighbour_masks``.  No family holds a graph, so one pickled alone
+    carries its sets, its masks and a bool.  A family built directly
+    carries neither record.
     """
 
     k: int
@@ -118,7 +120,9 @@ _MASKS = "_member_masks"
 def _keep_masks(s: SetSystem, masks: list[int]) -> None:
     """Keep on ``s`` the vertex mask of each of its members, in member
     order.  Only a function that has checked the member ids against the
-    n of the fingerprint ``s`` is bound to may call it."""
+    n of the fingerprint ``s`` is bound to, or read them off masks over
+    that graph's vertices (:func:`~ksystems.search.enumerate_k_systems`),
+    may call it."""
     s.__dict__[_MASKS] = masks
 
 

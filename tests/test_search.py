@@ -1,3 +1,4 @@
+import random
 import re
 import time
 from collections import Counter
@@ -6,7 +7,7 @@ from itertools import combinations, islice
 import pytest
 
 import ksystems as ks
-from ksystems import search
+from ksystems import search, systems
 from ksystems.chromatic import acyclic_orientation_count
 from ksystems.errors import (
     BudgetExceeded,
@@ -14,6 +15,9 @@ from ksystems.errors import (
     InvalidParams,
     KOutOfRange,
 )
+
+from ksystems.graphs import vertex_mask
+from ksystems.systems import _MASKS
 
 from conftest import cycle_graph
 
@@ -222,6 +226,31 @@ def test_merged_variants_stop_at_count_cap():
         set(t) == set().union(*(b for b in first.sets if set(b) <= set(t)))
         for t in merged.sets
     )
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_k_systems_keep_their_member_masks(monkeypatch, seed):
+    # triangle x square has 38 covers and 114 merged variants for k = 2;
+    # each system keeps the vertex mask of each member, a merged member's
+    # the OR of its parts', so validating it checks no id and builds no mask
+    g = ks.product(ks.simplex(2), ks.cube(2)).graph
+    if seed is not None:
+        perm = random.Random(seed).sample(range(g.n), g.n)
+        g = ks.validate_graph(g.d, g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    calls = Counter()
+    _counting(monkeypatch, systems, "member_ids", calls)
+    _counting(monkeypatch, systems, "vertex_mask", calls)
+    found = list(ks.enumerate_k_systems(g, 2))
+    reports = [ks.validate_k_system(g, s) for s in found]
+    assert calls == {}
+    monkeypatch.undo()
+    covers = list(ks.enumerate_k_systems(g, 2, include_merged=False))
+    assert (len(found), len(covers)) == (152, 38)
+    assert {s.sets for s in covers} < {s.sets for s in found}
+    for s, report in zip(found, reports):
+        assert s.__dict__[_MASKS] == [*map(vertex_mask, s.sets)]
+        assert report.valid
+        assert report == ks.validate_k_system(g, ks.make_set_system(g, 2, s.sets))
 
 
 def test_max_k_system_is_the_largest_of_the_first_covers(fig1):

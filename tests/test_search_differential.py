@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 
 import ksystems as ks
 from ksystems import oracle, search
+from ksystems.chromatic import acyclic_orientation_count
 from ksystems.errors import (
     BudgetExceeded,
     CandidateCapExceeded,
     KSystemsError,
 )
+from ksystems.graphs import vertex_mask
 
 import reference_search as ref
 from conftest import cycle_graph
@@ -210,6 +212,115 @@ def test_k_sink_search_fetches_only_the_faces_it_tests(monkeypatch, name):
             assert fetched[0] == k
 
 
+# -- where forced edges dominate ---------------------------------------------
+
+# The sweep takes bit 0 wherever both directions are open and comes back
+# only to those nodes; an edge whose direction the arcs above it force is
+# set without a new closure.  These graphs have many forced nodes.
+FORCED = {
+    "simplex4": SINK_INSTANCES["simplex4"],
+    "tet_x_segment": SINK_INSTANCES["tet_x_segment"],
+    "triangle_x_triangle": ks.product(TRIANGLE, TRIANGLE),
+    "trunc2_tet": SINK_INSTANCES["trunc2_tet"],
+}
+# forced nodes of the reference sweep, all positions counted: 1.62, 1.32,
+# 1.25 and 0.46 per leaf (cube3 has 0.41, the pentagonal prism 0.33)
+FORCED_NODES = {
+    "simplex4": 194,
+    "tet_x_segment": 6640,
+    "triangle_x_triangle": 23906,
+    "trunc2_tet": 718,
+}
+
+
+def _forced_and_leaves(g):
+    """Nodes of the reference sweep where one direction of the edge would
+    close a cycle, and the sweep's leaves."""
+    order = ref._bfs_edge_order(g)
+    out = [0] * g.n
+    counts = [0, 0]
+
+    def walk(pos):
+        if pos == len(order):
+            counts[1] += 1
+            return
+        u, v = g.edges[order[pos]]
+        arcs = [(t, h) for t, h in ((v, u), (u, v)) if not ref._reaches(out, h, t)]
+        counts[0] += len(arcs) == 1
+        for t, h in arcs:
+            out[t] |= 1 << h
+            walk(pos + 1)
+            out[t] &= ~(1 << h)
+
+    walk(0)
+    return counts
+
+
+def _reference_stream(monkeypatch):
+    """Make the reference k-sink search draw the reference stream."""
+    monkeypatch.setattr(
+        ref, "enumerate_acyclic_orientations", lambda g, budget: ref.acyclic_orientations(g)
+    )
+
+
+@pytest.mark.parametrize("name", FORCED)
+def test_orientation_stream_matches_reference_where_edges_are_forced(name):
+    g = FORCED[name].graph
+    got = list(ks.enumerate_acyclic_orientations(g))
+    assert got == list(ref.acyclic_orientations(g))
+    assert len(got) == acyclic_orientation_count(g.n, g.edges)
+    assert _forced_and_leaves(g) == [FORCED_NODES[name], len(got)]
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(list(FORCED)), st.data())
+def test_orientation_stream_matches_reference_where_edges_are_forced_after_relabelling(name, data):
+    g = FORCED[name].graph
+    rg = _relabelled(g, data.draw(st.permutations(range(g.n))))
+    got = list(ks.enumerate_acyclic_orientations(rg))
+    assert got == list(ref.acyclic_orientations(rg))
+    assert len(got) == acyclic_orientation_count(rg.n, rg.edges)
+
+
+@pytest.mark.parametrize("k", [2, ks.ALL])
+@pytest.mark.parametrize("name", FORCED)
+def test_minimize_hk_matches_reference_where_edges_are_forced(name, k):
+    g = FORCED[name].graph
+    _same_minimum(ks.minimize_hk(g, k), ref.least_hk(g, k, ref.acyclic_orientations(g)))
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(list(FORCED)), st.sampled_from([2, ks.ALL]), st.data())
+def test_minimize_hk_matches_reference_where_edges_are_forced_after_relabelling(name, k, data):
+    g = FORCED[name].graph
+    rg = _relabelled(g, data.draw(st.permutations(range(g.n))))
+    _same_minimum(ks.minimize_hk(rg, k), ref.least_hk(rg, k, ref.acyclic_orientations(rg)))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_k_sink_search_matches_reference_where_edges_are_forced(monkeypatch, k):
+    # tet x segment holds a 3-sink counterexample; for k = 2 the paper's
+    # theorem rules one out.  The reference draws the reference stream.
+    inst = FORCED["tet_x_segment"]
+    _reference_stream(monkeypatch)
+    want = ref.search_k_sink_counterexample(inst, k)
+    assert (want is None) == (k == 2)
+    assert ks.search_k_sink_counterexample(inst, k) == want
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_k_sink_search_matches_reference_where_edges_are_forced_after_relabelling(data):
+    inst = FORCED["tet_x_segment"]
+    relabelled = _relabelled_instance(inst, data.draw(st.permutations(range(inst.graph.n))))
+    k = data.draw(st.sampled_from([2, 3]))
+    want = ks.search_k_sink_counterexample(relabelled, k)
+    with pytest.MonkeyPatch.context() as mp:
+        _reference_stream(mp)
+        assert want == ref.search_k_sink_counterexample(relabelled, k)
+    assert (want is None) == (k == 2)
+
+
 def _families(inst):
     """Set systems on the graph: every F_k, the connected k-regular sets,
     and some arbitrary subsets (which may induce no sink structure at all)."""
@@ -346,12 +457,12 @@ MERGE_INSTANCES = {
 def _covers(g, k):
     """Every exact cover of the connected candidates, as member lists."""
     candidates = ks.connected_k_regular_sets(g, k)
-    for cover in search._exact_covers(g, k, candidates):
+    for cover in search._exact_covers(g, k, candidates, [*map(vertex_mask, candidates)]):
         yield [candidates[i] for i in cover]
 
 
 def _same_merges(g, base):
-    got = list(search._merged_variants(g, base))
+    got = [sets for sets, _ in search._merged_variants(g, base, [*map(vertex_mask, base)])]
     assert got == list(ref._merged_variants(g, base))
     return len(got)
 
@@ -377,12 +488,47 @@ def test_merged_variants_match_reference_after_relabelling(name, data):
         _same_merges(rg, base)
 
 
+def _can_merge(g, pool):
+    """The members of ``pool`` independent of some other member."""
+    masks = [*map(vertex_mask, pool)]
+    closed = [vertex_mask({x for v in t for x in g.adjacency[v]} | set(t)) for t in pool]
+    return [t for t, vm in zip(pool, masks) if any(not vm & c for c in closed)]
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_merged_variants_match_reference_on_any_member_list(data):
+@given(st.sampled_from(["cube4", "triangle_x_square"]), st.data())
+def test_merged_variants_match_reference_on_any_member_list(name, data):
     # members need not form a cover: any list of candidates, overlapping or
-    # adjacent ones included, in any order
-    g = MERGE_INSTANCES["cube4"].graph
+    # adjacent ones included, in any order.  Only 24 of cube4's 224
+    # candidates and 4 of triangle x square's 55 can merge, so half the
+    # draws come from those, interleaved with members that cannot merge
+    g = MERGE_INSTANCES[name].graph
     pool = ks.connected_k_regular_sets(g, 2)
-    base = data.draw(st.lists(st.sampled_from(pool), max_size=7))
+    mergeable = _can_merge(g, pool)
+    assert len(mergeable) == {"cube4": 24, "triangle_x_square": 4}[name]
+    draw = st.one_of(st.sampled_from(mergeable), st.sampled_from(pool))
+    base = data.draw(st.lists(draw, max_size=12))
     _same_merges(g, base)
+
+
+def test_merged_variants_keep_members_that_cannot_merge_in_place():
+    # two pairs of opposite squares of cube4, (a, a') and (b, b'),
+    # interleaved with three squares that meet each square of the list:
+    # the pairs merge, the three stay where they are
+    g = MERGE_INSTANCES["cube4"].graph
+    a, a_, b, b_ = (1, 5, 9, 13), (2, 6, 10, 14), (0, 4, 8, 12), (3, 7, 11, 15)
+    fillers = [(0, 1, 2, 3), (0, 1, 4, 5), (4, 5, 6, 7)]
+    base = [a, fillers[0], b, fillers[1], a_, fillers[2], b_]
+    assert _same_merges(g, base) == 3
+    for sets in ref._merged_variants(g, base):
+        assert [t for t in sets if t in fillers] == fillers
+
+
+def test_covers_with_no_independent_pair_have_no_merged_variants():
+    # in each of cube3's two connected 2-systems any two members meet or
+    # are joined by an edge
+    g = ks.cube(3).graph
+    covers = list(_covers(g, 2))
+    assert len(covers) == 2
+    for base in covers:
+        assert _same_merges(g, base) == 0
